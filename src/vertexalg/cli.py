@@ -39,7 +39,7 @@ from .expr import (
     Translate,
     parse_expr,
 )
-from .freefield import FreeFieldAlgebra, axiom_defect, nproduct, translate
+from .freefield import FreeFieldAlgebra, axiom_defect, nproduct, random_element, translate
 from .geometry import (
     GluingForm,
     conformal_glue_check,
@@ -206,31 +206,10 @@ def _cmd_axioms(args, params) -> Report:
     variables = tuple(f"y{i}" for i in range(1, (args.n or 2) + 1))
     alg = FreeFieldAlgebra(variables, weight * 2 + 2)
 
-    def rand_elem(max_wt):
-        while True:
-            wt = rng.randint(0, max_wt)
-            out = alg.zero()
-            for _ in range(rng.randint(1, 2)):
-                alpha = tuple(rng.randint(-1, 2) for _ in variables)
-                tail, rem = [], wt
-                while rem > 0:
-                    if rng.random() < 0.5:
-                        m = rng.randint(1, rem)
-                        tail.append(("y", rng.randint(1, len(variables)), m))
-                        rem -= m
-                    else:
-                        m = rng.randint(0, rem - 1)
-                        tail.append(("d", rng.randint(1, len(variables)), m))
-                        rem -= m + 1
-                key = (alpha, tuple(sorted(tail, key=lambda s: (s[0], s[1], -s[2]))))
-                out = out + alg.element({key: ParamScalar.of(rng.randint(-3, 3))})
-            if not out.is_zero():
-                return out
-
     bad = 0
     for _ in range(trials):
-        a = rand_elem(weight)
-        b = rand_elem(weight)
+        a = random_element(alg, rng, weight)
+        b = random_element(alg, rng, weight)
         c = alg.coordinate(rng.randint(1, len(variables)))
         n = rng.randint(-1, 1)
         if not axiom_defect("vacuum", a).is_zero():

@@ -509,6 +509,35 @@ def virasoro(n_vars: int, max_weight: int = 4) -> FreeFieldElement:
     return alg.virasoro_element()
 
 
+def random_element(alg: FreeFieldAlgebra, rng, max_weight: int) -> FreeFieldElement:
+    """A nonzero seeded random element of weight between 0 and max_weight.
+
+    One or two basis words with zero-mode exponents in -1..2, random creation
+    symbols and coefficients in -3..3.  The draws depend only on rng and the
+    number of variables, so a seed fixes the sequence of elements.
+    """
+    n = alg.n
+    while True:
+        wt = rng.randint(0, max_weight)
+        out = alg.zero()
+        for _ in range(rng.randint(1, 2)):
+            alpha = tuple(rng.randint(-1, 2) for _ in range(n))
+            tail, rem = [], wt
+            while rem > 0:
+                if rng.random() < 0.5:
+                    m = rng.randint(1, rem)
+                    tail.append(("y", rng.randint(1, n), m))
+                    rem -= m
+                else:
+                    m = rng.randint(0, rem - 1)
+                    tail.append(("d", rng.randint(1, n), m))
+                    rem -= m + 1
+            coeff = ParamScalar.of(rng.randint(-3, 3))
+            out = out + alg.element({(alpha, tuple(tail)): coeff})
+        if not out.is_zero():
+            return out
+
+
 def frame_filtration_part(a: FreeFieldElement, degree: int) -> FreeFieldElement:
     """Terms whose count of frame-field symbols is exactly the given degree.
 

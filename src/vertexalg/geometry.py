@@ -17,7 +17,14 @@ from typing import Mapping
 from .algebroid import WeightOneElement, embed, embed_form, fock_algebra
 from .errors import InhomogeneousInput, VariableMismatch
 from .freefield import nproduct, translate
-from .laurent import LaurentElement, OneForm, TwoForm, VectorField, iota_two
+from .laurent import (
+    LaurentElement,
+    OneForm,
+    TwoForm,
+    VectorField,
+    exponent_vectors,
+    iota_two,
+)
 from .scalar import ONE, ZERO, ParamScalar
 
 V2 = ("y1", "y2")
@@ -226,7 +233,7 @@ def invariant_sections(degree: int, N: int, kind: str = "field",
         raise ValueError("kind must be 'field' or 'form'")
     if total < 0:
         return out
-    for exp in _monomials(total, n):
+    for exp in exponent_vectors(total, n):
         for i in range(1, n + 1):
             if kind == "field":
                 out.append(WeightOneElement.field(
@@ -236,15 +243,6 @@ def invariant_sections(degree: int, N: int, kind: str = "field",
                     chart, OneForm(variables,
                                    {i: LaurentElement.monomial(variables, exp)})))
     return out
-
-
-def _monomials(total: int, n: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _monomials(total - first, n - 1):
-            yield (first,) + rest
 
 
 def conformal_glue_check(omega: GluingForm, max_weight: int = 3) -> bool:

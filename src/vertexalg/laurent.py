@@ -11,13 +11,25 @@ Coordinate indices are 1-based throughout (y1, y2, ...).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from fractions import Fraction
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import VariableMismatch
 from .scalar import ONE, ZERO, ParamScalar, RationalLike
 
 ExpVec = tuple[int, ...]
-CoeffLike = Union[ParamScalar, int, "Fraction"]
+CoeffLike = Union[ParamScalar, int, Fraction]
+
+
+def exponent_vectors(total: int, n: int) -> Iterator[ExpVec]:
+    """Exponent vectors of the monomials of degree `total` in n variables,
+    first exponent descending (lexicographically decreasing)."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in exponent_vectors(total - first, n - 1):
+            yield (first,) + rest
 
 
 def _coerce_scalar(c) -> ParamScalar:
@@ -120,7 +132,7 @@ class LaurentElement:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentElement":
-        if isinstance(other, (int, ParamScalar)) or type(other).__name__ == "Fraction":
+        if isinstance(other, (int, Fraction, ParamScalar)):
             return self.scale(other)
         self._check(other)
         out: dict[ExpVec, ParamScalar] = {}

@@ -232,24 +232,117 @@ class LinearSolution:
     assignment: dict[str, ParamScalar] | None = None
 
 
-def _affine_split(eq: ParamScalar, unknowns: list[str]) -> tuple[list[Fraction], ParamScalar]:
+def _affine_split(eq: ParamScalar,
+                  unknowns: list[str]) -> tuple[dict[int, Fraction], ParamScalar]:
     """Write eq as  const + sum coeffs[i] * unknowns[i];  exact, or raise.
 
-    The constant part may involve parameters outside the unknown list; the
-    unknowns themselves must enter with rational coefficients.
+    The coefficients come back sparse, keyed by unknown index.  The constant
+    part may involve parameters outside the unknown list; the unknowns
+    themselves must enter with rational coefficients.
     """
-    unknown_set = set(unknowns)
-    coeffs = [Fraction(0)] * len(unknowns)
+    index = {name: i for i, name in enumerate(unknowns)}
+    coeffs: dict[int, Fraction] = {}
     const = ParamScalar.zero()
     for mono, c in eq._terms.items():
-        touched = [(name, e) for name, e in mono if name in unknown_set]
+        touched = [(name, e) for name, e in mono if name in index]
         if not touched:
             const = const + ParamScalar({mono: c})
             continue
         if len(touched) > 1 or touched[0][1] > 1 or len(mono) > 1:
             raise NonlinearCondition("nonlinear condition")
-        coeffs[unknowns.index(touched[0][0])] += c
+        i = index[touched[0][0]]
+        coeffs[i] = coeffs.get(i, Fraction(0)) + c
     return coeffs, const
+
+
+@dataclass
+class Echelon:
+    """Reduced row echelon form of a sparse rational system  A x = b.
+
+    `rows` maps each pivot column, in increasing order, to its row: 1 at the
+    pivot, nothing to its left and 0 in every other pivot column.  `rhs` holds
+    the matching right-hand sides.  `residuals` are the nonzero right-hand
+    sides of the rows that reduced to zero; the system is consistent exactly
+    when they all vanish.
+    """
+
+    rows: dict[int, dict[int, Fraction]]
+    rhs: dict[int, ParamScalar]
+    residuals: list[ParamScalar]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def nullspace(self, ncols: int) -> list[dict[int, Fraction]]:
+        """Sparse nullspace basis over columns 0..ncols-1: one vector per
+        free column, in column order, with 1 at that column."""
+        basis = []
+        for free in range(ncols):
+            if free in self.rows:
+                continue
+            vec = {free: Fraction(1)}
+            for col, row in self.rows.items():
+                x = row.get(free)
+                if x:
+                    vec[col] = -x
+            basis.append(vec)
+        return basis
+
+
+def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= f * other, in place, dropping entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c, 0) - f * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
+               rhs: Iterable[ParamScalar] | None = None) -> Echelon:
+    """Exact Gauss-Jordan elimination of sparse rows {column: coefficient}.
+
+    The optional right-hand sides (one per row, default zero) follow the row
+    operations.  Rows are taken in turn: each is reduced by the pivot rows
+    found so far; whatever is left makes its leftmost column a new pivot,
+    which is then cleared from the earlier pivot rows.  A pivot thus stays the
+    leftmost entry of its row, so the result is the reduced row echelon form,
+    which the row space and the column order determine uniquely.
+    """
+    rows = list(rows)
+    rhs = [ZERO] * len(rows) if rhs is None else list(rhs)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    pivot_rhs: dict[int, ParamScalar] = {}
+    residuals: list[ParamScalar] = []
+    for entries, b in zip(rows, rhs, strict=True):
+        row = {c: Fraction(x) for c, x in entries.items() if x}
+        for col in [c for c in row if c in pivots]:
+            f = row[col]
+            _subtract(row, f, pivots[col])
+            if pivot_rhs[col]:
+                b = b - pivot_rhs[col] * f
+        if not row:
+            if b:
+                residuals.append(b)
+            continue
+        col = min(row)
+        inv = 1 / row[col]
+        row = {c: x * inv for c, x in row.items()}
+        if b:
+            b = b * inv
+        for pcol, prow in pivots.items():
+            f = prow.get(col)
+            if f:
+                _subtract(prow, f, row)
+                if b:
+                    pivot_rhs[pcol] = pivot_rhs[pcol] - b * f
+        pivots[col] = row
+        pivot_rhs[col] = b
+    order = sorted(pivots)
+    return Echelon({c: pivots[c] for c in order}, {c: pivot_rhs[c] for c in order},
+                   residuals)
 
 
 def solve_linear_system(
@@ -257,38 +350,17 @@ def solve_linear_system(
 ) -> LinearSolution:
     """Classify and solve an affine-linear system in the given parameters.
 
-    Exact Gaussian elimination over Fraction.  Returns a unique assignment,
-    or flags the system underdetermined / inconsistent.
+    Exact elimination over Fraction (row_reduce).  Returns a unique
+    assignment, or flags the system underdetermined / inconsistent.
     """
-    rows: list[list] = []
+    rows, rhs = [], []
     for eq in equations:
         coeffs, const = _affine_split(eq, unknowns)
-        rows.append(list(coeffs) + [const])
-
-    n = len(unknowns)
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-
-    for row in rows[r:]:
-        if row[n] != 0:
-            return LinearSolution("inconsistent")
-    if len(pivots) < n:
+        rows.append(coeffs)
+        rhs.append(-const)
+    echelon = row_reduce(rows, rhs)
+    if echelon.residuals:
+        return LinearSolution("inconsistent")
+    if echelon.rank < len(unknowns):
         return LinearSolution("underdetermined")
-    assignment = {}
-    for row, col in pivots:
-        # row reads: u_col + const = 0
-        assignment[unknowns[col]] = -rows[row][n]
-    return LinearSolution("unique", assignment)
+    return LinearSolution("unique", {unknowns[c]: b for c, b in echelon.rhs.items()})

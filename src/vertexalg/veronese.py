@@ -11,7 +11,7 @@ derivation computation, and the higher-dimensional obstruction witness.
 
 The identity current convention: the trace element of gl_2 acts on the model
 through N times the Euler derivation (see euler_derivation); the factor N is
-a normalization choice kept as a documented constant, NORMALIZATION_FACTOR.
+a normalization choice.
 """
 
 from __future__ import annotations
@@ -33,13 +33,8 @@ from .algebroid import (
 from .errors import InhomogeneousInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
-from .laurent import LaurentElement, OneForm, de_rham
-from .scalar import ZERO, ParamScalar, solve_linear_system
-
-# the trace of gl_2 maps to NORMALIZATION_FACTOR(N) times the Euler field
-def NORMALIZATION_FACTOR(N: int) -> int:
-    return N
-
+from .laurent import LaurentElement, OneForm, de_rham, exponent_vectors
+from .scalar import ZERO, ParamScalar, row_reduce, solve_linear_system
 
 ExpVec = tuple[int, ...]
 
@@ -64,15 +59,6 @@ class ChargeResult:
     admissible_gluing: GluingForm | None
 
 
-def _exponents(total: int, n: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exponents(total - first, n - 1):
-            yield (first,) + rest
-
-
 def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseModel:
     """All degree-N monomials as generators plus their binomial syzygies."""
     if n < 2 or N < 1:
@@ -85,7 +71,7 @@ def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseMode
         relations = [((f"x{i}", f"x{j}"), (f"x{i + 1}", f"x{j - 1}"))
                      for i in range(N - 1) for j in range(i + 2, N + 1)]
     else:
-        exps = sorted(_exponents(N, n), reverse=True)
+        exps = sorted(exponent_vectors(N, n), reverse=True)
         generators = {f"x{j}": e for j, e in enumerate(exps)}
         names = list(generators)
         by_product: dict[ExpVec, list[tuple[str, str]]] = {}
@@ -136,7 +122,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     n, N = model.n, model.N
     span: list[OneForm] = []
     if degree >= N and (degree - N) % N == 0:
-        for m in _exponents(degree - N, n):
+        for m in exponent_vectors(degree - N, n):
             mono = LaurentElement.monomial(model.variables, m)
             for gexp in model.generators.values():
                 g = LaurentElement.monomial(model.variables, gexp)
@@ -144,31 +130,12 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     def vec(form: OneForm) -> dict[tuple[int, ExpVec], ParamScalar]:
         return {(i, exp): c for i, g in form.components.items()
                 for exp, c in g.terms.items()}
-    span_vecs = [vec(s) for s in span]
     target = vec(omega)
-    coords = sorted(set(target) | {c for v in span_vecs for c in v})
-    rows = []
-    for coord in coords:
-        coeffs = [v.get(coord, ZERO).constant_value() for v in span_vecs]
-        rows.append((coeffs, target.get(coord, ZERO)))
-    r = 0
-    for c in range(len(span_vecs)):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][0][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow, prhs = rows[r]
-        pv = prow[c]
-        for i in range(len(rows)):
-            if i != r and rows[i][0][c] != 0:
-                f = rows[i][0][c] / pv
-                rows[i] = ([x - f * y for x, y in zip(rows[i][0], prow)],
-                           rows[i][1] - prhs * ParamScalar.of(f))
-        r += 1
-        if r == len(rows):
-            break
-    return [rhs for coeffs, rhs in rows
-            if all(x == 0 for x in coeffs) and not rhs.is_zero()]
+    rows: dict[tuple[int, ExpVec], dict[int, Fraction]] = {c: {} for c in target}
+    for j, s in enumerate(span):
+        for coord, c in vec(s).items():
+            rows.setdefault(coord, {})[j] = c.constant_value()
+    return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
 
 
 def omega_membership(omega: OneForm, model: VeroneseModel,
@@ -326,59 +293,9 @@ class DerivationReport:
     gl_generates: bool
 
 
-def _rank(vectors: list[list[Fraction]]) -> int:
-    mat = [v[:] for v in vectors if any(v)]
-    rank = 0
-    ncols = len(vectors[0]) if vectors else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    mat = [r[:] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
 def _derivation_rows(model: VeroneseModel, monos: list[ExpVec]):
-    """Linear constraints on the generator images of a graded derivation."""
+    """Linear constraints on the generator images of a graded derivation,
+    as sparse rows {column: coefficient}."""
     names = list(model.generators)
     mono_pos = {m: i for i, m in enumerate(monos)}
 
@@ -390,8 +307,7 @@ def _derivation_rows(model: VeroneseModel, monos: list[ExpVec]):
             return None
         return len(monos) * names.index(gname) + pos
 
-    ncols = len(names) * len(monos)
-    rows: dict[ExpVec, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, Fraction]] = {}
     for (u, v), (w, z) in model.relations:
         contributions = [(u, model.generators[v], 1), (v, model.generators[u], 1),
                          (w, model.generators[z], -1), (z, model.generators[w], -1)]
@@ -407,15 +323,8 @@ def _derivation_rows(model: VeroneseModel, monos: list[ExpVec]):
                     row[col] = row.get(col, Fraction(0)) + sign
             row = {c: x for c, x in row.items() if x}
             if row:
-                key = (target, (u, v), (w, z))
-                rows[key] = row
-    dense = []
-    for row in rows.values():
-        vec = [Fraction(0)] * ncols
-        for c, x in row.items():
-            vec[c] = x
-        dense.append(vec)
-    return names, dense, ncols
+                rows[(target, (u, v), (w, z))] = row
+    return names, list(rows.values())
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
@@ -427,16 +336,16 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
         raise ValueError(f"degree {degree} exceeds model bound {model.degree_bound}")
     if degree % N != 0 or N + degree < 0:
         return DerivationReport(degree, 0, [], [], True)
-    monos = list(_exponents(N + degree, n))
-    names, rows, ncols = _derivation_rows(model, monos)
-    null = _nullspace(rows, ncols)
+    monos = list(exponent_vectors(N + degree, n))
+    names, rows = _derivation_rows(model, monos)
+    null = row_reduce(rows).nullspace(len(names) * len(monos))
     basis = []
     for vec in null:
         images: dict[str, LaurentElement] = {}
         for gi, gname in enumerate(names):
             f = LaurentElement(model.variables)
             for mi, m in enumerate(monos):
-                c = vec[gi * len(monos) + mi]
+                c = vec.get(gi * len(monos) + mi)
                 if c:
                     f = f + LaurentElement.monomial(model.variables, m, c)
             images[gname] = f
@@ -445,9 +354,9 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     gl_vecs = _gl_multiple_vectors(model, degree, monos, names)
     for vec in gl_vecs:
         for row in rows:
-            if sum(a * b for a, b in zip(row, vec)):
+            if sum(x * vec[c] for c, x in row.items() if c in vec):
                 raise VertexAlgError("coordinate-field image violates a relation")
-    generates = _rank(gl_vecs) == len(null)
+    generates = row_reduce(gl_vecs).rank == len(null)
     return DerivationReport(degree, len(null), monos, basis, generates)
 
 
@@ -457,11 +366,10 @@ def _gl_multiple_vectors(model: VeroneseModel, degree: int,
     n = model.n
     mono_pos = {m: i for i, m in enumerate(monos)}
     vecs = []
-    for m in _exponents(degree, n):
+    for m in exponent_vectors(degree, n):
         for a in range(n):
             for b in range(n):
-                vec = [Fraction(0)] * (len(names) * len(monos))
-                nonzero = False
+                vec: dict[int, Fraction] = {}
                 for gi, gname in enumerate(names):
                     gexp = model.generators[gname]
                     if gexp[b] == 0:
@@ -473,9 +381,8 @@ def _gl_multiple_vectors(model: VeroneseModel, degree: int,
                     pos = mono_pos.get(exp)
                     if pos is None:
                         raise VertexAlgError("image monomial escaped the graded slice")
-                    vec[gi * len(monos) + pos] += gexp[b]
-                    nonzero = True
-                if nonzero:
+                    vec[gi * len(monos) + pos] = Fraction(gexp[b])
+                if vec:
                     vecs.append(vec)
     return vecs
 
@@ -491,8 +398,8 @@ def _verify_derivation(model: VeroneseModel, images: dict[str, LaurentElement]):
 
 
 def euler_derivation(model: VeroneseModel) -> dict[str, LaurentElement]:
-    """x_j maps to x_j; the trace of gl_2 acts by NORMALIZATION_FACTOR(N)
-    times this derivation."""
+    """x_j maps to x_j.  The trace of gl_2 acts on the model by N times this
+    derivation (a normalization choice)."""
     return {g: model.generator_element(g) for g in model.generators}
 
 
@@ -500,7 +407,7 @@ def derivation_in_span(model: VeroneseModel, report: DerivationReport,
                        candidate: dict[str, LaurentElement]) -> bool:
     names = list(model.generators)
     mono_pos = {m: i for i, m in enumerate(report.monomials)}
-    vec = [Fraction(0)] * (len(names) * len(report.monomials))
+    vec: dict[int, Fraction] = {}
     for gi, gname in enumerate(names):
         for exp, c in candidate.get(gname, LaurentElement(model.variables)).terms.items():
             pos = mono_pos.get(exp)
@@ -509,12 +416,10 @@ def derivation_in_span(model: VeroneseModel, report: DerivationReport,
             vec[gi * len(report.monomials) + pos] = c.constant_value()
     basis_vecs = []
     for images in report.basis:
-        bvec = [Fraction(0)] * len(vec)
-        for gi, gname in enumerate(names):
-            for exp, c in images[gname].terms.items():
-                bvec[gi * len(report.monomials) + mono_pos[exp]] = c.constant_value()
-        basis_vecs.append(bvec)
-    return _rank(basis_vecs) == _rank(basis_vecs + [vec])
+        basis_vecs.append({gi * len(report.monomials) + mono_pos[exp]: c.constant_value()
+                           for gi, gname in enumerate(names)
+                           for exp, c in images[gname].terms.items()})
+    return row_reduce(basis_vecs).rank == row_reduce(basis_vecs + [vec]).rank
 
 
 # -- the higher-dimensional obstruction witness --------------------------------

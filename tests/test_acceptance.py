@@ -20,10 +20,11 @@ from vertexalg.freefield import (
     axiom_defect,
     conformal_invariance_defect,
     nproduct,
+    random_element,
     translate,
 )
 from vertexalg.geometry import GluingForm, conformal_glue_check, transition
-from vertexalg.laurent import LaurentElement, OneForm
+from vertexalg.laurent import LaurentElement, OneForm, exponent_vectors
 from vertexalg.scalar import ParamScalar
 from vertexalg.veronese import (
     build_model,
@@ -112,21 +113,12 @@ def test_criterion_6_conformal_gluing():
     report(6, "conformal element survives twisted gluing", ok)
 
 
-def _exps(total, n):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exps(total - first, n - 1):
-            yield (first,) + rest
-
-
 def test_criterion_7_conformal_invariance():
     ok = True
     for n in (1, 2, 3):
         variables = tuple(f"y{i}" for i in range(1, n + 1))
         alg = fock_algebra(variables, 4)
-        exps = [e for total in range(6) for e in _exps(total, n)]
+        exps = [e for total in range(6) for e in exponent_vectors(total, n)]
         for exp in exps:
             f = LaurentElement.monomial(variables, exp)
             for i in range(1, n + 1):
@@ -175,30 +167,9 @@ def test_criterion_11_property_suites():
     alg = FreeFieldAlgebra(V, 7)
     rng = random.Random(2026)
 
-    def rand_elem(max_wt):
-        while True:
-            wt = rng.randint(0, max_wt)
-            out = alg.zero()
-            for _ in range(rng.randint(1, 2)):
-                alpha = (rng.randint(-1, 2), rng.randint(-1, 2))
-                tail, rem = [], wt
-                while rem > 0:
-                    if rng.random() < 0.5:
-                        m = rng.randint(1, rem)
-                        tail.append(("y", rng.randint(1, 2), m))
-                        rem -= m
-                    else:
-                        m = rng.randint(0, rem - 1)
-                        tail.append(("d", rng.randint(1, 2), m))
-                        rem -= m + 1
-                key = (alpha, tuple(sorted(tail, key=lambda s: (s[0], s[1], -s[2]))))
-                out = out + alg.element({key: ParamScalar.of(rng.randint(-3, 3))})
-            if not out.is_zero():
-                return out
-
     ok = True
     for _ in range(200):
-        a, b = rand_elem(2), rand_elem(2)
+        a, b = random_element(alg, rng, 2), random_element(alg, rng, 2)
         c = alg.coordinate(rng.randint(1, 2))
         n = rng.randint(-1, 1)
         ok = ok and axiom_defect("translation", a, n, b).is_zero()

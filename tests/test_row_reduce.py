@@ -1,0 +1,123 @@
+"""row_reduce re-checked against an independent oracle: sympy's exact
+rref, nullspace and linear solver, on seeded random sparse rational systems."""
+
+import random
+from fractions import Fraction
+
+import sympy
+
+from vertexalg.scalar import ParamScalar, row_reduce
+
+K = sympy.Symbol("k")
+
+
+def _random_rows(rng: random.Random, nrows: int, ncols: int):
+    """Sparse rows with some zero rows and some duplicated or rescaled rows."""
+    density = rng.choice((0.2, 0.4, 0.7))
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append({})
+        elif roll < 0.35 and rows:
+            f = Fraction(rng.choice((1, -1, 2, -3)), rng.randint(1, 3))
+            rows.append({c: f * x for c, x in rng.choice(rows).items()})
+        else:
+            rows.append({c: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                         for c in range(ncols) if rng.random() < density})
+    return rows
+
+
+def _shapes():
+    """(nrows, ncols) pairs: no rows, square, wide and tall systems."""
+    rng = random.Random(20261018)
+    shapes = [(0, 1), (0, 4), (1, 1), (3, 3), (2, 6), (9, 3), (12, 2)]
+    shapes += [(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(200)]
+    return shapes
+
+
+def _dense(rows, ncols) -> sympy.Matrix:
+    return sympy.Matrix(len(rows), ncols,
+                        lambda i, j: sympy.Rational(rows[i].get(j, 0)))
+
+
+def _to_sympy(x: ParamScalar):
+    out = sympy.Integer(0)
+    for mono, c in x.terms.items():
+        term = sympy.Rational(c)
+        for name, e in mono:
+            term *= sympy.Symbol(name) ** e
+        out += term
+    return out
+
+
+def _k_solutions(conditions):
+    """The set of k satisfying every linear condition, as a sympy set.
+    linsolve reads an empty system as unsolvable, so a trivial equation is
+    always added."""
+    return sympy.linsolve([*conditions, sympy.Integer(0)], [K])
+
+
+def test_rref_rank_nullspace_match_sympy():
+    rng = random.Random(4)
+    for nrows, ncols in _shapes():
+        rows = _random_rows(rng, nrows, ncols)
+        ech = row_reduce(rows)
+        mat = _dense(rows, ncols)
+        rref, pivots = mat.rref()
+        assert ech.rank == mat.rank() == len(pivots)
+        assert tuple(ech.rows) == pivots
+        assert _dense(list(ech.rows.values()), ncols) == rref[:len(pivots), :]
+        ours = ech.nullspace(ncols)
+        theirs = mat.nullspace()
+        assert len(ours) == len(theirs) == ncols - len(pivots)
+        if ours:
+            both = sympy.Matrix.hstack(*(_dense([v], ncols).T for v in ours), *theirs)
+            assert both.rank() == len(ours)
+
+
+def test_rational_rhs_matches_augmented_rref():
+    rng = random.Random(5)
+    for nrows, ncols in _shapes():
+        rows = _random_rows(rng, nrows, ncols)
+        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in rows]
+        ech = row_reduce(rows, [ParamScalar.of(b) for b in rhs])
+        aug = _dense(rows, ncols).row_join(
+            sympy.Matrix(nrows, 1, [sympy.Rational(b) for b in rhs]))
+        rref, pivots = aug.rref()
+        consistent = ncols not in pivots
+        assert consistent == (not ech.residuals)
+        if consistent:
+            for i, col in enumerate(ech.rows):
+                assert _to_sympy(ech.rhs[col]) == rref[i, ncols]
+
+
+def test_parametric_rhs_conditions_match_sympy():
+    rng = random.Random(6)
+    k = ParamScalar.var("k")
+    for nrows, ncols in _shapes():
+        rows = _random_rows(rng, nrows, ncols)
+        mat = _dense(rows, ncols)
+
+        def image(vec):
+            return [sum((x * vec[c] for c, x in row.items()), ParamScalar.zero())
+                    for row in rows]
+
+        def rand_vec():
+            return [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+
+        kind = rng.randrange(3)
+        if kind == 0:      # generic: consistent for no k, one k or every k
+            rhs = [ParamScalar.of(rng.randint(-3, 3)) + k * rng.randint(-2, 2)
+                   for _ in rows]
+        elif kind == 1:    # consistent at k = k0, and perhaps only there
+            k0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            rhs = [b + (k - k0) * rng.randint(-2, 2) for b in image(rand_vec())]
+        else:              # consistent for every k
+            rhs = [b + k * c for b, c in zip(image(rand_vec()), image(rand_vec()))]
+        ech = row_reduce(rows, rhs)
+        b = sympy.Matrix(nrows, 1, [_to_sympy(x) for x in rhs])
+        oracle = [(y.T * b)[0, 0] for y in mat.T.nullspace()] if nrows else []
+        ours = [_to_sympy(x) for x in ech.residuals]
+        assert all(x != 0 for x in ours)
+        assert _k_solutions(ours) == _k_solutions(oracle)
