@@ -10,9 +10,10 @@ stays the single source of truth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .errors import ChartMismatch, RuleOracleDivergence, VariableMismatch
+from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
 from .laurent import (
     LaurentElement,
@@ -125,7 +126,13 @@ class WeightOneElement:
 
 
 def fock_algebra(variables, max_weight: int = 3) -> FreeFieldAlgebra:
-    return FreeFieldAlgebra(tuple(variables), max_weight)
+    """The shared algebra of a variable list, so its product table is reused."""
+    return _shared_algebra(tuple(variables), max_weight)
+
+
+@functools.cache
+def _shared_algebra(variables: tuple[str, ...], max_weight: int) -> FreeFieldAlgebra:
+    return FreeFieldAlgebra(variables, max_weight)
 
 
 def embed_form(omega: OneForm, alg: FreeFieldAlgebra) -> FreeFieldElement:
@@ -155,7 +162,7 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
     forms: dict[int, LaurentElement] = {}
     for (alpha, tail), coeff in x.terms.items():
         if len(tail) != 1:
-            raise ValueError("not a weight-one element")
+            raise InvalidInput("not a weight-one element")
         cls, i, m = tail[0]
         mono = LaurentElement.monomial(variables, alpha, coeff)
         if (cls, m) == ("d", 0):
@@ -163,7 +170,7 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
         elif (cls, m) == ("y", 1):
             forms[i] = forms.get(i, LaurentElement(variables)) + mono
         else:
-            raise ValueError("not a weight-one element")
+            raise InvalidInput("not a weight-one element")
     div = LaurentElement(variables)
     for i, f in fields.items():
         div = div + f.derive(i)
@@ -246,7 +253,8 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
     if n >= 2:
         exps.append((1, 1) + (0,) * (n - 2))
         exps.append((-1, 1) + (0,) * (n - 2))
-    alg = fock_algebra(variables, 3)
+    # a private algebra: its table of one-off products is freed on return
+    alg = FreeFieldAlgebra(variables, 3)
     k = ParamScalar.var("k")
     samples = []
     for i in range(1, min(n, 2) + 1):
@@ -272,11 +280,13 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
         want1 = nproduct(eu, 1, ev)
         got1 = alg.from_laurent(_vprod1(u, v))
         if want1 != got1:
-            raise RuleOracleDivergence(f"_(1) rule/oracle divergence on {u!r}, {v!r}")
+            raise RuleOracleDivergence(f"_(1) rule/oracle divergence on {u!r}, {v!r}: "
+                                       f"oracle minus rule is {want1 - got1}")
         want0 = nproduct(eu, 0, ev)
         got0 = embed(_vprod0(u, v), alg)
         if want0 != got0:
-            raise RuleOracleDivergence(f"_(0) rule/oracle divergence on {u!r}, {v!r}")
+            raise RuleOracleDivergence(f"_(0) rule/oracle divergence on {u!r}, {v!r}: "
+                                       f"oracle minus rule is {want0 - got0}")
     _validated.add(variables)
 
 
@@ -291,7 +301,7 @@ def vprod(u: WeightOneElement, n: int, v: WeightOneElement):
         return _vprod1(u, v)
     if n == 0:
         return _vprod0(u, v)
-    raise ValueError("only the weight-0 and weight-1 products live in this layer")
+    raise InvalidInput("only the weight-0 and weight-1 products live in this layer")
 
 
 def oracle_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
@@ -329,7 +339,7 @@ def classical_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
         form = lie_derivative(tau_u, om_v) - lie_derivative(tau_v, om_u) \
             + de_rham(iota_one(tau_v, om_u))
         return WeightOneElement(u.chart, variables, dict(br.components), form)
-    raise ValueError("only n in {0, 1}")
+    raise InvalidInput("only n in {0, 1}")
 
 
 def classical_defect(u: WeightOneElement, n: int, v: WeightOneElement):
@@ -339,7 +349,8 @@ def classical_defect(u: WeightOneElement, n: int, v: WeightOneElement):
     defect = vprod(u, 0, v) - classical_vprod(u, 0, v)
     if defect.field_part:
         raise RuleOracleDivergence(
-            "weight-0 defect has a vector-field component; filtration violated"
+            f"weight-0 defect {defect!r} has a vector-field component; "
+            "filtration violated"
         )
     return defect
 

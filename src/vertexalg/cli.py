@@ -26,7 +26,7 @@ from .algebroid import (
     gl_pairing_table,
     morphism_check,
 )
-from .errors import VertexAlgError
+from .errors import InvalidInput, VertexAlgError
 from .expr import (
     BinOp,
     Gluing,
@@ -82,6 +82,16 @@ class Report:
 
 class UsageError(Exception):
     pass
+
+
+def _arg(args, name: str, default: int, least: int) -> int:
+    """An integer flag, or its default, checked against its least value."""
+    value = getattr(args, name)
+    if value is None:
+        value = default
+    if value < least:
+        raise UsageError(f"--{name} must be at least {least}, got {value}")
+    return value
 
 
 # -- expression evaluation -----------------------------------------------------
@@ -201,9 +211,9 @@ def _cmd_axioms(args, params) -> Report:
             raise UsageError("machine-format randomized runs need --seed")
         args.seed = random.SystemRandom().randint(0, 2 ** 31)
     rng = random.Random(args.seed)
-    weight = args.weight if args.weight is not None else 2
-    trials = args.trials if args.trials is not None else 200
-    variables = tuple(f"y{i}" for i in range(1, (args.n or 2) + 1))
+    weight = _arg(args, "weight", 2, 0)
+    trials = _arg(args, "trials", 200, 1)
+    variables = tuple(f"y{i}" for i in range(1, _arg(args, "n", 2, 1) + 1))
     alg = FreeFieldAlgebra(variables, weight * 2 + 2)
 
     bad = 0
@@ -227,8 +237,8 @@ def _cmd_axioms(args, params) -> Report:
 
 
 def _cmd_nprod(args, params) -> Report:
-    n_vars = args.n or 2
-    weight = args.weight if args.weight is not None else 3
+    n_vars = _arg(args, "n", 2, 1)
+    weight = _arg(args, "weight", 3, 0)
     variables = tuple(f"y{i}" for i in range(1, n_vars + 1))
     alg = fock_algebra(variables, weight)
     value = eval_fock(parse_expr(args.expr), alg, params)
@@ -280,7 +290,7 @@ def _cmd_extend(args, params) -> Report:
 
 
 def _cmd_morphism(args, params) -> Report:
-    n = args.n or 2
+    n = _arg(args, "n", 2, 2)
     if n == 2:
         k = ParamScalar.of(params["k"]) if "k" in params else ParamScalar.var("k")
         images = gl2_chart_images(k)
@@ -323,7 +333,7 @@ def _cmd_membership(args, params) -> Report:
         raise UsageError("membership needs --N")
     if args.omega is None:
         raise UsageError("membership needs --omega")
-    n = args.n or 2
+    n = _arg(args, "n", 2, 2)
     model = build_model(n, args.N, args.degree_bound)
     section = _section_from_expr(args.omega, params, n_vars=n)
     if section.field_part:
@@ -334,8 +344,8 @@ def _cmd_membership(args, params) -> Report:
 
 
 def _cmd_virasoro(args, params) -> Report:
-    n = args.n or 2
-    weight = args.weight if args.weight is not None else 4
+    n = _arg(args, "n", 2, 1)
+    weight = _arg(args, "weight", 4, 0)
     variables = tuple(f"y{i}" for i in range(1, n + 1))
     alg = FreeFieldAlgebra(variables, weight)
     L = alg.virasoro_element()
@@ -367,7 +377,11 @@ COMMANDS = {
 
 def _read_config(path: str) -> dict[str, str]:
     out = {}
-    with open(path) as handle:
+    try:
+        handle = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    with handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -385,7 +399,11 @@ def _parse_params(pairs) -> dict[str, Fraction]:
         if "=" not in pair:
             raise UsageError(f"--param expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
-        params[name.strip()] = Fraction(value.strip())
+        try:
+            params[name.strip()] = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"--param {name.strip()} needs a rational value, "
+                             f"got {value.strip()!r}") from exc
     return params
 
 
@@ -423,12 +441,16 @@ def main(argv=None) -> int:
             config = _read_config(args.config)
             for key in ("degree_bound", "weight", "trials"):
                 if key in config and getattr(args, key) is None:
-                    setattr(args, key, int(config[key]))
+                    try:
+                        setattr(args, key, int(config[key]))
+                    except ValueError as exc:
+                        raise UsageError(f"config {key} needs an integer, "
+                                         f"got {config[key]!r}") from exc
         params = _parse_params(args.param)
         start = time.monotonic()
         report = COMMANDS[args.command](args, params)
         report.timing = time.monotonic() - start
-    except (UsageError, ParseError) as exc:
+    except (UsageError, ParseError, InvalidInput) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except VertexAlgError as exc:

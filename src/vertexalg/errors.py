@@ -31,3 +31,7 @@ class RuleOracleDivergence(VertexAlgError):
 
 class InhomogeneousInput(VertexAlgError):
     """An operation requiring a homogeneous element received a mixed one."""
+
+
+class InvalidInput(VertexAlgError, ValueError):
+    """An argument lies outside the range the operation is defined on."""

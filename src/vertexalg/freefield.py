@@ -13,6 +13,16 @@ Creation symbols are normalized divided translates:
 where dual_i is the frame field paired with y_i.  Negative zero-mode
 exponents are allowed: the inverse coordinate is a genuine state and its
 modes are computed from the inverse of the coordinate field.
+
+Each FreeFieldAlgebra keeps a product table.  The mode n of a basis word is
+linear in the state it acts on, so the kernel splits a state into basis
+states and computes the word's mode on each one once, with coefficient 1;
+later products scale the stored result by the state's coefficient.  Stored
+results are immutable and never handed out, their coefficients are rational
+and shared between entries, and the table has no size limit: it lives as
+long as its algebra.  A product with an rng peels words in a random order
+and neither reads nor writes the table, so comparing peel orders still
+checks the recursion itself.
 """
 
 from __future__ import annotations
@@ -21,7 +31,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import InhomogeneousInput, VariableMismatch, WeightBoundExceeded
+from .errors import (
+    InhomogeneousInput,
+    InvalidInput,
+    VariableMismatch,
+    WeightBoundExceeded,
+)
 from .laurent import LaurentElement
 from .scalar import ONE, ZERO, ParamScalar
 
@@ -84,6 +99,9 @@ class FreeFieldAlgebra:
         self.n = len(self.variables)
         self.max_weight = max_weight
         self._zero_exp = (0,) * self.n
+        # (alpha, tail, n, basis state) -> word mode on that state, unit coefficient
+        self._products: dict = {}
+        self._coeffs: dict[ParamScalar, ParamScalar] = {}
 
     # -- element constructors ------------------------------------------
 
@@ -256,7 +274,13 @@ class FreeFieldAlgebra:
 
     def _word_mode(self, alpha: ExpVec, tail: tuple[Symbol, ...], n: int,
                    terms: Terms, rng=None) -> Terms:
-        """Apply mode n of the basis word (alpha, tail) to a homogeneous state."""
+        """Apply mode n of the basis word (alpha, tail) to a homogeneous state.
+
+        The map is linear in terms, so without rng it is assembled from the
+        product table: one unit-coefficient result per basis state, computed
+        on first use.  With rng the peel order is random and the table is
+        neither read nor written.
+        """
         if not terms:
             return {}
         if not tail and alpha == self._zero_exp:
@@ -265,6 +289,27 @@ class FreeFieldAlgebra:
         wt_a = sum(_sym_weight(s) for s in tail)
         if wt_a + wt_b - n - 1 < 0:
             return {}
+        if rng is not None:
+            return self._expand(alpha, tail, n, terms, wt_b, rng)
+        out: Terms = {}
+        for key, coeff in terms.items():
+            entry = (alpha, tail, n, key)
+            unit = self._products.get(entry)
+            if unit is None:
+                unit = self._products[entry] = self._intern(
+                    self._expand(alpha, tail, n, {key: ONE}, wt_b, None))
+            for key2, c in unit:
+                _add_term(out, key2, c * coeff)
+        return out
+
+    def _intern(self, terms: Terms) -> tuple[tuple[TermKey, ParamScalar], ...]:
+        """Immutable table entry; equal coefficients share one object."""
+        coeffs = self._coeffs
+        return tuple((key, coeffs.setdefault(c, c)) for key, c in terms.items())
+
+    def _expand(self, alpha: ExpVec, tail: tuple[Symbol, ...], n: int,
+                terms: Terms, wt_b: int, rng) -> Terms:
+        """One quasi-associativity step: peel the word and recurse."""
         mode_fn, wt_c, alpha2, tail2 = self._peel(alpha, tail, rng)
         wt_rest = sum(_sym_weight(s) for s in tail2)
         out: Terms = {}
@@ -500,7 +545,7 @@ def axiom_defect(kind: str, *args, rng=None) -> FreeFieldElement:
             if not inner.is_zero():
                 rhs = rhs + nproduct(b, n - j, inner, rng)
         return lhs - rhs
-    raise ValueError(f"unknown axiom kind {kind!r}")
+    raise InvalidInput(f"unknown axiom kind {kind!r}")
 
 
 def virasoro(n_vars: int, max_weight: int = 4) -> FreeFieldElement:

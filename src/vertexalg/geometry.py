@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .algebroid import WeightOneElement, embed, embed_form, fock_algebra
-from .errors import InhomogeneousInput, VariableMismatch
+from .errors import InhomogeneousInput, InvalidInput, VariableMismatch
 from .freefield import nproduct, translate
 from .laurent import (
     LaurentElement,
@@ -41,7 +41,7 @@ class GluingForm:
         clean = {}
         for (a, b), c in (terms or {}).items():
             if a < 1 or b < 1:
-                raise ValueError("gluing basis indices must satisfy a, b >= 1")
+                raise InvalidInput("gluing basis indices must satisfy a, b >= 1")
             if isinstance(c, int):
                 c = ParamScalar.of(c)
             if not c.is_zero():
@@ -105,7 +105,7 @@ def transition(v: WeightOneElement, omega: GluingForm,
     if direction == "2->1":
         corr = -corr
     elif direction != "1->2":
-        raise ValueError("direction must be '1->2' or '2->1'")
+        raise InvalidInput("direction must be '1->2' or '2->1'")
     return WeightOneElement(v.chart, v.variables, dict(v.field_part),
                             v.form_part + corr)
 
@@ -133,7 +133,7 @@ def _pole_variable(chart: str) -> int:
         return 2
     if chart == "U2":
         return 1
-    raise ValueError("chart must be 'U1' or 'U2'")
+    raise InvalidInput("chart must be 'U1' or 'U2'")
 
 
 def _laurent_regular(f: LaurentElement, j: int) -> bool:
@@ -178,7 +178,7 @@ def extend_section(v: WeightOneElement, omega: GluingForm):
     """
     _internal_degree(v)
     if not regular_on(v, "U1"):
-        raise ValueError("input section must be regular on U1")
+        raise InvalidInput("input section must be regular on U1")
     # fields cannot be corrected by a one-form
     if not all(_laurent_regular(f, 1) for f in v.field_part.values()):
         return None
@@ -230,7 +230,7 @@ def invariant_sections(degree: int, N: int, kind: str = "field",
     elif kind == "form":
         total = degree - 1
     else:
-        raise ValueError("kind must be 'field' or 'form'")
+        raise InvalidInput("kind must be 'field' or 'form'")
     if total < 0:
         return out
     for exp in exponent_vectors(total, n):

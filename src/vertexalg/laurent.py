@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import VariableMismatch
+from .errors import InvalidInput, VariableMismatch
 from .scalar import ONE, ZERO, ParamScalar, RationalLike
 
 ExpVec = tuple[int, ...]
@@ -159,7 +159,7 @@ class LaurentElement:
             if c == ONE:
                 return LaurentElement(self.variables, {tuple(e * n for e in exp): ONE})
         if n < 0:
-            raise ValueError("negative power of a non-monomial")
+            raise InvalidInput("negative power of a non-monomial")
         out = LaurentElement.constant(self.variables, 1)
         for _ in range(n):
             out = out * self
@@ -304,7 +304,7 @@ class TwoForm(_Componentwise):
         if components:
             for i, j in components:
                 if not i < j:
-                    raise ValueError("two-form keys must satisfy i < j")
+                    raise InvalidInput("two-form keys must satisfy i < j")
         super().__init__(variables, components)
 
     def __repr__(self):
@@ -418,7 +418,7 @@ def cartan(kind: str, a, b):
         if isinstance(b, TwoForm):
             return iota_two(a, b)
         raise TypeError("iota expects a one- or two-form")
-    raise ValueError(f"unknown cartan operation {kind!r}")
+    raise InvalidInput(f"unknown cartan operation {kind!r}")
 
 
 # -- Z_N weights ----------------------------------------------------------
@@ -443,7 +443,7 @@ def zn_weight(obj, N: int):
     dy_i contributes +1, dy_i^dy_j contributes +2, d/dy_i contributes -1.
     """
     if N < 1:
-        raise ValueError("N must be positive")
+        raise InvalidInput("N must be positive")
     if isinstance(obj, LaurentElement):
         weights = _weights_of(obj, None)
     elif isinstance(obj, OneForm):

@@ -30,7 +30,7 @@ from .algebroid import (
     morphism_check,
     MorphismReport,
 )
-from .errors import InhomogeneousInput, VertexAlgError
+from .errors import InhomogeneousInput, InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
 from .laurent import LaurentElement, OneForm, de_rham, exponent_vectors
@@ -62,7 +62,7 @@ class ChargeResult:
 def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseModel:
     """All degree-N monomials as generators plus their binomial syzygies."""
     if n < 2 or N < 1:
-        raise ValueError("need n >= 2 and N >= 1")
+        raise InvalidInput("need n >= 2 and N >= 1")
     if degree_bound is None:
         degree_bound = 2 * N + 2
     variables = tuple(f"y{i}" for i in range(1, n + 1))
@@ -118,7 +118,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     if degree is None:
         return []
     if degree > model.degree_bound:
-        raise ValueError(f"degree {degree} exceeds model bound {model.degree_bound}")
+        raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
     n, N = model.n, model.N
     span: list[OneForm] = []
     if degree >= N and (degree - N) % N == 0:
@@ -144,7 +144,7 @@ def omega_membership(omega: OneForm, model: VeroneseModel,
     multiples of the generator differentials?"""
     found = _form_degree(omega)
     if degree is not None and found is not None and degree != found:
-        raise ValueError(f"stated degree {degree} but computed {found}")
+        raise InvalidInput(f"stated degree {degree} but computed {found}")
     return not membership_residuals(omega, model)
 
 
@@ -182,11 +182,11 @@ def relation_defect(model: VeroneseModel, r: int,
     pure one-form whose membership is the quantization condition.
     """
     if model.n != 2:
-        raise ValueError("relation defects are defined for the two-variable model")
+        raise InvalidInput("relation defects are defined for the two-variable model")
     if not 0 <= r < model.N:
-        raise ValueError(f"r must satisfy 0 <= r < N, got {r}")
+        raise InvalidInput(f"r must satisfy 0 <= r < N, got {r}")
     if pair not in RELATION_PAIRS:
-        raise ValueError(f"pair must be one of {RELATION_PAIRS}")
+        raise InvalidInput(f"pair must be one of {RELATION_PAIRS}")
     if k is None:
         k = ParamScalar.var("k")
     images = gl2_chart_images(k)
@@ -218,7 +218,7 @@ def classify_admissible(model: VeroneseModel,
     bound.
     """
     if model.n != 2:
-        raise ValueError("classification runs on the two-variable model")
+        raise InvalidInput("classification runs on the two-variable model")
     N = model.N
     candidates = [GluingForm.basis(a, b)
                   for a in range(1, degree_bound)
@@ -245,7 +245,7 @@ def solve_charge(model: VeroneseModel, classify_bound: int = 4) -> ChargeResult:
     """Pin the gluing line by classification, then solve the membership
     conditions of every relation defect for the multiple k."""
     if model.n != 2:
-        raise ValueError("the charge solver runs on the two-variable model")
+        raise InvalidInput("the charge solver runs on the two-variable model")
     survivors = classify_admissible(model, classify_bound)
     if len(survivors) != 1:
         raise VertexAlgError(f"expected one admissible gluing line, got {survivors}")
@@ -269,7 +269,7 @@ def solve_charge(model: VeroneseModel, classify_bound: int = 4) -> ChargeResult:
 def quantized_gl2(model: VeroneseModel):
     """The gl_2 sections at the solved charge k = N + 1, with their levels."""
     if model.n != 2:
-        raise ValueError("the quantized gl_2 action lives on the two-variable model")
+        raise InvalidInput("the quantized gl_2 action lives on the two-variable model")
     N = model.N
     images = gl2_chart_images(ParamScalar.of(N + 1))
     report = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2),
@@ -333,12 +333,13 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     whether invariant multiples of the linear coordinate fields span it."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
-        raise ValueError(f"degree {degree} exceeds model bound {model.degree_bound}")
+        raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
     if degree % N != 0 or N + degree < 0:
         return DerivationReport(degree, 0, [], [], True)
     monos = list(exponent_vectors(N + degree, n))
     names, rows = _derivation_rows(model, monos)
     null = row_reduce(rows).nullspace(len(names) * len(monos))
+    gens = {g: model.generator_element(g) for g in names}
     basis = []
     for vec in null:
         images: dict[str, LaurentElement] = {}
@@ -349,7 +350,7 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
                 if c:
                     f = f + LaurentElement.monomial(model.variables, m, c)
             images[gname] = f
-        _verify_derivation(model, images)
+        _verify_derivation(model, images, gens)
         basis.append(images)
     gl_vecs = _gl_multiple_vectors(model, degree, monos, names)
     for vec in gl_vecs:
@@ -387,12 +388,13 @@ def _gl_multiple_vectors(model: VeroneseModel, degree: int,
     return vecs
 
 
-def _verify_derivation(model: VeroneseModel, images: dict[str, LaurentElement]):
+def _verify_derivation(model: VeroneseModel, images: dict[str, LaurentElement],
+                       gens: dict[str, LaurentElement]):
+    """Check D(x_u x_v) = D(x_w x_z) on every relation; gens holds the
+    generator elements."""
     for (u, v), (w, z) in model.relations:
-        val = images[u] * model.generator_element(v) \
-            + model.generator_element(u) * images[v] \
-            - images[w] * model.generator_element(z) \
-            - model.generator_element(w) * images[z]
+        val = images[u] * gens[v] + gens[u] * images[v] \
+            - images[w] * gens[z] - gens[w] * images[z]
         if not val.is_zero():
             raise VertexAlgError("computed derivation does not preserve the relations")
 
@@ -435,9 +437,9 @@ def higher_witness(model: VeroneseModel):
     membership test, which must fail.
     """
     if model.n < 3:
-        raise ValueError("the witness needs at least three variables")
+        raise InvalidInput("the witness needs at least three variables")
     if model.N < 2:
-        raise ValueError("degree 1 gives a polynomial ring; nothing to witness")
+        raise InvalidInput("degree 1 gives a polynomial ring; nothing to witness")
     variables = model.variables
     N = model.N
     alg = fock_algebra(variables, 2)

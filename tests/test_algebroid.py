@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vertexalg import algebroid
 from vertexalg.algebroid import (
     WeightOneElement,
     classical_defect,
@@ -18,7 +19,7 @@ from vertexalg.algebroid import (
     symbol,
     vprod,
 )
-from vertexalg.errors import ChartMismatch
+from vertexalg.errors import ChartMismatch, RuleOracleDivergence
 from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket, de_rham
 from vertexalg.scalar import ONE, ParamScalar
 
@@ -226,3 +227,20 @@ def test_morphism_failure_reported():
     rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2), images)
     assert rep.status == "fail"
     assert rep.failures
+
+
+def test_rule_oracle_divergence_names_the_difference(monkeypatch):
+    one = LaurentElement.constant(V, 1)
+    rule1, rule0 = algebroid._vprod1, algebroid._vprod0
+    monkeypatch.setattr(algebroid, "_validated", set())
+    monkeypatch.setattr(algebroid, "_vprod1", lambda u, v: rule1(u, v) + one)
+    with pytest.raises(RuleOracleDivergence, match=r"oracle minus rule is -1\*1$"):
+        algebroid._validate_rules(V)
+    monkeypatch.setattr(algebroid, "_vprod1", rule1)
+    monkeypatch.setattr(
+        algebroid, "_vprod0",
+        lambda u, v: rule0(u, v) + WeightOneElement.form(u.chart, OneForm(V, {1: one})))
+    with pytest.raises(RuleOracleDivergence,
+                       match=r"_\(0\) .*oracle minus rule is -1\*T1\(y1\)$"):
+        algebroid._validate_rules(V)
+    assert V not in algebroid._validated

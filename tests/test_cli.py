@@ -127,3 +127,36 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--N", "3", "--config", str(cfg),
                        "--degree-bound", "5", "--format", "machine")
     assert json.loads(out)["payload"]["bound"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["derivations", "--N", "0"],
+    ["membership", "--N", "2", "--omega", "y2^9*T(y1)"],
+    ["quantize", "--N", "0"],
+    ["witness", "--n", "2", "--N", "2"],
+    ["membership", "--N", "2", "--omega", "y1"],
+    ["glue-check", "--omega", "w[0,1]"],
+    ["extend", "y2^-1*d1", "--omega", "w[1,1]"],
+    ["nprod", "(y1+y2)^-1"],
+    ["morphism", "--param", "k=abc"],
+    ["quantize", "--N", "2", "--config", "/nonexistent/vertexalg.cfg"],
+])
+def test_invalid_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--trials", "-3", "--seed", "1"],
+    ["axioms", "--trials", "0", "--seed", "1"],
+    ["axioms", "--n", "0", "--seed", "1"],
+    ["morphism", "--n", "1"],
+    ["virasoro", "--n", "0"],
+])
+def test_degenerate_runs_do_not_pass(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexalg.errors import VertexAlgError
+from vertexalg.errors import InvalidInput, VertexAlgError
 from vertexalg.geometry import GluingForm
 from vertexalg.laurent import LaurentElement, OneForm, de_rham, zn_weight
 from vertexalg.scalar import ParamScalar
@@ -241,3 +241,19 @@ def test_higher_witness_refuses_degree_one():
         higher_witness(build_model(3, 1))
     with pytest.raises(ValueError):
         higher_witness(build_model(2, 2))
+
+
+def test_out_of_range_arguments_raise_invalid_input():
+    m2, m3 = build_model(2, 2), build_model(3, 2)
+    calls = [lambda: build_model(2, 0),
+             lambda: build_model(1, 2),
+             lambda: membership_residuals(de_rham(mono(5, 4)), m2),
+             lambda: derivations(m2, 12),
+             lambda: relation_defect(m2, 2),
+             lambda: relation_defect(m3, 0),
+             lambda: higher_witness(m2),
+             lambda: higher_witness(build_model(3, 1))]
+    for call in calls:
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert isinstance(info.value, ValueError)
