@@ -55,11 +55,6 @@ class WeightOneElement:
         return WeightOneElement(chart, variables, {i: f})
 
     @staticmethod
-    def frame(chart: str, variables, i: int) -> "WeightOneElement":
-        return WeightOneElement.field(chart, variables, i,
-                                      LaurentElement.constant(variables, 1))
-
-    @staticmethod
     def form(chart: str, omega: OneForm) -> "WeightOneElement":
         return WeightOneElement(chart, omega.variables, {}, omega)
 
@@ -92,13 +87,6 @@ class WeightOneElement:
         return WeightOneElement(self.chart, self.variables,
                                 {i: f.scale(c) for i, f in self.field_part.items()},
                                 self.form_part.scale(c))
-
-    def substitute_params(self, assignment) -> "WeightOneElement":
-        fields = {i: f.substitute_params(assignment) for i, f in self.field_part.items()}
-        form = OneForm(self.variables,
-                       {k: g.substitute_params(assignment)
-                        for k, g in self.form_part.components.items()})
-        return WeightOneElement(self.chart, self.variables, fields, form)
 
     def is_zero(self) -> bool:
         return not self.field_part and self.form_part.is_zero()
@@ -179,18 +167,6 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
 
 
 # -- closed-form products -----------------------------------------------------
-
-
-def mul_weight0(f: LaurentElement, v: WeightOneElement) -> WeightOneElement:
-    """The _(-1) action of a function, renormalized to single applications."""
-    if f.variables != v.variables:
-        raise VariableMismatch("variable lists differ")
-    fields: dict[int, LaurentElement] = {}
-    form = v.form_part.ring_scale(f)
-    for i, g in v.field_part.items():
-        fields[i] = f * g
-        form = form + de_rham(f).ring_scale(g.derive(i)) + de_rham(g).ring_scale(f.derive(i))
-    return WeightOneElement(v.chart, v.variables, fields, form)
 
 
 def _vprod1(u: WeightOneElement, v: WeightOneElement) -> LaurentElement:
@@ -387,12 +363,12 @@ def gl_bracket_table(n: int) -> dict[tuple[str, str], dict[str, ParamScalar]]:
     return table
 
 
-def gl_pairing_table(n: int, k1name: str = "k1", k2name: str = "k2"):
+def gl_pairing_table(n: int):
     """(a, b) = k1 tr(a0 b0) + k2 tr(a) tr(b) / n, a0 the traceless part."""
     from fractions import Fraction
 
-    k1 = ParamScalar.var(k1name)
-    k2 = ParamScalar.var(k2name)
+    k1 = ParamScalar.var("k1")
+    k2 = ParamScalar.var("k2")
     table = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -410,26 +386,25 @@ def gl_pairing_table(n: int, k1name: str = "k1", k2name: str = "k2"):
 def morphism_check(basis: list[str],
                    brackets: dict[tuple[str, str], dict[str, ParamScalar]],
                    pairing: dict[tuple[str, str], ParamScalar],
-                   images: dict[str, "WeightOneElement"],
-                   unknowns: list[str] | None = None) -> MorphismReport:
+                   images: dict[str, "WeightOneElement"]) -> MorphismReport:
     """Verify a Lie-algebra-to-algebroid morphism and solve for the levels.
 
     Checks rho(a)_(0)rho(b) = rho([a,b]) exactly (field and form parts) and
-    rho(a)_(1)rho(b) = (a,b).  Parameters occurring in the pairing table are
-    solved for; everything is re-verified at the solved values.
+    rho(a)_(1)rho(b) = (a,b).  Parameters occurring in the pairing table and
+    not in the images are solved for; everything is re-verified at the solved
+    values.
     """
-    if unknowns is None:
-        names = set()
-        for val in pairing.values():
-            names |= val.parameters()
-        for im in images.values():
-            for f in im.field_part.values():
-                for c in f.terms.values():
-                    names -= c.parameters()
-            for g in im.form_part.components.values():
-                for c in g.terms.values():
-                    names -= c.parameters()
-        unknowns = sorted(names)
+    names = set()
+    for val in pairing.values():
+        names |= val.parameters()
+    for im in images.values():
+        for f in im.field_part.values():
+            for c in f.terms.values():
+                names -= c.parameters()
+        for g in im.form_part.components.values():
+            for c in g.terms.values():
+                names -= c.parameters()
+    unknowns = sorted(names)
     failures = []
     equations = []
     computed1 = {}

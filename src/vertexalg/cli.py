@@ -1,15 +1,18 @@
 """Command-line front end for the exact verifiers.
 
 Subcommands: axioms, nprod, quantize, classify, glue-check, extend, morphism,
-derivations, witness, membership, virasoro.  Text reports include timing;
-the machine format is a single JSON document with deterministic key order
-and no timing, so runs with the same seed and flags are byte-identical.
+derivations, witness, membership, virasoro; each takes only the flags listed
+for it in COMMANDS, plus --param, --format and --config.  Text reports
+include timing; the machine format is a single JSON document with
+deterministic key order and no timing, so runs with the same seed and flags
+are byte-identical.
 Exit codes: 0 for a passing verdict, 1 for a failing one, 2 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -26,7 +29,12 @@ from .algebroid import (
     gl_pairing_table,
     morphism_check,
 )
-from .errors import InvalidInput, VertexAlgError
+from .errors import (
+    InhomogeneousInput,
+    InvalidInput,
+    VertexAlgError,
+    WeightBoundExceeded,
+)
 from .expr import (
     BinOp,
     Gluing,
@@ -90,7 +98,8 @@ def _arg(args, name: str, default: int, least: int) -> int:
     if value is None:
         value = default
     if value < least:
-        raise UsageError(f"--{name} must be at least {least}, got {value}")
+        flag = name.replace("_", "-")
+        raise UsageError(f"--{flag} must be at least {least}, got {value}")
     return value
 
 
@@ -165,8 +174,7 @@ def eval_gluing(node, params: dict[str, Fraction]):
     if isinstance(node, Gluing):
         return GluingForm.basis(node.a, node.b)
     if isinstance(node, Neg):
-        inner = eval_gluing(node.arg, params)
-        return -inner if isinstance(inner, GluingForm) else -inner
+        return -eval_gluing(node.arg, params)
     if isinstance(node, BinOp):
         left = eval_gluing(node.left, params)
         right = eval_gluing(node.right, params)
@@ -181,9 +189,10 @@ def eval_gluing(node, params: dict[str, Fraction]):
         if type(left) is not type(right):
             raise UsageError("cannot add a scalar and a gluing form")
         return left + right if node.op == "+" else left - right
-    if isinstance(node, Power) and isinstance(eval_gluing(node.base, params),
-                                              ParamScalar):
-        return eval_gluing(node.base, params) ** node.exponent
+    if isinstance(node, Power):
+        base = eval_gluing(node.base, params)
+        if isinstance(base, ParamScalar):
+            return base ** node.exponent
     raise UsageError("only scalars and w[a,b] terms are allowed in a gluing form")
 
 
@@ -194,10 +203,9 @@ def _require_gluing(node, params) -> GluingForm:
     return out
 
 
-def _section_from_expr(text: str, params, n_vars: int = 2,
-                       max_weight: int = 3) -> WeightOneElement:
+def _section_from_expr(text: str, params, n_vars: int = 2) -> WeightOneElement:
     variables = tuple(f"y{i}" for i in range(1, n_vars + 1))
-    alg = fock_algebra(variables, max_weight)
+    alg = fock_algebra(variables)
     elem = eval_fock(parse_expr(text), alg, params)
     return extract(elem, "U1")
 
@@ -246,8 +254,6 @@ def _cmd_nprod(args, params) -> Report:
 
 
 def _cmd_quantize(args, params) -> Report:
-    if args.N is None:
-        raise UsageError("quantize needs --N")
     model = build_model(2, args.N, args.degree_bound)
     res = solve_charge(model)
     payload = {"charge": None if res.charge is None else str(res.charge),
@@ -256,9 +262,7 @@ def _cmd_quantize(args, params) -> Report:
 
 
 def _cmd_classify(args, params) -> Report:
-    if args.N is None:
-        raise UsageError("classify needs --N")
-    bound = args.degree_bound if args.degree_bound is not None else 4
+    bound = _arg(args, "degree_bound", 4, 2)
     model = build_model(2, args.N)
     survivors = classify_admissible(model, bound)
     return Report("classify", "pass",
@@ -266,16 +270,12 @@ def _cmd_classify(args, params) -> Report:
 
 
 def _cmd_glue_check(args, params) -> Report:
-    if args.omega is None:
-        raise UsageError("glue-check needs --omega")
     omega = _require_gluing(parse_expr(args.omega), params)
     ok = conformal_glue_check(omega)
     return Report("glue-check", "pass" if ok else "fail", {"omega": repr(omega)})
 
 
 def _cmd_extend(args, params) -> Report:
-    if args.omega is None:
-        raise UsageError("extend needs --omega")
     omega = _require_gluing(parse_expr(args.omega), params)
     section = _section_from_expr(args.expr, params)
     if args.chart == "U2":
@@ -310,10 +310,7 @@ def _cmd_morphism(args, params) -> Report:
 
 
 def _cmd_derivations(args, params) -> Report:
-    if args.N is None:
-        raise UsageError("derivations needs --N")
-    bound = args.degree_bound
-    model = build_model(2, args.N, bound)
+    model = build_model(2, args.N, args.degree_bound)
     rep = derivations(model, args.degree)
     return Report("derivations", "pass",
                   {"degree": rep.degree, "dimension": rep.dimension,
@@ -321,18 +318,12 @@ def _cmd_derivations(args, params) -> Report:
 
 
 def _cmd_witness(args, params) -> Report:
-    if args.N is None or args.n is None:
-        raise UsageError("witness needs --n and --N")
     model = build_model(args.n, args.N)
     witness, verdict = higher_witness(model)
     return Report("witness", verdict, {"witness": repr(witness)})
 
 
 def _cmd_membership(args, params) -> Report:
-    if args.N is None:
-        raise UsageError("membership needs --N")
-    if args.omega is None:
-        raise UsageError("membership needs --omega")
     n = _arg(args, "n", 2, 2)
     model = build_model(n, args.N, args.degree_bound)
     section = _section_from_expr(args.omega, params, n_vars=n)
@@ -360,21 +351,6 @@ def _cmd_virasoro(args, params) -> Report:
                   {name: bool(ok) for name, ok in checks.items()})
 
 
-COMMANDS = {
-    "axioms": _cmd_axioms,
-    "nprod": _cmd_nprod,
-    "quantize": _cmd_quantize,
-    "classify": _cmd_classify,
-    "glue-check": _cmd_glue_check,
-    "extend": _cmd_extend,
-    "morphism": _cmd_morphism,
-    "derivations": _cmd_derivations,
-    "witness": _cmd_witness,
-    "membership": _cmd_membership,
-    "virasoro": _cmd_virasoro,
-}
-
-
 def _read_config(path: str) -> dict[str, str]:
     out = {}
     try:
@@ -395,7 +371,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _parse_params(pairs) -> dict[str, Fraction]:
     params = {}
-    for pair in pairs or []:
+    for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--param expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
@@ -407,30 +383,59 @@ def _parse_params(pairs) -> dict[str, Fraction]:
     return params
 
 
+# flag -> argparse keywords
+FLAGS = {
+    "N": {"type": int},
+    "n": {"type": int},
+    "weight": {"type": int},
+    "trials": {"type": int},
+    "seed": {"type": int},
+    "degree": {"type": int, "default": 0},
+    "degree_bound": {"type": int},
+    "omega": {},
+    "chart": {"choices": ("U1", "U2"), "default": "U1"},
+}
+
+# subcommand -> (handler, required flags, optional flags); "expr" is the
+# positional expression; every subcommand also takes --param, --format and
+# --config
+COMMANDS = {
+    "axioms": (_cmd_axioms, (), ("n", "weight", "trials", "seed")),
+    "nprod": (_cmd_nprod, ("expr",), ("n", "weight")),
+    "quantize": (_cmd_quantize, ("N",), ("degree_bound",)),
+    "classify": (_cmd_classify, ("N",), ("degree_bound",)),
+    "glue-check": (_cmd_glue_check, ("omega",), ()),
+    "extend": (_cmd_extend, ("expr", "omega"), ("chart",)),
+    "morphism": (_cmd_morphism, (), ("n",)),
+    "derivations": (_cmd_derivations, ("N",), ("degree", "degree_bound")),
+    "witness": (_cmd_witness, ("n", "N"), ()),
+    "membership": (_cmd_membership, ("N", "omega"), ("n", "degree_bound")),
+    "virasoro": (_cmd_virasoro, (), ("n", "weight")),
+}
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = _ArgumentParser(prog="vertexalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--weight", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--degree-bound", dest="degree_bound", type=int, default=None)
-        p.add_argument("--degree", type=int, default=0)
+    for name, (_, required, optional) in COMMANDS.items():
+        # no abbreviations: --degree must not pass for --degree-bound
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in required + optional:
+            if flag == "expr":
+                p.add_argument("expr")
+            else:
+                p.add_argument("--" + flag.replace("_", "-"),
+                               required=flag in required, **FLAGS[flag])
         p.add_argument("--param", action="append", default=[])
-        p.add_argument("--chart", choices=("U1", "U2"), default="U1")
-        p.add_argument("--omega", default=None)
         p.add_argument("--format", choices=("text", "machine"), default="text")
         p.add_argument("--config", default=None)
-        if name in ("nprod", "extend"):
-            p.add_argument("expr")
     return parser
 
 
@@ -439,8 +444,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.config:
             config = _read_config(args.config)
+            # a config key fills a flag only where the subcommand declares it
             for key in ("degree_bound", "weight", "trials"):
-                if key in config and getattr(args, key) is None:
+                if key in config and getattr(args, key, 0) is None:
                     try:
                         setattr(args, key, int(config[key]))
                     except ValueError as exc:
@@ -448,9 +454,10 @@ def main(argv=None) -> int:
                                          f"got {config[key]!r}") from exc
         params = _parse_params(args.param)
         start = time.monotonic()
-        report = COMMANDS[args.command](args, params)
+        report = COMMANDS[args.command][0](args, params)
         report.timing = time.monotonic() - start
-    except (UsageError, ParseError, InvalidInput) as exc:
+    except (UsageError, ParseError, InvalidInput, InhomogeneousInput,
+            WeightBoundExceeded) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except VertexAlgError as exc:

@@ -184,6 +184,8 @@ class _Parser:
             self.i += 1
             if "/" in tok[1]:
                 p, q = tok[1].split("/")
+                if int(q) == 0:
+                    raise ParseError("zero denominator", tok[2], set())
                 return Num(Fraction(int(p), int(q)))
             return Num(Fraction(int(tok[1])))
         if tok[0] == "ident":

@@ -395,11 +395,6 @@ class FreeFieldElement:
 
     __rmul__ = __mul__
 
-    def substitute_params(self, assignment) -> "FreeFieldElement":
-        return FreeFieldElement(
-            self.algebra, {k: c.substitute(assignment) for k, c in self._terms.items()}
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeFieldElement):
             return NotImplemented
@@ -546,12 +541,6 @@ def axiom_defect(kind: str, *args, rng=None) -> FreeFieldElement:
                 rhs = rhs + nproduct(b, n - j, inner, rng)
         return lhs - rhs
     raise InvalidInput(f"unknown axiom kind {kind!r}")
-
-
-def virasoro(n_vars: int, max_weight: int = 4) -> FreeFieldElement:
-    """The conformal element L = sum_j T(y_j) applied to the j-th frame field."""
-    alg = FreeFieldAlgebra(tuple(f"y{i}" for i in range(1, n_vars + 1)), max_weight)
-    return alg.virasoro_element()
 
 
 def random_element(alg: FreeFieldAlgebra, rng, max_weight: int) -> FreeFieldElement:

@@ -3,18 +3,16 @@
 Charts: U1 where the first coordinate is invertible, U2 where the second is.
 Gluing data are 2-forms spanned by dy1^dy2 / (y1^a y2^b) with a, b >= 1; the
 transition twists a weight-one section by the contraction of its vector-field
-part into the gluing form.  Section extension and cohomology-class reduction
-are exact monomial bookkeeping: a monomial extends to a chart exactly when
-it has no pole there, and the obstruction space is spanned by the doubly
-negative monomials.
+part into the gluing form.  Section extension is exact monomial bookkeeping:
+a monomial extends to a chart exactly when it has no pole there, and the
+obstruction space is spanned by the doubly negative monomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .algebroid import WeightOneElement, embed, embed_form, fock_algebra
+from .algebroid import WeightOneElement, embed_form, fock_algebra
 from .errors import InhomogeneousInput, InvalidInput, VariableMismatch
 from .freefield import nproduct, translate
 from .laurent import (
@@ -72,6 +70,9 @@ class GluingForm:
     def __neg__(self) -> "GluingForm":
         return GluingForm({k: -c for k, c in self._terms.items()}, self.variables)
 
+    def __sub__(self, other: "GluingForm") -> "GluingForm":
+        return self + (-other)
+
     def scale(self, c) -> "GluingForm":
         return GluingForm({k: v * c for k, v in self._terms.items()}, self.variables)
 
@@ -108,22 +109,6 @@ def transition(v: WeightOneElement, omega: GluingForm,
         raise InvalidInput("direction must be '1->2' or '2->1'")
     return WeightOneElement(v.chart, v.variables, dict(v.field_part),
                             v.form_part + corr)
-
-
-@dataclass
-class ChartedSection:
-    """A global section presented on both charts, glued by a fixed form."""
-
-    on_u1: WeightOneElement
-    on_u2: WeightOneElement
-    omega: GluingForm
-
-    @staticmethod
-    def from_u1(v: WeightOneElement, omega: GluingForm) -> "ChartedSection":
-        return ChartedSection(v, transition(v, omega), omega)
-
-    def consistent(self) -> bool:
-        return transition(self.on_u1, self.omega) == self.on_u2
 
 
 def _pole_variable(chart: str) -> int:
@@ -196,53 +181,13 @@ def extend_section(v: WeightOneElement, omega: GluingForm):
                             v.form_part + alpha)
 
 
-def h1_class(f: LaurentElement) -> dict[tuple[int, int], ParamScalar]:
-    """Class of f dy1^dy2 on the overlap: the doubly negative monomials.
-
-    Monomials regular on either chart are coboundaries and are dropped; the
-    exponent pair (-a, -b) is reported as the basis index (a, b).
-    """
-    out = {}
-    for exp, c in f.terms.items():
-        if exp[0] < 0 and exp[1] < 0:
-            out[(-exp[0], -exp[1])] = out.get((-exp[0], -exp[1]), ZERO) + c
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def zn_filter(omega: GluingForm, N: int) -> GluingForm:
-    """Keep the equivariant basis terms: N divides a + b - 2."""
-    return GluingForm(
-        {(a, b): c for (a, b), c in omega.terms.items() if (a + b - 2) % N == 0},
-        omega.variables,
-    )
-
-
-def invariant_sections(degree: int, N: int, kind: str = "field",
-                       chart: str = "U1", variables=V2) -> list[WeightOneElement]:
-    """Monomial sections with polynomial coefficients of the given internal
-    degree whose grading residue mod N vanishes."""
-    out: list[WeightOneElement] = []
-    n = len(variables)
+def invariant_sections(degree: int, N: int) -> list[WeightOneElement]:
+    """Monomial vector fields on U1 with polynomial coefficients of the given
+    internal degree whose grading residue mod N vanishes."""
     if degree % N != 0:
-        return out
-    if kind == "field":
-        total = degree + 1
-    elif kind == "form":
-        total = degree - 1
-    else:
-        raise InvalidInput("kind must be 'field' or 'form'")
-    if total < 0:
-        return out
-    for exp in exponent_vectors(total, n):
-        for i in range(1, n + 1):
-            if kind == "field":
-                out.append(WeightOneElement.field(
-                    chart, variables, i, LaurentElement.monomial(variables, exp)))
-            else:
-                out.append(WeightOneElement.form(
-                    chart, OneForm(variables,
-                                   {i: LaurentElement.monomial(variables, exp)})))
-    return out
+        return []
+    return [WeightOneElement.field("U1", V2, i, LaurentElement.monomial(V2, exp))
+            for exp in exponent_vectors(degree + 1, 2) for i in (1, 2)]
 
 
 def conformal_glue_check(omega: GluingForm, max_weight: int = 3) -> bool:

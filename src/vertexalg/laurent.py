@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidInput, VariableMismatch
-from .scalar import ONE, ZERO, ParamScalar, RationalLike
+from .scalar import ONE, ZERO, ParamScalar
 
 ExpVec = tuple[int, ...]
 CoeffLike = Union[ParamScalar, int, Fraction]
@@ -86,16 +86,6 @@ class LaurentElement:
     def degrees(self) -> set[int]:
         return {sum(exp) for exp in self._terms}
 
-    def degree(self) -> int | None:
-        """Internal degree if homogeneous, else None (zero: None)."""
-        degs = self.degrees()
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def min_exponent(self, i: int) -> int | None:
         """Smallest exponent of coordinate i across terms, None for zero."""
         if not self._terms:
@@ -154,12 +144,11 @@ class LaurentElement:
         return LaurentElement(self.variables, {e: c * v for e, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentElement":
-        if len(self._terms) == 1 and n < 0:
-            ((exp, c),) = self._terms.items()
-            if c == ONE:
-                return LaurentElement(self.variables, {tuple(e * n for e in exp): ONE})
         if n < 0:
-            raise InvalidInput("negative power of a non-monomial")
+            if len(self._terms) != 1:
+                raise InvalidInput("negative power of zero or of a non-monomial")
+            ((exp, c),) = self._terms.items()
+            return LaurentElement(self.variables, {tuple(e * n for e in exp): c ** n})
         out = LaurentElement.constant(self.variables, 1)
         for _ in range(n):
             out = out * self
@@ -181,12 +170,6 @@ class LaurentElement:
             else:
                 out[key] = s
         return LaurentElement(self.variables, out)
-
-    def substitute_params(self, assignment) -> "LaurentElement":
-        return LaurentElement(
-            self.variables,
-            {e: c.substitute(assignment) for e, c in self._terms.items()},
-        )
 
     # -- protocol ------------------------------------------------------
 
@@ -248,21 +231,17 @@ class _Componentwise:
     def is_zero(self) -> bool:
         return not self._components
 
-    def _binop(self, other, op):
+    def __add__(self, other):
         if self.variables != other.variables:
             raise VariableMismatch("variable lists differ")
         out = dict(self._components)
         for key, val in other._components.items():
-            cur = out.get(key)
-            new = op(cur, val) if cur is not None else op(None, val)
+            new = out[key] + val if key in out else val
             if new.is_zero():
                 out.pop(key, None)
             else:
                 out[key] = new
         return type(self)(self.variables, out)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: b if a is None else a + b)
 
     def __neg__(self):
         return type(self)(self.variables, {k: -v for k, v in self._components.items()})
@@ -404,21 +383,6 @@ def iota_two(tau: VectorField, omega: TwoForm) -> OneForm:
 def lie_derivative(tau: VectorField, omega: OneForm) -> OneForm:
     """Cartan magic formula: Lie_tau = iota_tau d + d iota_tau."""
     return iota_two(tau, de_rham_one(omega)) + de_rham(iota_one(tau, omega))
-
-
-def cartan(kind: str, a, b):
-    """Dispatch for the classical Courant operations of the flat model."""
-    if kind == "bracket":
-        return bracket(a, b)
-    if kind == "lie":
-        return lie_derivative(a, b)
-    if kind == "iota":
-        if isinstance(b, OneForm):
-            return iota_one(a, b)
-        if isinstance(b, TwoForm):
-            return iota_two(a, b)
-        raise TypeError("iota expects a one- or two-form")
-    raise InvalidInput(f"unknown cartan operation {kind!r}")
 
 
 # -- Z_N weights ----------------------------------------------------------

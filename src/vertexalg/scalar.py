@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import NonlinearCondition, NonScalarDivisor
+from .errors import InvalidInput, NonlinearCondition, NonScalarDivisor
 
 # A parameter monomial: sorted tuple of (name, positive exponent).
 Monomial = tuple[tuple[str, int], ...]
@@ -86,9 +86,6 @@ class ParamScalar:
     def parameters(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
     # -- arithmetic ----------------------------------------------------
 
     @staticmethod
@@ -155,6 +152,11 @@ class ParamScalar:
         return self * ParamScalar.of(inv)
 
     def __pow__(self, n: int) -> "ParamScalar":
+        if n < 0:
+            if self.is_zero() or not self.is_constant():
+                raise InvalidInput(f"negative power of {self}, which is not "
+                                   "a nonzero constant")
+            return ParamScalar.of(self.constant_value() ** n)
         out = ParamScalar.one()
         for _ in range(n):
             out = out * self

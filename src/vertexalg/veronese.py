@@ -6,12 +6,12 @@ with its binomial relations.  On top of it sit the exact checkers: graded
 membership of one-forms in the span of generator differentials, the relation
 defects produced by quantum products on the twisted punctured plane, the
 charge solver that pins the unique gluing multiple, the admissible-gluing
-classification by section extension, the quantized gl_2 morphism, graded
+classification by section extension, the gl_2 chart sections, graded
 derivation computation, and the higher-dimensional obstruction witness.
 
 The identity current convention: the trace element of gl_2 acts on the model
-through N times the Euler derivation (see euler_derivation); the factor N is
-a normalization choice.
+through N times the Euler derivation, the degree-0 derivation that maps every
+generator x_j to itself; the factor N is a normalization choice.
 """
 
 from __future__ import annotations
@@ -19,17 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebroid import (
-    WeightOneElement,
-    embed,
-    extract,
-    fock_algebra,
-    gl_basis,
-    gl_bracket_table,
-    gl_pairing_table,
-    morphism_check,
-    MorphismReport,
-)
+from .algebroid import WeightOneElement, embed, extract, fock_algebra
 from .errors import InhomogeneousInput, InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
@@ -138,20 +128,16 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
 
 
-def omega_membership(omega: OneForm, model: VeroneseModel,
-                     degree: int | None = None) -> bool:
+def omega_membership(omega: OneForm, model: VeroneseModel) -> bool:
     """Exact graded test: is omega a combination of invariant-monomial
     multiples of the generator differentials?"""
-    found = _form_degree(omega)
-    if degree is not None and found is not None and degree != found:
-        raise InvalidInput(f"stated degree {degree} but computed {found}")
     return not membership_residuals(omega, model)
 
 
 # -- the twisted punctured-plane gl_2 sections --------------------------------
 
 
-def gl2_chart_images(k, chart: str = "U1") -> dict[str, WeightOneElement]:
+def gl2_chart_images(k) -> dict[str, WeightOneElement]:
     """Sections on the chart where y1 is invertible, gluing multiple k."""
     if not isinstance(k, ParamScalar):
         k = ParamScalar.of(k)
@@ -159,12 +145,12 @@ def gl2_chart_images(k, chart: str = "U1") -> dict[str, WeightOneElement]:
     y2 = LaurentElement.coordinate(V2, 2)
     inv = LaurentElement.monomial(V2, (-1, 0))
     return {
-        "E12": WeightOneElement.field(chart, V2, 2, y1),
-        "E21": WeightOneElement.field(chart, V2, 1, y2)
-        + WeightOneElement.form(chart, OneForm(V2, {2: inv.scale(-k)})),
-        "E11": WeightOneElement.field(chart, V2, 1, y1),
-        "E22": WeightOneElement.field(chart, V2, 2, y2)
-        + WeightOneElement.form(chart, OneForm(V2, {1: inv.scale(k)})),
+        "E12": WeightOneElement.field("U1", V2, 2, y1),
+        "E21": WeightOneElement.field("U1", V2, 1, y2)
+        + WeightOneElement.form("U1", OneForm(V2, {2: inv.scale(-k)})),
+        "E11": WeightOneElement.field("U1", V2, 1, y1),
+        "E22": WeightOneElement.field("U1", V2, 2, y2)
+        + WeightOneElement.form("U1", OneForm(V2, {1: inv.scale(k)})),
     }
 
 
@@ -230,7 +216,7 @@ def classify_admissible(model: VeroneseModel,
         for d in range(0, degree_bound + 1):
             if d % N != 0:
                 continue
-            for v in invariant_sections(d, N, "field"):
+            for v in invariant_sections(d, N):
                 if extend_section(v, omega) is None:
                     ok = False
                     break
@@ -241,12 +227,12 @@ def classify_admissible(model: VeroneseModel,
     return survivors
 
 
-def solve_charge(model: VeroneseModel, classify_bound: int = 4) -> ChargeResult:
+def solve_charge(model: VeroneseModel) -> ChargeResult:
     """Pin the gluing line by classification, then solve the membership
     conditions of every relation defect for the multiple k."""
     if model.n != 2:
         raise InvalidInput("the charge solver runs on the two-variable model")
-    survivors = classify_admissible(model, classify_bound)
+    survivors = classify_admissible(model)
     if len(survivors) != 1:
         raise VertexAlgError(f"expected one admissible gluing line, got {survivors}")
     line = survivors[0]
@@ -264,21 +250,6 @@ def solve_charge(model: VeroneseModel, classify_bound: int = 4) -> ChargeResult:
     if sol.status == "underdetermined":
         return ChargeResult("unconstrained", None, line)
     return ChargeResult("no_solution", None, line)
-
-
-def quantized_gl2(model: VeroneseModel):
-    """The gl_2 sections at the solved charge k = N + 1, with their levels."""
-    if model.n != 2:
-        raise InvalidInput("the quantized gl_2 action lives on the two-variable model")
-    N = model.N
-    images = gl2_chart_images(ParamScalar.of(N + 1))
-    report = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2),
-                            images)
-    want = (ParamScalar.of(-N - 2), ParamScalar.of(N))
-    if report.status == "pass" and report.levels != want:
-        report = MorphismReport("fail", report.levels,
-                                [("levels", 1, f"expected {want}")])
-    return report, images
 
 
 # -- graded derivations --------------------------------------------------------
@@ -397,31 +368,6 @@ def _verify_derivation(model: VeroneseModel, images: dict[str, LaurentElement],
             - images[w] * gens[z] - gens[w] * images[z]
         if not val.is_zero():
             raise VertexAlgError("computed derivation does not preserve the relations")
-
-
-def euler_derivation(model: VeroneseModel) -> dict[str, LaurentElement]:
-    """x_j maps to x_j.  The trace of gl_2 acts on the model by N times this
-    derivation (a normalization choice)."""
-    return {g: model.generator_element(g) for g in model.generators}
-
-
-def derivation_in_span(model: VeroneseModel, report: DerivationReport,
-                       candidate: dict[str, LaurentElement]) -> bool:
-    names = list(model.generators)
-    mono_pos = {m: i for i, m in enumerate(report.monomials)}
-    vec: dict[int, Fraction] = {}
-    for gi, gname in enumerate(names):
-        for exp, c in candidate.get(gname, LaurentElement(model.variables)).terms.items():
-            pos = mono_pos.get(exp)
-            if pos is None:
-                return False
-            vec[gi * len(report.monomials) + pos] = c.constant_value()
-    basis_vecs = []
-    for images in report.basis:
-        basis_vecs.append({gi * len(report.monomials) + mono_pos[exp]: c.constant_value()
-                           for gi, gname in enumerate(names)
-                           for exp, c in images[gname].terms.items()})
-    return row_reduce(basis_vecs).rank == row_reduce(basis_vecs + [vec]).rank
 
 
 # -- the higher-dimensional obstruction witness --------------------------------

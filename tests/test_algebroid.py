@@ -14,13 +14,12 @@ from vertexalg.algebroid import (
     gl_bracket_table,
     gl_pairing_table,
     morphism_check,
-    mul_weight0,
     oracle_vprod,
     symbol,
     vprod,
 )
 from vertexalg.errors import ChartMismatch, RuleOracleDivergence
-from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket, de_rham
+from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket
 from vertexalg.scalar import ONE, ParamScalar
 
 V = ("y1", "y2")
@@ -48,22 +47,6 @@ def random_element(rng, lo=-1, hi=2):
         g = mono(rng.randint(lo, hi), rng.randint(lo, hi), rng.randint(-3, 3))
         v = v + frm({rng.randint(1, 2): g})
     return v
-
-
-def test_mul_weight0_basic():
-    # y1 times the element y2 (x) frame_1 picks up the form dy2
-    v = fld(1, mono(0, 1))
-    out = mul_weight0(mono(1, 0), v)
-    assert out.field_part == {1: mono(1, 1)}
-    assert out.form_part == OneForm(V, {2: LaurentElement.constant(V, 1)})
-
-
-def test_mul_weight0_identity_and_forms():
-    v = fld(2, mono(1, 1)) + frm({1: mono(-1, 0)})
-    assert mul_weight0(LaurentElement.constant(V, 1), v) == v
-    pure = frm({1: mono(1, 0)})
-    out = mul_weight0(mono(-1, 0), pure)
-    assert out == frm({1: LaurentElement.constant(V, 1)})
 
 
 def test_vprod1_instances():
@@ -157,21 +140,6 @@ def test_symbol_intertwines_bracket_random():
         tau_v, _ = symbol(v)
         tau_out, _ = symbol(vprod(u, 0, v))
         assert tau_out == bracket(tau_u, tau_v)
-
-
-def test_mul_weight0_associator_is_form_correction():
-    rng = random.Random(43)
-    for _ in range(100):
-        f = mono(rng.randint(-1, 2), rng.randint(-1, 2), rng.randint(-3, 3))
-        g = mono(rng.randint(-1, 2), rng.randint(-1, 2), rng.randint(-3, 3))
-        v = random_element(rng)
-        lhs = mul_weight0(f, mul_weight0(g, v)) - mul_weight0(f * g, v)
-        assert not lhs.field_part
-        expect = OneForm(V)
-        for i, h in v.field_part.items():
-            expect = expect + (de_rham(f).ring_scale(g.derive(i))
-                               + de_rham(g).ring_scale(f.derive(i))).ring_scale(h)
-        assert lhs.form_part == expect
 
 
 def gl2_images(k):

@@ -1,8 +1,17 @@
+import contextlib
+import io
 import json
+import pathlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vertexalg import cli
 from vertexalg.cli import main
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -140,6 +149,16 @@ def test_config_file(tmp_path, capsys):
     ["nprod", "(y1+y2)^-1"],
     ["morphism", "--param", "k=abc"],
     ["quantize", "--N", "2", "--config", "/nonexistent/vertexalg.cfg"],
+    ["nprod", "1/0"],
+    ["virasoro", "--weight", "2"],
+    ["nprod", "T(d1)^2"],
+    ["nprod", "k^-1"],
+    ["nprod", "0^-1"],
+    ["extend", "y2*d1", "--omega", "k^-1*w[1,1]"],
+    ["quantize", "--N", "4", "--trials", "3"],
+    ["quantize", "--N", "4", "--degree", "3"],
+    ["witness", "--n", "3"],
+    ["nprod", "y1 + d1"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -154,9 +173,149 @@ def test_invalid_input_is_a_usage_error(capsys, argv):
     ["axioms", "--n", "0", "--seed", "1"],
     ["morphism", "--n", "1"],
     ["virasoro", "--n", "0"],
+    ["classify", "--N", "2", "--degree-bound", "1"],
 ])
 def test_degenerate_runs_do_not_pass(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "must be at least" in err
+
+
+def test_negative_powers_are_exact(capsys):
+    _, halved, _ = run(capsys, "extend", "y2*d1", "--omega", "1/2*w[1,1]",
+                       "--format", "machine")
+    code, out, _ = run(capsys, "extend", "y2*d1", "--omega", "2^-1*w[1,1]",
+                       "--format", "machine")
+    assert code == 0
+    assert out == halved
+    assert "-1/2*y1^-1" in json.loads(out)["payload"]["section"]
+    code, out, _ = run(capsys, "nprod", "2^-1*y1", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["payload"]["value"] == "1/2*y1"
+    code, out, _ = run(capsys, "nprod", "(-2*y1*y2^-1)^-2", "--format", "machine")
+    assert json.loads(out)["payload"]["value"] == "1/4*y1^-2*y2^2"
+
+
+def test_gluing_difference(capsys):
+    code, out, _ = run(capsys, "glue-check", "--omega", "w[1,1] - 2*w[2,1]",
+                       "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["payload"]["omega"] == "(1)*w[1,1] + (-2)*w[2,1]"
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:-2]) for c in GOLDEN])
+def test_machine_output_matches_recording(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])
+
+
+# each subcommand's own flags, besides --param, --format, --config and --help
+OWN_FLAGS = {
+    "axioms": {"--n", "--weight", "--trials", "--seed"},
+    "nprod": {"--n", "--weight"},
+    "quantize": {"--N", "--degree-bound"},
+    "classify": {"--N", "--degree-bound"},
+    "glue-check": {"--omega"},
+    "extend": {"--omega", "--chart"},
+    "morphism": {"--n"},
+    "derivations": {"--N", "--degree", "--degree-bound"},
+    "witness": {"--n", "--N"},
+    "membership": {"--N", "--n", "--omega", "--degree-bound"},
+    "virasoro": {"--n", "--weight"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_help_lists_only_own_flags(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert listed == OWN_FLAGS[command] | {"--param", "--format", "--config", "--help"}
+
+
+def test_parser_is_built_once(capsys):
+    run(capsys, "quantize", "--N", "2")
+    run(capsys, "morphism", "--n", "2")
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_config_fills_only_declared_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("trials = 0\n")
+    assert run(capsys, "virasoro", "--config", str(cfg))[0] == 0
+    code, _, err = run(capsys, "axioms", "--seed", "1", "--config", str(cfg))
+    assert code == 2
+    assert "--trials must be at least 1" in err
+
+
+# -- property: any argv of the grammar ends in exit 0, 1 or 2 -----------------
+
+_LEAVES = st.one_of(
+    st.sampled_from(["y1", "y2", "y3", "d1", "d2", "k", "c"]),
+    st.integers(0, 4).map(str),
+    st.tuples(st.integers(0, 4), st.integers(0, 3)).map("{0[0]}/{0[1]}".format),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map("w[{0[0]},{0[1]}]".format),
+)
+
+
+def _exprs(depth: int):
+    """Strings of the expr.py grammar, nested at most `depth` deep."""
+    if depth == 0:
+        return _LEAVES
+    sub = _exprs(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        sub.map("T({})".format),
+        sub.map("(-{})".format),
+        st.tuples(sub, st.sampled_from("+-*"), sub).map("{0[0]} {0[1]} {0[2]}".format),
+        st.tuples(sub, st.integers(-2, 3)).map("({0[0]})^{0[1]}".format),
+        st.tuples(sub, st.integers(-2, 2), sub).map("({0[0]}) .({0[1]}) ({0[2]})".format),
+    )
+
+
+# flag -> its drawn values, in range first: hypothesis favours early ones
+_INTS = {"N": (2, 3, 1, 4, 0, -1), "n": (2, 3, 1, 4, 0), "weight": (3, 2, 1, 0),
+         "trials": (1, 2, 0, -1), "seed": (0, 1, 2), "degree": (0, 2, 3, 6, -2),
+         "degree-bound": (4, 8, 2, 1, -1)}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(OWN_FLAGS)))
+    argv = [command]
+    if command in ("nprod", "extend"):
+        argv.append(draw(_exprs(3)))
+    # each own flag three times in four, any other flag once in twenty;
+    # axioms always gets --trials, as its default of 200 takes seconds
+    for flag in sorted(OWN_FLAGS[command] | {"--" + f for f in _INTS}):
+        if command == "axioms" and flag == "--trials":
+            keep = True
+        elif flag in OWN_FLAGS[command]:
+            keep = draw(st.integers(0, 3)) < 3
+        else:
+            keep = draw(st.integers(0, 19)) == 19
+        if not keep:
+            continue
+        name = flag[2:]
+        if name in _INTS:
+            argv += [flag, str(draw(st.sampled_from(_INTS[name])))]
+        elif name == "omega":
+            argv += [flag, draw(_exprs(3))]
+        else:
+            argv += [flag, draw(st.sampled_from(["U1", "U2"]))]
+    if draw(st.booleans()):
+        argv += ["--param", draw(st.sampled_from(["k=3", "c=1/2", "k=0"]))]
+    return argv + ["--format", draw(st.sampled_from(["text", "machine"]))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argvs())
+def test_any_argv_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

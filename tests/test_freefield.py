@@ -12,7 +12,6 @@ from vertexalg.freefield import (
     nproduct,
     translate,
     translate_power,
-    virasoro,
 )
 from vertexalg.laurent import LaurentElement
 
@@ -147,15 +146,6 @@ def test_homogeneity_enforced():
     a = alg2()
     with pytest.raises(InhomogeneousInput):
         a.element({((0, 0), ()): 1, ((0, 0), (("y", 1, 1),)): 1})
-
-
-def test_virasoro_relations():
-    for n_vars in (1, 2, 3, 4):
-        L = virasoro(n_vars)
-        assert nproduct(L, 0, L) == translate(L)
-        assert nproduct(L, 1, L) == L.scale(2)
-        assert nproduct(L, 2, L).is_zero()
-        assert nproduct(L, 3, L) == L.algebra.vacuum().scale(n_vars)
 
 
 def test_virasoro_weights_of_generators():

@@ -4,15 +4,12 @@ import pytest
 
 from vertexalg.algebroid import WeightOneElement, symbol, vprod
 from vertexalg.geometry import (
-    ChartedSection,
     GluingForm,
     conformal_glue_check,
     extend_section,
-    h1_class,
     invariant_sections,
     regular_on,
     transition,
-    zn_filter,
 )
 from vertexalg.laurent import LaurentElement, OneForm
 from vertexalg.scalar import ONE, ParamScalar
@@ -39,7 +36,7 @@ def w11(coeff=ONE):
 
 
 def test_transition_frame_field():
-    out = transition(WeightOneElement.frame(C, V, 1), w11(K))
+    out = transition(fld(1, LaurentElement.constant(V, 1)), w11(K))
     assert out.field_part == {1: LaurentElement.constant(V, 1)}
     assert out.form_part == OneForm(V, {2: mono(-1, -1, 1).scale(K)})
 
@@ -113,34 +110,12 @@ def test_extend_section_obstruction():
     assert extend_section(v, GluingForm.basis(1, 2)) is None
 
 
-def test_charted_section():
-    v = fld(1, mono(0, 1))
-    sec = ChartedSection.from_u1(v, w11(K))
-    assert sec.consistent()
-
-
-def test_h1_class():
-    assert h1_class(mono(-1, -1)) == {(1, 1): ONE}
-    assert h1_class(mono(1, -1)) == {}
-    assert h1_class(mono(-3, -2)) == {(3, 2): ONE}
-    mixed = mono(-1, -1) + mono(2, -5) + mono(-2, -2, 3)
-    assert h1_class(mixed) == {(1, 1): ONE, (2, 2): ParamScalar.of(3)}
-
-
-def test_zn_filter():
-    om = w11() + GluingForm.basis(1, 2)
-    assert zn_filter(om, 2) == w11()
-    assert zn_filter(GluingForm.basis(1, 3), 2) == GluingForm.basis(1, 3)
-
-
 def test_invariant_sections_degree0():
-    secs = invariant_sections(0, 2, "field")
+    secs = invariant_sections(0, 2)
     got = {(i, exp) for s in secs for i, f in s.field_part.items()
            for exp in f.terms}
     assert got == {(1, (1, 0)), (1, (0, 1)), (2, (1, 0)), (2, (0, 1))}
-    assert invariant_sections(1, 2, "field") == []
-    forms = invariant_sections(2, 2, "form")
-    assert len(forms) == 4
+    assert invariant_sections(1, 2) == []
 
 
 def test_conformal_glue_check():

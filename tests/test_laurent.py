@@ -9,7 +9,6 @@ from vertexalg.laurent import (
     TwoForm,
     VectorField,
     bracket,
-    cartan,
     de_rham,
     de_rham_one,
     iota_one,
@@ -137,11 +136,3 @@ def test_d_squared_zero_random():
         f = random_laurent(rng)
         assert de_rham_one(de_rham(f)).is_zero()
 
-
-def test_cartan_dispatch():
-    tau = VectorField(V, {1: mono(0, 1)})
-    xi = VectorField(V, {2: mono(1, 0)})
-    assert cartan("bracket", tau, xi) == bracket(tau, xi)
-    omega = OneForm(V, {1: mono(1, 1)})
-    assert cartan("iota", tau, omega) == iota_one(tau, omega)
-    assert cartan("lie", tau, omega) == lie_derivative(tau, omega)

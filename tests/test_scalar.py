@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexalg.errors import NonlinearCondition, NonScalarDivisor
+from vertexalg.errors import InvalidInput, NonlinearCondition, NonScalarDivisor
 from vertexalg.scalar import ONE, ZERO, ParamScalar, solve_linear_system
 
 
@@ -49,6 +49,16 @@ def test_division():
         _ = ONE / ZERO
     with pytest.raises(NonScalarDivisor):
         _ = ONE / k
+
+
+def test_negative_powers():
+    assert ParamScalar.of(2) ** -1 == ParamScalar.of(Fraction(1, 2))
+    assert ParamScalar.of(Fraction(-2, 3)) ** -2 == ParamScalar.of(Fraction(9, 4))
+    assert ParamScalar.of(5) ** 0 == ONE
+    k = ParamScalar.var("k")
+    for base in (ZERO, k, k + 1):
+        with pytest.raises(InvalidInput):
+            _ = base ** -1
 
 
 def test_ring_axioms_random():

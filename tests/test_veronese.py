@@ -10,14 +10,11 @@ from vertexalg.scalar import ParamScalar
 from vertexalg.veronese import (
     build_model,
     classify_admissible,
-    derivation_in_span,
     derivations,
-    euler_derivation,
     gl2_chart_images,
     higher_witness,
     membership_residuals,
     omega_membership,
-    quantized_gl2,
     relation_defect,
     solve_charge,
 )
@@ -171,14 +168,6 @@ def test_solve_charge_per_instance_conditions():
                     assert sol.assignment["k"] == ParamScalar.of(N + 1)
 
 
-def test_quantized_gl2():
-    for N in (2, 3):
-        rep, images = quantized_gl2(build_model(2, N))
-        assert rep.status == "pass", rep.failures
-        assert rep.levels == (ParamScalar.of(-N - 2), ParamScalar.of(N))
-        assert set(images) == {"E11", "E12", "E21", "E22"}
-
-
 def test_gl2_chart_images_match_geometry():
     from vertexalg.geometry import extend_section, GluingForm
 
@@ -197,7 +186,6 @@ def test_derivations_degree_zero():
         rep = derivations(m, 0)
         assert rep.dimension == 4
         assert rep.gl_generates
-        assert derivation_in_span(m, rep, euler_derivation(m))
 
 
 def test_derivations_positive_degree():
