@@ -24,7 +24,7 @@ from .laurent import (
     iota_one,
     lie_derivative,
 )
-from .scalar import ONE, ParamScalar, solve_linear_system
+from .scalar import ONE, ParamScalar, accumulate, solve_linear_system
 
 
 class WeightOneElement:
@@ -125,7 +125,7 @@ def _shared_algebra(variables: tuple[str, ...], max_weight: int) -> FreeFieldAlg
 
 def embed_form(omega: OneForm, alg: FreeFieldAlgebra) -> FreeFieldElement:
     out = alg.zero()
-    for k, g in omega.components.items():
+    for k, g in omega.terms.items():
         out = out + alg.word(g, [("y", k, 1)])
     return out
 
@@ -154,9 +154,9 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
         cls, i, m = tail[0]
         mono = LaurentElement.monomial(variables, alpha, coeff)
         if (cls, m) == ("d", 0):
-            fields[i] = fields.get(i, LaurentElement(variables)) + mono
+            accumulate(fields, i, mono)
         elif (cls, m) == ("y", 1):
-            forms[i] = forms.get(i, LaurentElement(variables)) + mono
+            accumulate(forms, i, mono)
         else:
             raise InvalidInput("not a weight-one element")
     div = LaurentElement(variables)
@@ -170,14 +170,14 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
 
 
 def _vprod1(u: WeightOneElement, v: WeightOneElement) -> LaurentElement:
-    out = LaurentElement(u.variables)
+    out = zero = LaurentElement(u.variables)
     for i, f in u.field_part.items():
         for j, g in v.field_part.items():
             out = out - f * g.derive(j).derive(i) - g * f.derive(i).derive(j) \
                 - g.derive(i) * f.derive(j)
-        out = out + f * v.form_part.component(i)
+        out = out + f * v.form_part.get(i, zero)
     for j, g in v.field_part.items():
-        out = out + g * u.form_part.component(j)
+        out = out + g * u.form_part.get(j, zero)
     return out
 
 
@@ -186,27 +186,22 @@ def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
     n = len(variables)
     fields: dict[int, LaurentElement] = {}
     form = OneForm(variables)
-
-    def add_field(idx, val):
-        cur = fields.get(idx)
-        fields[idx] = val if cur is None else cur + val
-
     for i, f in u.field_part.items():
         for j, g in v.field_part.items():
-            add_field(j, f * g.derive(i))
-            add_field(i, -(g * f.derive(j)))
+            accumulate(fields, j, f * g.derive(i))
+            accumulate(fields, i, -(g * f.derive(j)))
             dij_f = f.derive(i).derive(j)
-            form = form - de_rham(g).ring_scale(dij_f) \
-                - de_rham(f.derive(j)).ring_scale(g.derive(i)) \
-                - de_rham(dij_f).ring_scale(g)
+            form = form - de_rham(g).scale(dij_f) \
+                - de_rham(f.derive(j)).scale(g.derive(i)) \
+                - de_rham(dij_f).scale(g)
         # field acting on the form part of v: the classical Lie derivative
-        for l, g in v.form_part.components.items():
+        for l, g in v.form_part.terms.items():
             form = form + OneForm(variables, {l: f * g.derive(i)})
             if l == i:
-                form = form + de_rham(f).ring_scale(g)
+                form = form + de_rham(f).scale(g)
     # form part of u acting on the field part of v
-    if not u.form_part.is_zero() and v.field_part:
-        tau = VectorField(variables, dict(v.field_part))
+    if u.form_part and v.field_part:
+        tau = VectorField(variables, v.field_part)
         form = form - lie_derivative(tau, u.form_part) \
             + de_rham(iota_one(tau, u.form_part))
     return WeightOneElement(u.chart, variables, fields, form)
@@ -286,12 +281,7 @@ def oracle_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
     alg = fock_algebra(u.variables, 3)
     res = nproduct(embed(u, alg), n, embed(v, alg))
     if n == 1:
-        out = LaurentElement(u.variables)
-        for (alpha, tail), coeff in res.terms.items():
-            if tail:
-                raise ValueError("weight-1 product did not land in functions")
-            out = out + LaurentElement.monomial(u.variables, alpha, coeff)
-        return out
+        return alg.to_laurent(res)
     return extract(res, u.chart)
 
 
@@ -314,7 +304,7 @@ def classical_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
         br = vf_bracket(tau_u, tau_v)
         form = lie_derivative(tau_u, om_v) - lie_derivative(tau_v, om_u) \
             + de_rham(iota_one(tau_v, om_u))
-        return WeightOneElement(u.chart, variables, dict(br.components), form)
+        return WeightOneElement(u.chart, variables, br.terms, form)
     raise InvalidInput("only n in {0, 1}")
 
 
@@ -354,12 +344,10 @@ def gl_bracket_table(n: int) -> dict[tuple[str, str], dict[str, ParamScalar]]:
                 for d in range(1, n + 1):
                     out: dict[str, ParamScalar] = {}
                     if b == c:
-                        out[f"E{a}{d}"] = out.get(f"E{a}{d}", ParamScalar.zero()) + ONE
+                        accumulate(out, f"E{a}{d}", ONE)
                     if d == a:
-                        out[f"E{c}{b}"] = out.get(f"E{c}{b}", ParamScalar.zero()) - ONE
-                    table[(f"E{a}{b}", f"E{c}{d}")] = {
-                        g: c2 for g, c2 in out.items() if not c2.is_zero()
-                    }
+                        accumulate(out, f"E{c}{b}", -ONE)
+                    table[(f"E{a}{b}", f"E{c}{d}")] = out
     return table
 
 
@@ -401,7 +389,7 @@ def morphism_check(basis: list[str],
         for f in im.field_part.values():
             for c in f.terms.values():
                 names -= c.parameters()
-        for g in im.form_part.components.values():
+        for g in im.form_part.terms.values():
             for c in g.terms.values():
                 names -= c.parameters()
     unknowns = sorted(names)

@@ -106,17 +106,6 @@ def _arg(args, name: str, default: int, least: int) -> int:
 # -- expression evaluation -----------------------------------------------------
 
 
-def _as_laurent(elem):
-    """The underlying chart function when the element has no tail symbols."""
-    variables = elem.algebra.variables
-    out = LaurentElement(variables)
-    for (alpha, tail), c in elem.terms.items():
-        if tail:
-            return None
-        out = out + LaurentElement.monomial(variables, alpha, c)
-    return out
-
-
 def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     """Evaluate an expression tree inside the free-field algebra."""
     if isinstance(node, Num):
@@ -148,9 +137,8 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
         return nproduct(left, -1, right)
     if isinstance(node, Power):
         base = eval_fock(node.base, alg, params)
-        f = _as_laurent(base)
-        if f is not None:
-            return alg.from_laurent(f ** node.exponent)
+        if not base.weight:  # weight 0 or the zero element: a chart function
+            return alg.from_laurent(alg.to_laurent(base) ** node.exponent)
         if node.exponent < 0:
             raise UsageError("negative powers need an invertible chart function")
         out = alg.vacuum()
@@ -203,11 +191,12 @@ def _require_gluing(node, params) -> GluingForm:
     return out
 
 
-def _section_from_expr(text: str, params, n_vars: int = 2) -> WeightOneElement:
+def _section_from_expr(text: str, params, n_vars: int = 2,
+                       chart: str = "U1") -> WeightOneElement:
     variables = tuple(f"y{i}" for i in range(1, n_vars + 1))
     alg = fock_algebra(variables)
     elem = eval_fock(parse_expr(text), alg, params)
-    return extract(elem, "U1")
+    return extract(elem, chart)
 
 
 # -- command implementations -----------------------------------------------------
@@ -277,10 +266,7 @@ def _cmd_glue_check(args, params) -> Report:
 
 def _cmd_extend(args, params) -> Report:
     omega = _require_gluing(parse_expr(args.omega), params)
-    section = _section_from_expr(args.expr, params)
-    if args.chart == "U2":
-        # work in the mirrored chart by swapping the roles via the transition
-        section = transition(section, omega, "2->1")
+    section = _section_from_expr(args.expr, params, chart=args.chart)
     out = extend_section(section, omega)
     if out is None:
         return Report("extend", "fail", {"section": repr(section)})

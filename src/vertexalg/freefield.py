@@ -38,7 +38,7 @@ from .errors import (
     WeightBoundExceeded,
 )
 from .laurent import LaurentElement
-from .scalar import ONE, ZERO, ParamScalar
+from .scalar import ONE, LinearCombination, ParamScalar, accumulate
 
 Symbol = tuple[str, int, int]  # (class 'y'|'d', coordinate index, order m)
 ExpVec = tuple[int, ...]
@@ -83,14 +83,6 @@ def _partitions(total: int):
     yield from rec(total, total)
 
 
-def _add_term(acc: Terms, key: TermKey, coeff) -> None:
-    s = acc.get(key, ZERO) + coeff
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
 class FreeFieldAlgebra:
     """Context object: variable list plus the session conformal weight bound."""
 
@@ -127,6 +119,15 @@ class FreeFieldAlgebra:
             raise VariableMismatch("laurent element over wrong variable list")
         return self.element({(exp, ()): c for exp, c in f.terms.items()})
 
+    def to_laurent(self, x: "FreeFieldElement") -> LaurentElement:
+        """Inverse of from_laurent: the chart function of an element with no
+        creation symbols."""
+        if x.variables != self.variables:
+            raise VariableMismatch("element over wrong variable list")
+        if any(tail for _, tail in x._terms):
+            raise InvalidInput(f"{x} has creation symbols, so it is not a chart function")
+        return LaurentElement(self.variables, {alpha: c for (alpha, _), c in x._terms.items()})
+
     def word(self, f: LaurentElement, symbols: Iterable[Symbol]) -> "FreeFieldElement":
         """Raw normally ordered word: zero-mode prefix f times creation symbols."""
         if f.variables != self.variables:
@@ -152,36 +153,36 @@ class FreeFieldAlgebra:
                     if p == -1:
                         new = list(alpha)
                         new[i - 1] += 1
-                        _add_term(out, (tuple(new), tail), coeff)
+                        accumulate(out, (tuple(new), tail), coeff)
                     else:
                         sym = ("y", i, -1 - p)
                         newtail = tuple(sorted(tail + (sym,), key=_sort_key))
-                        _add_term(out, (alpha, newtail), coeff)
+                        accumulate(out, (alpha, newtail), coeff)
                 else:
                     sym = ("d", i, p)
                     count = tail.count(sym)
                     if count:
                         lst = list(tail)
                         lst.remove(sym)
-                        _add_term(out, (alpha, tuple(lst)), coeff * (-count))
+                        accumulate(out, (alpha, tuple(lst)), coeff * (-count))
             else:
                 if p <= -1:
                     sym = ("d", i, -1 - p)
                     newtail = tuple(sorted(tail + (sym,), key=_sort_key))
-                    _add_term(out, (alpha, newtail), coeff)
+                    accumulate(out, (alpha, newtail), coeff)
                 elif p == 0:
                     e = alpha[i - 1]
                     if e:
                         new = list(alpha)
                         new[i - 1] = e - 1
-                        _add_term(out, (tuple(new), tail), coeff * e)
+                        accumulate(out, (tuple(new), tail), coeff * e)
                 else:
                     sym = ("y", i, p)
                     count = tail.count(sym)
                     if count:
                         lst = list(tail)
                         lst.remove(sym)
-                        _add_term(out, (alpha, tuple(lst)), coeff * count)
+                        accumulate(out, (alpha, tuple(lst)), coeff * count)
         return out
 
     def _w_mode(self, i: int, n: int, terms: Terms) -> Terms:
@@ -210,7 +211,7 @@ class FreeFieldAlgebra:
                         new = list(alpha)
                         new[i - 1] -= 1 + k + l
                         newtail = tuple(sorted(tail + syms, key=_sort_key))
-                        _add_term(out, (tuple(new), newtail), coeff * factor)
+                        accumulate(out, (tuple(new), newtail), coeff * factor)
             # one more annihilation layer: B(z) contributes z^{-p-1} per mode p
             nxt: dict[int, Terms] = {}
             for zpow, tl in layer.items():
@@ -220,7 +221,7 @@ class FreeFieldAlgebra:
                     if res:
                         tgt = nxt.setdefault(zpow - p - 1, {})
                         for key, c in res.items():
-                            _add_term(tgt, key, c)
+                            accumulate(tgt, key, c)
             layer = {z: t for z, t in nxt.items() if t}
             k += 1
         return out
@@ -299,7 +300,7 @@ class FreeFieldAlgebra:
                 unit = self._products[entry] = self._intern(
                     self._expand(alpha, tail, n, {key: ONE}, wt_b, None))
             for key2, c in unit:
-                _add_term(out, key2, c * coeff)
+                accumulate(out, key2, c * coeff)
         return out
 
     def _intern(self, terms: Terms) -> tuple[tuple[TermKey, ParamScalar], ...]:
@@ -320,20 +321,20 @@ class FreeFieldAlgebra:
             inner = self._word_mode(alpha2, tail2, n + j, terms, rng)
             if inner:
                 for key, c in mode_fn(-1 - j, inner).items():
-                    _add_term(out, key, c)
+                    accumulate(out, key, c)
             j += 1
         for j in range(1, wt_c + wt_b + 1):
             inner = mode_fn(-1 + j, terms)
             if inner:
                 for key, c in self._word_mode(alpha2, tail2, n - j, inner, rng).items():
-                    _add_term(out, key, c)
+                    accumulate(out, key, c)
         return out
 
 
-class FreeFieldElement:
+class FreeFieldElement(LinearCombination):
     """Weight-homogeneous exact sum of normally ordered basis words."""
 
-    __slots__ = ("algebra", "_terms", "_weight")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: FreeFieldAlgebra, terms: Mapping[TermKey, ParamScalar]):
         self.algebra = algebra
@@ -342,7 +343,7 @@ class FreeFieldElement:
         for key, coeff in terms.items():
             if isinstance(coeff, (int, Fraction)):
                 coeff = ParamScalar.of(coeff)
-            if coeff.is_zero():
+            if not coeff:
                 continue
             alpha, tail = key
             key = (tuple(alpha), tuple(sorted(tail, key=_sort_key)))
@@ -353,56 +354,24 @@ class FreeFieldElement:
                 raise InhomogeneousInput(
                     f"mixed conformal weights {weight} and {w} in one element"
                 )
-            _add_term(clean, key, coeff)
-        self._terms = clean
-        self._weight = weight if clean else None
+            accumulate(clean, key, coeff)
+        super().__init__(clean)
 
     @property
-    def terms(self) -> Terms:
-        return dict(self._terms)
+    def variables(self) -> tuple[str, ...]:
+        return self.algebra.variables
 
     @property
     def weight(self) -> int | None:
-        return self._weight
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        """The common conformal weight of the terms; None for zero."""
+        return _term_weight(next(iter(self._terms))) if self._terms else None
 
     def _check(self, other: "FreeFieldElement") -> None:
-        if self.algebra.variables != other.algebra.variables:
-            raise VariableMismatch("elements over different variable lists")
-
-    def __add__(self, other: "FreeFieldElement") -> "FreeFieldElement":
-        self._check(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            _add_term(out, key, c)
-        return FreeFieldElement(self.algebra, out)
-
-    def __neg__(self) -> "FreeFieldElement":
-        return FreeFieldElement(self.algebra, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "FreeFieldElement") -> "FreeFieldElement":
-        return self + (-other)
-
-    def scale(self, c) -> "FreeFieldElement":
-        if isinstance(c, (int, Fraction)):
-            c = ParamScalar.of(c)
-        return FreeFieldElement(self.algebra, {k: c * v for k, v in self._terms.items()})
-
-    def __mul__(self, c) -> "FreeFieldElement":
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreeFieldElement):
-            return NotImplemented
-        return (self.algebra.variables == other.algebra.variables
-                and self._terms == other._terms)
-
-    def __hash__(self) -> int:
-        return hash((self.algebra.variables, frozenset(self._terms.items())))
+        super()._check(other)
+        if self._terms and other._terms and self.weight != other.weight:
+            raise InhomogeneousInput(
+                f"mixed conformal weights {self.weight} and {other.weight} in one element"
+            )
 
     def __repr__(self) -> str:
         return f"FreeFieldElement({self})"
@@ -436,7 +405,7 @@ def nproduct(a: FreeFieldElement, n: int, b: FreeFieldElement,
              rng=None) -> FreeFieldElement:
     """The _(n) product, computed recursively from the defining axioms."""
     alg = a.algebra
-    a._check(b)
+    LinearCombination._check(a, b)  # variables only: factors may differ in weight
     if a.is_zero() or b.is_zero():
         return alg.zero()
     rw = a.weight + b.weight - n - 1
@@ -449,8 +418,8 @@ def nproduct(a: FreeFieldElement, n: int, b: FreeFieldElement,
     out: Terms = {}
     for (alpha, tail), coeff in a._terms.items():
         for key, c in alg._word_mode(alpha, tail, n, b._terms, rng).items():
-            _add_term(out, key, coeff * c)
-    return FreeFieldElement(alg, out)
+            accumulate(out, key, coeff * c)
+    return a._new(out)
 
 
 def translate(a: FreeFieldElement) -> FreeFieldElement:
@@ -470,13 +439,13 @@ def translate(a: FreeFieldElement) -> FreeFieldElement:
                 new = list(alpha)
                 new[i - 1] = e - 1
                 newtail = tuple(sorted(tail + (("y", i, 1),), key=_sort_key))
-                _add_term(out, (tuple(new), newtail), coeff * e)
+                accumulate(out, (tuple(new), newtail), coeff * e)
         for idx, (cls, i, m) in enumerate(tail):
             lst = list(tail)
             lst[idx] = (cls, i, m + 1)
             newtail = tuple(sorted(lst, key=_sort_key))
-            _add_term(out, (alpha, newtail), coeff * (m + 1))
-    return FreeFieldElement(alg, out)
+            accumulate(out, (alpha, newtail), coeff * (m + 1))
+    return a._new(out)
 
 
 def translate_power(a: FreeFieldElement, j: int) -> FreeFieldElement:
@@ -579,11 +548,8 @@ def frame_filtration_part(a: FreeFieldElement, degree: int) -> FreeFieldElement:
     carries the quasiclassical (Poisson) vertex structure; projecting a
     product onto its expected top degree extracts the classical value.
     """
-    return FreeFieldElement(
-        a.algebra,
-        {key: c for key, c in a.terms.items()
-         if sum(1 for s in key[1] if s[0] == "d") == degree},
-    )
+    return a._new({key: c for key, c in a._terms.items()
+                   if sum(1 for s in key[1] if s[0] == "d") == degree})
 
 
 def conformal_invariance_defect(xi: FreeFieldElement) -> FreeFieldElement:

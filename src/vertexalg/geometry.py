@@ -23,15 +23,15 @@ from .laurent import (
     exponent_vectors,
     iota_two,
 )
-from .scalar import ONE, ZERO, ParamScalar
+from .scalar import ONE, LinearCombination, ParamScalar
 
 V2 = ("y1", "y2")
 
 
-class GluingForm:
+class GluingForm(LinearCombination):
     """Combination sum c_ab dy1^dy2 / (y1^a y2^b) with a, b >= 1."""
 
-    __slots__ = ("variables", "_terms")
+    __slots__ = ("variables",)
 
     def __init__(self, terms: Mapping[tuple[int, int], ParamScalar] | None = None,
                  variables: tuple[str, str] = V2):
@@ -42,53 +42,18 @@ class GluingForm:
                 raise InvalidInput("gluing basis indices must satisfy a, b >= 1")
             if isinstance(c, int):
                 c = ParamScalar.of(c)
-            if not c.is_zero():
+            if c:
                 clean[(a, b)] = c
-        self._terms = clean
+        super().__init__(clean)
 
     @staticmethod
     def basis(a: int, b: int, coeff=ONE, variables=V2) -> "GluingForm":
         return GluingForm({(a, b): coeff}, variables)
 
-    @property
-    def terms(self) -> dict[tuple[int, int], ParamScalar]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "GluingForm") -> "GluingForm":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return GluingForm(out, self.variables)
-
-    def __neg__(self) -> "GluingForm":
-        return GluingForm({k: -c for k, c in self._terms.items()}, self.variables)
-
-    def __sub__(self, other: "GluingForm") -> "GluingForm":
-        return self + (-other)
-
-    def scale(self, c) -> "GluingForm":
-        return GluingForm({k: v * c for k, v in self._terms.items()}, self.variables)
-
     def to_two_form(self) -> TwoForm:
-        comp = LaurentElement(self.variables)
-        for (a, b), c in self._terms.items():
-            comp = comp + LaurentElement.monomial(self.variables, (-a, -b), c)
+        comp = LaurentElement(self.variables,
+                              {(-a, -b): c for (a, b), c in self._terms.items()})
         return TwoForm(self.variables, {(1, 2): comp})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GluingForm):
-            return NotImplemented
-        return self.variables == other.variables and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -97,11 +62,17 @@ class GluingForm:
 
 
 def transition(v: WeightOneElement, omega: GluingForm,
-               direction: str = "1->2") -> WeightOneElement:
-    """Twisted chart change: add the contraction of the field part into omega."""
+               direction: str | None = None) -> WeightOneElement:
+    """Twisted chart change: add the contraction of the field part into omega.
+
+    The direction defaults to leaving the section's chart: "2->1" for a
+    section on U2, "1->2" otherwise.
+    """
     if v.variables != omega.variables:
         raise VariableMismatch("section and gluing form over different variables")
-    tau = VectorField(v.variables, dict(v.field_part))
+    if direction is None:
+        direction = _route(v.chart)[2]
+    tau = VectorField(v.variables, v.field_part)
     corr = iota_two(tau, omega.to_two_form())
     if direction == "2->1":
         corr = -corr
@@ -109,6 +80,12 @@ def transition(v: WeightOneElement, omega: GluingForm,
         raise InvalidInput("direction must be '1->2' or '2->1'")
     return WeightOneElement(v.chart, v.variables, dict(v.field_part),
                             v.form_part + corr)
+
+
+def _route(chart: str) -> tuple[str, str, str]:
+    """Source chart, target chart and transition direction of a section on
+    `chart`: a section on U2 extends to U1; any other is read as on U1."""
+    return ("U2", "U1", "2->1") if chart == "U2" else ("U1", "U2", "1->2")
 
 
 def _pole_variable(chart: str) -> int:
@@ -130,7 +107,7 @@ def regular_on(v: WeightOneElement, chart: str) -> bool:
     """True when every coefficient is pole-free on the given chart."""
     j = _pole_variable(chart)
     return all(_laurent_regular(f, j) for f in v.field_part.values()) and all(
-        _laurent_regular(g, j) for g in v.form_part.components.values()
+        _laurent_regular(g, j) for g in v.form_part.terms.values()
     )
 
 
@@ -146,7 +123,7 @@ def _internal_degree(v: WeightOneElement) -> int:
     degs = set()
     for i, f in v.field_part.items():
         degs |= {d - 1 for d in f.degrees()}
-    for k, g in v.form_part.components.items():
+    for g in v.form_part.terms.values():
         degs |= {d + 1 for d in g.degrees()}
     if len(degs) > 1:
         raise InhomogeneousInput(f"section has mixed internal degrees {sorted(degs)}")
@@ -154,26 +131,30 @@ def _internal_degree(v: WeightOneElement) -> int:
 
 
 def extend_section(v: WeightOneElement, omega: GluingForm):
-    """Correct a U1-regular section by a U1-regular one-form so that its
-    transition image is U2-regular; returns the corrected section or None.
+    """Correct a section regular on its chart (U1 or U2) by a one-form
+    regular there so that its transition image is regular on the other chart;
+    returns the corrected section or None.
 
     The correction is found by exact pole cancellation: monomials of the
-    twisted form with a pole on U2 must be absorbed, and a monomial singular
-    on both charts cannot be, so failure is a proof at this degree.
+    twisted form with a pole on the other chart must be absorbed, and a
+    monomial singular on both charts cannot be, so failure is a proof at this
+    degree.
     """
     _internal_degree(v)
-    if not regular_on(v, "U1"):
-        raise InvalidInput("input section must be regular on U1")
+    source, target, direction = _route(v.chart)
+    if not regular_on(v, source):
+        raise InvalidInput(f"input section must be regular on {source}")
+    j_source, j_target = _pole_variable(source), _pole_variable(target)
     # fields cannot be corrected by a one-form
-    if not all(_laurent_regular(f, 1) for f in v.field_part.values()):
+    if not all(_laurent_regular(f, j_target) for f in v.field_part.values()):
         return None
-    twisted = transition(v, omega)
+    twisted = transition(v, omega, direction)
     alpha_comps: dict[int, LaurentElement] = {}
-    for k, g in twisted.form_part.components.items():
-        _, pole = _split_poles(g, 1)
-        if pole.is_zero():
+    for k, g in twisted.form_part.terms.items():
+        _, pole = _split_poles(g, j_target)
+        if not pole:
             continue
-        if not _laurent_regular(pole, 2):
+        if not _laurent_regular(pole, j_source):
             return None  # doubly negative monomial: unremovable obstruction
         alpha_comps[k] = -pole
     alpha = OneForm(v.variables, alpha_comps)

@@ -2,9 +2,10 @@
 
 Elements are sparse maps from integer exponent vectors (negative exponents
 allowed: chart localization) to ParamScalar coefficients.  One-forms,
-two-forms and vector fields are componentwise maps into the ring, and the
-classical Courant operations (Lie bracket, Lie derivative, contraction) are
-implemented by the standard formulas.
+two-forms and vector fields are sparse maps from coordinate indices (index
+pairs for two-forms) to ring elements.  All of them are LinearCombinations
+(see `scalar`), and the classical Courant operations (Lie bracket, Lie
+derivative, contraction) are implemented by the standard formulas.
 
 Coordinate indices are 1-based throughout (y1, y2, ...).
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InvalidInput, VariableMismatch
-from .scalar import ONE, ZERO, ParamScalar
+from .scalar import ONE, ZERO, LinearCombination, ParamScalar, accumulate
 
 ExpVec = tuple[int, ...]
 CoeffLike = Union[ParamScalar, int, Fraction]
@@ -38,35 +39,34 @@ def _coerce_scalar(c) -> ParamScalar:
     return ParamScalar.of(c)
 
 
-class LaurentElement:
+class LaurentElement(LinearCombination):
     """Laurent polynomial in named coordinates with ParamScalar coefficients."""
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables",)
 
-    def __init__(self, variables: tuple[str, ...], terms: Mapping[ExpVec, ParamScalar] | None = None):
+    def __init__(self, variables: tuple[str, ...], terms: Mapping[ExpVec, CoeffLike] | None = None):
         self.variables = tuple(variables)
         clean: dict[ExpVec, ParamScalar] = {}
         if terms:
             for exp, coeff in terms.items():
                 c = _coerce_scalar(coeff)
-                if not c.is_zero():
+                if c:
                     if len(exp) != len(self.variables):
                         raise VariableMismatch("exponent vector length mismatch")
                     clean[tuple(exp)] = c
-        self._terms = clean
-        self._hash = None
+        super().__init__(clean)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def constant(variables: tuple[str, ...], value: CoeffLike) -> "LaurentElement":
         n = len(variables)
-        return LaurentElement(variables, {(0,) * n: _coerce_scalar(value)})
+        return LaurentElement(variables, {(0,) * n: value})
 
     @staticmethod
     def monomial(variables: tuple[str, ...], exponents: Iterable[int],
                  coeff: CoeffLike = 1) -> "LaurentElement":
-        return LaurentElement(variables, {tuple(exponents): _coerce_scalar(coeff)})
+        return LaurentElement(variables, {tuple(exponents): coeff})
 
     @staticmethod
     def coordinate(variables: tuple[str, ...], i: int) -> "LaurentElement":
@@ -75,13 +75,6 @@ class LaurentElement:
         return LaurentElement(variables, {tuple(exp): ONE})
 
     # -- queries -----------------------------------------------------
-
-    @property
-    def terms(self) -> dict[ExpVec, ParamScalar]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def degrees(self) -> set[int]:
         return {sum(exp) for exp in self._terms}
@@ -96,30 +89,7 @@ class LaurentElement:
         zero_exp = (0,) * len(self.variables)
         return self._terms.get(zero_exp, ZERO)
 
-    # -- arithmetic ----------------------------------------------------
-
-    def _check(self, other: "LaurentElement") -> None:
-        if self.variables != other.variables:
-            raise VariableMismatch(
-                f"variable lists differ: {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other: "LaurentElement") -> "LaurentElement":
-        self._check(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return LaurentElement(self.variables, out)
-
-    def __neg__(self) -> "LaurentElement":
-        return LaurentElement(self.variables, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentElement") -> "LaurentElement":
-        return self + (-other)
+    # -- products ------------------------------------------------------
 
     def __mul__(self, other) -> "LaurentElement":
         if isinstance(other, (int, Fraction, ParamScalar)):
@@ -128,27 +98,18 @@ class LaurentElement:
         out: dict[ExpVec, ParamScalar] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentElement(self.variables, out)
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return self._new(out)
 
     def __rmul__(self, other) -> "LaurentElement":
         return self.scale(other)
-
-    def scale(self, c: CoeffLike) -> "LaurentElement":
-        c = _coerce_scalar(c)
-        return LaurentElement(self.variables, {e: c * v for e, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentElement":
         if n < 0:
             if len(self._terms) != 1:
                 raise InvalidInput("negative power of zero or of a non-monomial")
             ((exp, c),) = self._terms.items()
-            return LaurentElement(self.variables, {tuple(e * n for e in exp): c ** n})
+            return self._new({tuple(e * n for e in exp): c ** n})
         out = LaurentElement.constant(self.variables, 1)
         for _ in range(n):
             out = out * self
@@ -156,32 +117,10 @@ class LaurentElement:
 
     def derive(self, i: int) -> "LaurentElement":
         """Partial derivative d/dy_i, including negative exponents."""
-        out: dict[ExpVec, ParamScalar] = {}
-        for exp, c in self._terms.items():
-            e = exp[i - 1]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i - 1] = e - 1
-            key = tuple(new)
-            s = out.get(key, ZERO) + c * e
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return LaurentElement(self.variables, out)
+        return self._new({exp[:i - 1] + (exp[i - 1] - 1,) + exp[i:]: c * exp[i - 1]
+                          for exp, c in self._terms.items() if exp[i - 1]})
 
-    # -- protocol ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentElement):
-            return NotImplemented
-        return self.variables == other.variables and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.variables, frozenset(self._terms.items())))
-        return self._hash
+    # -- printing ------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"LaurentElement({self})"
@@ -204,106 +143,63 @@ class LaurentElement:
         return " + ".join(parts)
 
 
-class _Componentwise:
-    """Shared plumbing for OneForm / VectorField style containers."""
+def _components(variables: tuple[str, ...], components: Mapping | None) -> dict:
+    """The nonzero components, each checked to be a ring element over variables."""
+    clean = {}
+    for key, val in (components or {}).items():
+        if not val:
+            continue
+        if val.variables != variables:
+            raise VariableMismatch("component over wrong variable list")
+        clean[key] = val
+    return clean
 
-    __slots__ = ("variables", "_components")
+
+def _show(form, symbol) -> str:
+    if not form._terms:
+        return "0"
+    return " + ".join(f"({v})*{symbol(key)}" for key, v in sorted(form._terms.items()))
+
+
+class OneForm(LinearCombination):
+    """Sum g_j dy_j, components keyed by 1-based coordinate index."""
+
+    __slots__ = ("variables",)
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
         self.variables = tuple(variables)
-        clean = {}
-        if components:
-            for key, val in components.items():
-                if isinstance(val, LaurentElement) and val.is_zero():
-                    continue
-                if val.variables != self.variables:
-                    raise VariableMismatch("component over wrong variable list")
-                clean[key] = val
-        self._components = clean
-
-    @property
-    def components(self) -> dict:
-        return dict(self._components)
-
-    def component(self, key) -> LaurentElement:
-        return self._components.get(key, LaurentElement(self.variables))
-
-    def is_zero(self) -> bool:
-        return not self._components
-
-    def __add__(self, other):
-        if self.variables != other.variables:
-            raise VariableMismatch("variable lists differ")
-        out = dict(self._components)
-        for key, val in other._components.items():
-            new = out[key] + val if key in out else val
-            if new.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return type(self)(self.variables, out)
-
-    def __neg__(self):
-        return type(self)(self.variables, {k: -v for k, v in self._components.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "_Componentwise":
-        return type(self)(self.variables, {k: v.scale(c) for k, v in self._components.items()})
-
-    def ring_scale(self, f: LaurentElement) -> "_Componentwise":
-        return type(self)(self.variables, {k: f * v for k, v in self._components.items()})
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.variables == other.variables and self._components == other._components
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.variables,
-                     frozenset(self._components.items())))
-
-
-class OneForm(_Componentwise):
-    """Sum g_j dy_j, components keyed by 1-based coordinate index."""
+        super().__init__(_components(self.variables, components))
 
     def __repr__(self):
-        if not self._components:
-            return "0"
-        return " + ".join(
-            f"({v})*d{self.variables[j - 1]}" for j, v in sorted(self._components.items())
-        )
+        return _show(self, lambda j: f"d{self.variables[j - 1]}")
 
 
-class TwoForm(_Componentwise):
+class TwoForm(LinearCombination):
     """Sum f_ij dy_i ^ dy_j, components keyed by index pairs i < j."""
 
-    def __init__(self, variables, components=None):
-        if components:
-            for i, j in components:
-                if not i < j:
-                    raise InvalidInput("two-form keys must satisfy i < j")
-        super().__init__(variables, components)
+    __slots__ = ("variables",)
+
+    def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
+        self.variables = tuple(variables)
+        if any(not i < j for i, j in components or {}):
+            raise InvalidInput("two-form keys must satisfy i < j")
+        super().__init__(_components(self.variables, components))
 
     def __repr__(self):
-        if not self._components:
-            return "0"
-        return " + ".join(
-            f"({v})*d{self.variables[i - 1]}^d{self.variables[j - 1]}"
-            for (i, j), v in sorted(self._components.items())
-        )
+        return _show(self, lambda ij: f"d{self.variables[ij[0] - 1]}^d{self.variables[ij[1] - 1]}")
 
 
-class VectorField(_Componentwise):
+class VectorField(LinearCombination):
     """Sum f_i d/dy_i, components keyed by 1-based coordinate index."""
 
+    __slots__ = ("variables",)
+
+    def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
+        self.variables = tuple(variables)
+        super().__init__(_components(self.variables, components))
+
     def __repr__(self):
-        if not self._components:
-            return "0"
-        return " + ".join(
-            f"({v})*D{self.variables[i - 1]}" for i, v in sorted(self._components.items())
-        )
+        return _show(self, lambda i: f"D{self.variables[i - 1]}")
 
 
 # -- exterior calculus ---------------------------------------------------
@@ -319,64 +215,54 @@ def de_rham_one(omega: OneForm) -> TwoForm:
     """d on one-forms: d(g_j dy_j) = sum_i dg_j/dy_i dy_i ^ dy_j."""
     n = len(omega.variables)
     comps: dict[tuple[int, int], LaurentElement] = {}
-    for j, g in omega.components.items():
+    for j, g in omega.terms.items():
         for i in range(1, n + 1):
-            if i == j:
-                continue
-            dg = g.derive(i)
-            if dg.is_zero():
-                continue
-            key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-            cur = comps.get(key, LaurentElement(omega.variables))
-            comps[key] = cur + (dg if sign == 1 else -dg)
+            if i != j:
+                dg = g.derive(i)
+                accumulate(comps, (i, j) if i < j else (j, i), dg if i < j else -dg)
     return TwoForm(omega.variables, comps)
 
 
 def apply_field(tau: VectorField, f: LaurentElement) -> LaurentElement:
     out = LaurentElement(f.variables)
-    for i, comp in tau.components.items():
+    for i, comp in tau.terms.items():
         out = out + comp * f.derive(i)
     return out
 
 
 def bracket(tau: VectorField, xi: VectorField) -> VectorField:
     """Lie bracket of vector fields."""
-    if tau.variables != xi.variables:
-        raise VariableMismatch("variable lists differ")
+    tau._check(xi)
     comps: dict[int, LaurentElement] = {}
-    for j, g in xi.components.items():
-        val = apply_field(tau, g)
-        comps[j] = comps.get(j, LaurentElement(tau.variables)) + val
-    for j, f in tau.components.items():
-        val = apply_field(xi, f)
-        comps[j] = comps.get(j, LaurentElement(tau.variables)) - val
+    for j, g in xi.terms.items():
+        accumulate(comps, j, apply_field(tau, g))
+    for j, f in tau.terms.items():
+        accumulate(comps, j, -apply_field(xi, f))
     return VectorField(tau.variables, comps)
 
 
 def iota_one(tau: VectorField, omega: OneForm) -> LaurentElement:
     """Contraction of a vector field with a one-form."""
-    if tau.variables != omega.variables:
-        raise VariableMismatch("variable lists differ")
+    tau._check(omega)
     out = LaurentElement(tau.variables)
-    for i, f in tau.components.items():
-        g = omega.component(i)
-        if not g.is_zero():
+    for i, f in tau.terms.items():
+        g = omega.get(i)
+        if g is not None:
             out = out + f * g
     return out
 
 
 def iota_two(tau: VectorField, omega: TwoForm) -> OneForm:
     """Contraction of a vector field with a two-form (first slot)."""
-    if tau.variables != omega.variables:
-        raise VariableMismatch("variable lists differ")
+    tau._check(omega)
     comps: dict[int, LaurentElement] = {}
-    for (i, j), g in omega.components.items():
-        fi = tau.component(i)
-        if not fi.is_zero():
-            comps[j] = comps.get(j, LaurentElement(tau.variables)) + fi * g
-        fj = tau.component(j)
-        if not fj.is_zero():
-            comps[i] = comps.get(i, LaurentElement(tau.variables)) - fj * g
+    for (i, j), g in omega.terms.items():
+        fi = tau.get(i)
+        if fi is not None:
+            accumulate(comps, j, fi * g)
+        fj = tau.get(j)
+        if fj is not None:
+            accumulate(comps, i, -(fj * g))
     return OneForm(tau.variables, comps)
 
 
@@ -394,7 +280,7 @@ def _weights_of(obj, shift_for_key) -> set[int]:
         for exp in obj.terms:
             weights.add(sum(exp))
         return weights
-    for key, comp in obj.components.items():
+    for key, comp in obj.terms.items():
         shift = shift_for_key(key)
         for exp in comp.terms:
             weights.add(sum(exp) + shift)

@@ -1,8 +1,18 @@
 """Exact coefficient arithmetic: rationals extended by formal parameters.
 
+Every exact object of the package is a LinearCombination: a sparse map
+{key: value} that never stores a zero value.  ParamScalar (here), the Laurent
+elements and forms of `laurent`, the gluing forms of `geometry` and the Fock
+elements of `freefield` share its sum, difference, negation, scaling,
+equality and hashing.  Canonical form is enforced in two places only: each
+public constructor checks and coerces what it is given and drops zeros, and
+every sum goes through `accumulate`, which drops a key whose value cancels.
+Arithmetic results are built by `LinearCombination._new` from terms that are
+already canonical, so they are never coerced or checked again.
+
 A ParamScalar is a polynomial in formal parameters (k, gluing coefficients
-c_ab, ...) with Fraction coefficients, kept in canonical sparse form.  All
-other modules use these as their coefficient ring.
+c_ab, ...) with Fraction coefficients; all other modules use these as their
+coefficient ring.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import InvalidInput, NonlinearCondition, NonScalarDivisor
+from .errors import InvalidInput, NonlinearCondition, NonScalarDivisor, VariableMismatch
 
 # A parameter monomial: sorted tuple of (name, positive exponent).
 Monomial = tuple[tuple[str, int], ...]
@@ -19,44 +29,149 @@ Monomial = tuple[tuple[str, int], ...]
 RationalLike = Union[int, Fraction]
 
 
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict[str, int] = {}
-    for name, e in m1:
-        exps[name] = exps.get(name, 0) + e
-    for name, e in m2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted((n, e) for n, e in exps.items() if e != 0))
+def accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value, in place, dropping the key when the sum is zero."""
+    if key in acc:
+        value = acc[key] + value
+    if value:
+        acc[key] = value
+    else:
+        acc.pop(key, None)
 
 
-class ParamScalar:
-    """Polynomial in formal parameters over the rationals, canonical form.
+class LinearCombination:
+    """Canonical sparse map {key: value} with no zero value stored.
 
-    Canonical form: no zero coefficients stored, monomial keys unique and
-    sorted by name.  Instances are immutable and hashable.
+    Values are rationals or combinations themselves.  A subclass lists its
+    context (what both operands must share, e.g. the variable list) in its own
+    __slots__; a result copies the context of its left operand.  Operands must
+    agree on `variables`; a subclass adds to `_check` and widens `_coerce`.
+    Instances are immutable and hashable.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[mono] = c
-        self._terms: dict[Monomial, Fraction] = clean
-        self._hash: int | None = None
+    def __init__(self, terms: dict):
+        """Adopt terms already in canonical form (a public constructor's last step)."""
+        self._terms = terms
+        self._hash = None
+
+    def _new(self, terms: dict):
+        """A result in self's context from canonical terms: nothing is checked."""
+        out = object.__new__(type(self))
+        out._terms = terms
+        out._hash = None
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        return out
+
+    # -- queries -----------------------------------------------------
+
+    @property
+    def terms(self) -> dict:
+        return dict(self._terms)
+
+    def get(self, key, default=None):
+        """The value at key, or default when key holds no term."""
+        return self._terms.get(key, default)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _coerce(self, other):
+        """other as an operand of this type, or NotImplemented."""
+        return other if type(other) is type(self) else NotImplemented
+
+    def _check(self, other) -> None:
+        """Raise unless other may be added to self."""
+        if self.variables != other.variables:
+            raise VariableMismatch(
+                f"variable lists differ: {self.variables} vs {other.variables}")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        out = dict(self._terms)
+        for key, value in other._terms.items():
+            accumulate(out, key, value)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({key: -value for key, value in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def scale(self, c):
+        """Every value times c: a rational for a ParamScalar, a scalar for the
+        other types, or a ring element for a form; vanishing products drop."""
+        return self._new({key: p for key, value in self._terms.items()
+                          if (p := value * c)})
+
+    # -- protocol ------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.variables == other.variables and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.variables, frozenset(self._terms.items())))
+        return self._hash
+
+
+def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for name, e in m2:
+        accumulate(exps, name, e)
+    return tuple(sorted(exps.items()))
+
+
+class ParamScalar(LinearCombination):
+    """Polynomial in formal parameters over the rationals, canonical form.
+
+    Keys are parameter monomials (unique, sorted by name), values nonzero
+    Fractions.  Ints and Fractions are accepted wherever a ParamScalar is.
+    """
+
+    __slots__ = ()
+    variables = ()  # a scalar lives over no coordinates
+
+    def __init__(self, terms: Mapping[Monomial, RationalLike] | None = None):
+        super().__init__({mono: c for mono, coeff in (terms or {}).items()
+                          if (c := Fraction(coeff))})
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def of(value: RationalLike) -> "ParamScalar":
-        c = Fraction(value)
-        return ParamScalar({(): c} if c else {})
+        return ParamScalar({(): value})
 
     @staticmethod
     def var(name: str) -> "ParamScalar":
-        return ParamScalar({((name, 1),): Fraction(1)})
+        return ParamScalar({((name, 1),): 1})
 
     @staticmethod
     def zero() -> "ParamScalar":
@@ -67,13 +182,6 @@ class ParamScalar:
         return ParamScalar.of(1)
 
     # -- queries -----------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         return all(m == () for m in self._terms)
@@ -96,33 +204,6 @@ class ParamScalar:
             return ParamScalar.of(other)
         return NotImplemented
 
-    def __add__(self, other) -> "ParamScalar":
-        other = ParamScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return ParamScalar(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamScalar":
-        return ParamScalar({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other) -> "ParamScalar":
-        other = ParamScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ParamScalar":
-        return ParamScalar._coerce(other) - self
-
     def __mul__(self, other) -> "ParamScalar":
         other = ParamScalar._coerce(other)
         if other is NotImplemented:
@@ -130,13 +211,8 @@ class ParamScalar:
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = _mul_monomials(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return ParamScalar(out)
+                accumulate(out, _mul_monomials(m1, m2), c1 * c2)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -148,8 +224,7 @@ class ParamScalar:
             raise NonScalarDivisor("non-scalar divisor")
         if not other.is_constant():
             raise NonScalarDivisor("non-scalar divisor")
-        inv = Fraction(1) / other.constant_value()
-        return self * ParamScalar.of(inv)
+        return self.scale(1 / other.constant_value())
 
     def __pow__(self, n: int) -> "ParamScalar":
         if n < 0:
@@ -172,25 +247,11 @@ class ParamScalar:
                     val = ParamScalar._coerce(assignment[name])
                     value = value * val ** e
                 else:
-                    value = value * ParamScalar({((name, e),): Fraction(1)})
+                    value = value * ParamScalar({((name, e),): 1})
             out = out + value
         return out
 
-    # -- protocol ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        other = ParamScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    # -- printing ------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"ParamScalar({self})"
@@ -244,17 +305,16 @@ def _affine_split(eq: ParamScalar,
     """
     index = {name: i for i, name in enumerate(unknowns)}
     coeffs: dict[int, Fraction] = {}
-    const = ParamScalar.zero()
+    const: dict[Monomial, Fraction] = {}
     for mono, c in eq._terms.items():
         touched = [(name, e) for name, e in mono if name in index]
         if not touched:
-            const = const + ParamScalar({mono: c})
+            const[mono] = c
             continue
         if len(touched) > 1 or touched[0][1] > 1 or len(mono) > 1:
             raise NonlinearCondition("nonlinear condition")
-        i = index[touched[0][0]]
-        coeffs[i] = coeffs.get(i, Fraction(0)) + c
-    return coeffs, const
+        accumulate(coeffs, index[touched[0][0]], c)
+    return coeffs, eq._new(const)
 
 
 @dataclass
@@ -294,12 +354,9 @@ class Echelon:
 
 def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
     """row -= f * other, in place, dropping entries that cancel."""
+    f = -f
     for c, x in other.items():
-        y = row.get(c, 0) - f * x
-        if y:
-            row[c] = y
-        else:
-            del row[c]
+        accumulate(row, c, f * x)
 
 
 def row_reduce(rows: Iterable[Mapping[int, RationalLike]],

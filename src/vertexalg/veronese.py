@@ -24,7 +24,7 @@ from .errors import InhomogeneousInput, InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
 from .laurent import LaurentElement, OneForm, de_rham, exponent_vectors
-from .scalar import ZERO, ParamScalar, row_reduce, solve_linear_system
+from .scalar import ZERO, ParamScalar, accumulate, row_reduce, solve_linear_system
 
 ExpVec = tuple[int, ...]
 
@@ -87,7 +87,7 @@ def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseMode
 
 def _form_degree(omega: OneForm) -> int | None:
     degs = set()
-    for g in omega.components.values():
+    for g in omega.terms.values():
         degs |= {d + 1 for d in g.degrees()}
     if not degs:
         return None
@@ -116,9 +116,9 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
             mono = LaurentElement.monomial(model.variables, m)
             for gexp in model.generators.values():
                 g = LaurentElement.monomial(model.variables, gexp)
-                span.append(de_rham(g).ring_scale(mono))
+                span.append(de_rham(g).scale(mono))
     def vec(form: OneForm) -> dict[tuple[int, ExpVec], ParamScalar]:
-        return {(i, exp): c for i, g in form.components.items()
+        return {(i, exp): c for i, g in form.terms.items()
                 for exp, c in g.terms.items()}
     target = vec(omega)
     rows: dict[tuple[int, ExpVec], dict[int, Fraction]] = {c: {} for c in target}
@@ -278,7 +278,7 @@ def _derivation_rows(model: VeroneseModel, monos: list[ExpVec]):
             return None
         return len(monos) * names.index(gname) + pos
 
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int]] = {}
     for (u, v), (w, z) in model.relations:
         contributions = [(u, model.generators[v], 1), (v, model.generators[u], 1),
                          (w, model.generators[z], -1), (z, model.generators[w], -1)]
@@ -287,12 +287,11 @@ def _derivation_rows(model: VeroneseModel, monos: list[ExpVec]):
             for _, other, _ in contributions:
                 targets.add(tuple(a + b for a, b in zip(m, other)))
         for target in targets:
-            row: dict[int, Fraction] = {}
+            row: dict[int, int] = {}
             for gname, other, sign in contributions:
                 col = slot(gname, tuple(a - b for a, b in zip(target, other)))
                 if col is not None:
-                    row[col] = row.get(col, Fraction(0)) + sign
-            row = {c: x for c, x in row.items() if x}
+                    accumulate(row, col, sign)
             if row:
                 rows[(target, (u, v), (w, z))] = row
     return names, list(rows.values())

@@ -6,7 +6,6 @@ from vertexalg import algebroid
 from vertexalg.algebroid import (
     WeightOneElement,
     classical_defect,
-    classical_vprod,
     embed,
     extract,
     fock_algebra,
@@ -20,7 +19,7 @@ from vertexalg.algebroid import (
 )
 from vertexalg.errors import ChartMismatch, RuleOracleDivergence
 from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket
-from vertexalg.scalar import ONE, ParamScalar
+from vertexalg.scalar import ParamScalar
 
 V = ("y1", "y2")
 C = "overlap"

@@ -80,6 +80,20 @@ def test_glue_check_and_extend(capsys):
     assert code == 1
 
 
+def test_extend_from_u2(capsys):
+    # a section regular on U2 is extended to U1 by the "2->1" transition
+    code, out, _ = run(capsys, "extend", "y1*d2", "--omega", "w[1,1]", "--chart", "U2",
+                       "--format", "machine")
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload == {"section": "(y1)*Dy2 + (-1*y2^-1)*dy1", "other_chart": "(y1)*Dy2"}
+    # the twisted frame field carries y1^-1*y2^-1, singular on both charts
+    code, out, _ = run(capsys, "extend", "d2", "--omega", "w[1,1]", "--chart", "U2",
+                       "--format", "machine")
+    assert code == 1
+    assert json.loads(out)["status"] == "fail"
+
+
 def test_virasoro(capsys):
     code, out, _ = run(capsys, "virasoro", "--n", "3", "--weight", "4",
                        "--format", "machine")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,7 +7,6 @@ from vertexalg.freefield import (
     FreeFieldAlgebra,
     axiom_defect,
     conformal_invariance_defect,
-    frame_filtration_part,
     nproduct,
     translate,
     translate_power,

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from vertexalg.algebroid import WeightOneElement, symbol, vprod
 from vertexalg.geometry import (
     GluingForm,
@@ -97,6 +95,15 @@ def test_extend_section_yields_global_section():
     assert out == v + frm({2: mono(-1, 0, -1).scale(K)})
     assert regular_on(out, "U1")
     assert regular_on(transition(out, w11(K)), "U2")
+
+
+def test_extend_section_from_u2():
+    v = WeightOneElement.field("U2", V, 2, mono(1, 0))  # y1 (x) frame_2 on U2
+    out = extend_section(v, w11(K))
+    assert out == v + WeightOneElement.form("U2", OneForm(V, {1: mono(0, -1, -1).scale(K)}))
+    assert regular_on(out, "U2")
+    assert regular_on(transition(out, w11(K)), "U1")
+    assert extend_section(WeightOneElement.field("U2", V, 2, mono(0, 0)), w11(K)) is None
 
 
 def test_extend_section_trivial_correction():

@@ -1,0 +1,172 @@
+"""Seeded properties of the shared sparse base, scalar.LinearCombination.
+
+ParamScalar, LaurentElement, OneForm, TwoForm, VectorField, GluingForm and
+FreeFieldElement inherit their sum, difference, negation, scaling, equality,
+hashing and truth value from it.  Every test runs on random elements of
+every type, so a type that drifts from the canonical form (no zero value
+stored) fails here.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from vertexalg import cli
+from vertexalg.errors import InhomogeneousInput, InvalidInput, VariableMismatch
+from vertexalg.freefield import FreeFieldAlgebra
+from vertexalg.geometry import GluingForm
+from vertexalg.laurent import LaurentElement, OneForm, TwoForm, VectorField
+from vertexalg.scalar import ParamScalar
+
+V = ("y1", "y2")
+OTHER = ("y1", "z")  # same length, different variable list
+ALGEBRAS = {V: FreeFieldAlgebra(V, 3), OTHER: FreeFieldAlgebra(OTHER, 3)}
+MONOMIALS = [(), (("k", 1),), (("c", 1),), (("c", 1), ("k", 2))]
+# basis words of conformal weight 1
+WORDS = [((1, 0), (("d", 1, 0),)), ((0, -1), (("d", 2, 0),)),
+         ((2, 1), (("y", 1, 1),)), ((0, 0), (("y", 2, 1),))]
+SEEDS = range(40)
+
+
+def _scalar(rng):
+    return ParamScalar({m: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for m in rng.sample(MONOMIALS, rng.randint(0, 3))})
+
+
+def _laurent(rng, variables):
+    return LaurentElement(variables, {(rng.randint(-2, 2), rng.randint(-2, 2)): _scalar(rng)
+                                      for _ in range(rng.randint(0, 3))})
+
+
+def _components(rng, keys, variables):
+    return {k: _laurent(rng, variables) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+
+
+# type -> (random element over a variable list, public constructor from terms)
+KINDS = {
+    "ParamScalar": (lambda rng, vs: _scalar(rng),
+                    lambda a: ParamScalar(a.terms)),
+    "LaurentElement": (_laurent,
+                       lambda a: LaurentElement(a.variables, a.terms)),
+    "OneForm": (lambda rng, vs: OneForm(vs, _components(rng, [1, 2], vs)),
+                lambda a: OneForm(a.variables, a.terms)),
+    "TwoForm": (lambda rng, vs: TwoForm(vs, _components(rng, [(1, 2)], vs)),
+                lambda a: TwoForm(a.variables, a.terms)),
+    "VectorField": (lambda rng, vs: VectorField(vs, _components(rng, [1, 2], vs)),
+                    lambda a: VectorField(a.variables, a.terms)),
+    "GluingForm": (lambda rng, vs: GluingForm({(rng.randint(1, 3), rng.randint(1, 3)): _scalar(rng)
+                                               for _ in range(rng.randint(0, 3))}, vs),
+                   lambda a: GluingForm(a.terms, a.variables)),
+    "FreeFieldElement": (lambda rng, vs: ALGEBRAS[vs].element(
+                             {w: _scalar(rng) for w in rng.sample(WORDS, rng.randint(0, 3))}),
+                         lambda a: a.algebra.element(a.terms)),
+}
+
+
+def _draws(kind, seed, count=3, variables=V):
+    rng = random.Random(seed)
+    make = KINDS[kind][0]
+    return [make(rng, variables) for _ in range(count)]
+
+
+def _canonical(x) -> bool:
+    return all(x.terms.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cancellation_stores_no_term(kind):
+    for seed in SEEDS:
+        a, b, _ = _draws(kind, seed)
+        for zero in (a - a, -a + a, a.scale(0), (a + b) - (b + a)):
+            assert zero.terms == {} and zero.is_zero() and not zero
+        for x in (a + b, a - b, -a, a.scale(2), a.scale(Fraction(-1, 3))):
+            assert _canonical(x)
+            assert bool(x) == bool(x.terms)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sum_is_commutative_and_associative(kind):
+    for seed in SEEDS:
+        a, b, c = _draws(kind, seed)
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert (a + b) - b == a
+        assert -(-a) == a
+        assert a.scale(2) == a + a
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_equal_objects_have_equal_hashes(kind):
+    rebuild = KINDS[kind][1]
+    for seed in SEEDS:
+        a, b, c = _draws(kind, seed)
+        pairs = [(a + b, b + a), ((a + b) + c, a + (b + c)), (rebuild(a), a),
+                 ((a - b) + b, rebuild(a))]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+        assert len({a + b, b + a, rebuild(a + b)}) == 1
+
+
+def test_scalar_compares_with_rationals():
+    three = ParamScalar.of(3)
+    assert three == 3 and 3 == three
+    assert ParamScalar.zero() == 0 and 0 == ParamScalar.zero()
+    assert ParamScalar.of(Fraction(1, 2)) == Fraction(1, 2)
+    assert ParamScalar.var("k") != 0
+    assert three + 1 == 4 and 1 - three == -2 and 2 * three == 6
+    assert hash(three) == hash(ParamScalar({(): Fraction(3)}))
+
+
+def test_public_constructors_drop_zeros_and_coerce_ints():
+    k = (("k", 1),)
+    s = ParamScalar({(): 0, k: 2})
+    assert s.terms == {k: Fraction(2)} and type(s.terms[k]) is Fraction
+    f = LaurentElement(V, {(1, 0): 0, (0, 1): 2})
+    assert f.terms == {(0, 1): ParamScalar.of(2)} and type(f.terms[(0, 1)]) is ParamScalar
+    zero = LaurentElement(V)
+    for form, key in ((OneForm, 1), (VectorField, 1), (TwoForm, (1, 2))):
+        assert form(V, {key: zero}).terms == {}
+        assert form(V, {key: f}).terms == {key: f}
+    g = GluingForm({(1, 1): 0, (1, 2): 3})
+    assert g.terms == {(1, 2): ParamScalar.of(3)}
+    alg = ALGEBRAS[V]
+    x = alg.element({WORDS[0]: 0, WORDS[3]: 2})
+    assert x.terms == {WORDS[3]: ParamScalar.of(2)}
+    # keys are normalized, so words differing only in symbol order cancel
+    tail = (("d", 1, 0), ("y", 2, 1))
+    assert alg.element({((0, 0), tail): 1, ((0, 0), tail[::-1]): -1}).terms == {}
+    # the other checks of the public constructors still hold
+    with pytest.raises(InvalidInput):
+        TwoForm(V, {(2, 1): f})
+    with pytest.raises(InvalidInput):
+        GluingForm({(0, 1): 1})
+    with pytest.raises(VariableMismatch):
+        LaurentElement(V, {(1,): 1})
+    with pytest.raises(VariableMismatch):
+        OneForm(V, {1: LaurentElement.monomial(OTHER, (1, 0))})
+    with pytest.raises(InhomogeneousInput):
+        alg.element({WORDS[0]: 1, ((1, 0), ()): 1})
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "ParamScalar"])
+def test_mismatched_operands_raise(kind):
+    for seed in SEEDS:
+        (a,) = _draws(kind, seed, 1)
+        (b,) = _draws(kind, seed + 1000, 1, OTHER)
+        with pytest.raises(VariableMismatch):
+            a + b
+        with pytest.raises(VariableMismatch):
+            a - b
+        assert a != b
+
+
+def test_fock_sum_of_different_weights_raises():
+    alg = ALGEBRAS[V]
+    weight0, weight1 = alg.coordinate(1), alg.frame(1)
+    with pytest.raises(InhomogeneousInput):
+        weight0 + weight1
+    with pytest.raises(InhomogeneousInput):
+        weight1 - weight0
+    assert alg.zero() + weight1 == weight1 == weight1 + alg.zero()
+    assert cli.main(["nprod", "y1 + d1"]) == 2
