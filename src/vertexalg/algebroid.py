@@ -1,11 +1,12 @@
 """Structured weight-0/1 vertex algebroid layer over a Laurent chart ring.
 
 A weight-one element is a sum of frame components f_i applied to the i-th
-frame field (one single _(-1) application each) plus a one-form.  The _(0)
-and _(1) products are evaluated by closed-form rules; the rules are checked
-once per variable list against the free-field engine on a battery of
-symbolic monomials, and any disagreement is a hard error, so the engine
-stays the single source of truth.
+frame field (one single _(-1) application each) plus a one-form, keyed by
+the Fock creation symbols they embed as.  The _(0) and _(1) products are
+evaluated by closed-form rules; the rules are checked once per variable list
+against the free-field engine on a battery of symbolic monomials, and any
+disagreement is a hard error, so the engine stays the single source of
+truth.
 """
 
 from __future__ import annotations
@@ -21,32 +22,40 @@ from .laurent import (
     VectorField,
     bracket as vf_bracket,
     de_rham,
+    degrees,
     iota_one,
     lie_derivative,
 )
-from .scalar import ONE, ParamScalar, accumulate, solve_linear_system
+from .scalar import ONE, LinearCombination, ParamScalar, accumulate, solve_linear_system
 
 
-class WeightOneElement:
-    """Sum of frame components f_i (x) frame_i plus a one-form, on a chart."""
+class WeightOneElement(LinearCombination):
+    """Sum of frame components f_i (x) frame_i plus a one-form, on a chart.
 
-    __slots__ = ("chart", "variables", "field_part", "form_part")
+    Terms are keyed by the Fock creation symbol each component embeds as:
+    ("d", i) holds the frame component f_i and ("y", j) the form component
+    g_j.  Operands must share the chart as well as the variable list.
+    """
+
+    __slots__ = ("chart", "variables")
+    degree_shift = staticmethod(lambda key: -1 if key[0] == "d" else 1)
 
     def __init__(self, chart: str, variables: tuple[str, ...],
                  field_part: dict[int, LaurentElement] | None = None,
                  form_part: OneForm | None = None):
         self.chart = chart
         self.variables = tuple(variables)
-        clean: dict[int, LaurentElement] = {}
+        terms = {}
         for i, f in (field_part or {}).items():
             if f.variables != self.variables:
                 raise VariableMismatch("frame component over wrong variable list")
-            if not f.is_zero():
-                clean[i] = f
-        self.field_part = clean
-        self.form_part = form_part if form_part is not None else OneForm(self.variables)
-        if self.form_part.variables != self.variables:
-            raise VariableMismatch("form part over wrong variable list")
+            if f:
+                terms[("d", i)] = f
+        if form_part is not None:
+            if form_part.variables != self.variables:
+                raise VariableMismatch("form part over wrong variable list")
+            terms.update({("y", j): g for j, g in form_part.terms.items()})
+        super().__init__(terms)
 
     # -- constructors -----------------------------------------------------
 
@@ -56,58 +65,44 @@ class WeightOneElement:
 
     @staticmethod
     def form(chart: str, omega: OneForm) -> "WeightOneElement":
-        return WeightOneElement(chart, omega.variables, {}, omega)
+        return WeightOneElement(chart, omega.variables, None, omega)
+
+    # -- views ----------------------------------------------------------------
+
+    @property
+    def field_part(self) -> dict[int, LaurentElement]:
+        """The frame components {i: f_i}."""
+        return {i: f for (cls, i), f in self._terms.items() if cls == "d"}
+
+    @property
+    def form_part(self) -> OneForm:
+        """The one-form sum g_j dy_j."""
+        return OneForm(self.variables)._new(
+            {j: g for (cls, j), g in self._terms.items() if cls == "y"})
 
     # -- structure ----------------------------------------------------------
 
     def _check(self, other: "WeightOneElement") -> None:
         if self.chart != other.chart:
             raise ChartMismatch(f"charts differ: {self.chart} vs {other.chart}")
-        if self.variables != other.variables:
-            raise VariableMismatch("variable lists differ")
-
-    def __add__(self, other: "WeightOneElement") -> "WeightOneElement":
-        self._check(other)
-        fields = dict(self.field_part)
-        for i, f in other.field_part.items():
-            g = fields.get(i)
-            fields[i] = f if g is None else g + f
-        return WeightOneElement(self.chart, self.variables, fields,
-                                self.form_part + other.form_part)
-
-    def __neg__(self) -> "WeightOneElement":
-        return WeightOneElement(self.chart, self.variables,
-                                {i: -f for i, f in self.field_part.items()},
-                                -self.form_part)
-
-    def __sub__(self, other: "WeightOneElement") -> "WeightOneElement":
-        return self + (-other)
-
-    def scale(self, c) -> "WeightOneElement":
-        return WeightOneElement(self.chart, self.variables,
-                                {i: f.scale(c) for i, f in self.field_part.items()},
-                                self.form_part.scale(c))
-
-    def is_zero(self) -> bool:
-        return not self.field_part and self.form_part.is_zero()
+        super()._check(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightOneElement):
             return NotImplemented
-        return (self.chart == other.chart and self.variables == other.variables
-                and self.field_part == other.field_part
-                and self.form_part == other.form_part)
+        return self.chart == other.chart and super().__eq__(other)
 
     def __hash__(self) -> int:
-        return hash((self.chart, self.variables,
-                     frozenset(self.field_part.items()), self.form_part))
+        return hash((self.chart, super().__hash__()))
 
     def __repr__(self) -> str:
-        parts = [f"({f})*D{self.variables[i - 1]}"
-                 for i, f in sorted(self.field_part.items())]
-        if not self.form_part.is_zero():
-            parts.append(repr(self.form_part))
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(f"({f})*{_PREFIX[cls]}{self.variables[i - 1]}"
+                          for (cls, i), f in sorted(self._terms.items())) or "0"
+
+
+# key class -> printed prefix ("D" for d/dy_i, "d" for dy_j) and Fock order m
+_PREFIX = {"d": "D", "y": "d"}
+_ORDER = {"d": 0, "y": 1}
 
 
 # -- embedding into and extraction from the free-field engine ----------------
@@ -123,88 +118,90 @@ def _shared_algebra(variables: tuple[str, ...], max_weight: int) -> FreeFieldAlg
     return FreeFieldAlgebra(variables, max_weight)
 
 
-def embed_form(omega: OneForm, alg: FreeFieldAlgebra) -> FreeFieldElement:
-    out = alg.zero()
-    for k, g in omega.terms.items():
-        out = out + alg.word(g, [("y", k, 1)])
-    return out
+def _exact_part(variables: tuple[str, ...], terms: dict) -> OneForm:
+    """d(sum_i d f_i/dy_i) over the frame components of a keyed term dict.
+
+    A raw word f*frame_i differs from the single application of the frame
+    field by the exterior derivative of the frame derivative of f.
+    """
+    div = LaurentElement(variables)
+    for (cls, i), f in terms.items():
+        if cls == "d":
+            div = div + f.derive(i)
+    return de_rham(div) if div else OneForm(variables)
 
 
 def embed(v: WeightOneElement, alg: FreeFieldAlgebra) -> FreeFieldElement:
-    """Inject: each frame component is one single application, plus the form.
-
-    A raw word f*frame_i differs from the single application by the exterior
-    derivative of the frame derivative of f, which the injection subtracts.
-    """
-    out = embed_form(v.form_part, alg)
-    for i, f in v.field_part.items():
-        out = out + alg.word(f, [("d", i, 0)])
-        out = out - embed_form(de_rham(f.derive(i)), alg)
-    return out
+    """Inject: the term at ("d", i) or ("y", j) becomes its creation symbol
+    ("d", i, 0) or ("y", j, 1), and the raw frame words are corrected to
+    single applications by subtracting their exact part."""
+    if v.variables != alg.variables:
+        raise VariableMismatch("section over wrong variable list")
+    terms = {(alpha, ((cls, i, _ORDER[cls]),)): c
+             for (cls, i), f in v._terms.items() for alpha, c in f._terms.items()}
+    for j, g in _exact_part(v.variables, v._terms)._terms.items():
+        for alpha, c in g._terms.items():
+            accumulate(terms, (alpha, (("y", j, 1),)), -c)
+    return alg.element(terms)
 
 
 def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
     """Inverse of embed on weight-one elements."""
-    variables = x.algebra.variables
-    fields: dict[int, LaurentElement] = {}
-    forms: dict[int, LaurentElement] = {}
-    for (alpha, tail), coeff in x.terms.items():
-        if len(tail) != 1:
+    variables = x.variables
+    parts: dict = {}
+    for (alpha, tail), coeff in x._terms.items():
+        if len(tail) != 1 or _ORDER.get(tail[0][0]) != tail[0][2]:
             raise InvalidInput("not a weight-one element")
-        cls, i, m = tail[0]
-        mono = LaurentElement.monomial(variables, alpha, coeff)
-        if (cls, m) == ("d", 0):
-            accumulate(fields, i, mono)
-        elif (cls, m) == ("y", 1):
-            accumulate(forms, i, mono)
-        else:
-            raise InvalidInput("not a weight-one element")
-    div = LaurentElement(variables)
-    for i, f in fields.items():
-        div = div + f.derive(i)
-    form = OneForm(variables, forms) + de_rham(div)
-    return WeightOneElement(chart, variables, fields, form)
+        parts.setdefault(tail[0][:2], {})[alpha] = coeff
+    zero = LaurentElement(variables)
+    terms = {key: zero._new(exps) for key, exps in parts.items()}
+    for j, g in _exact_part(variables, terms)._terms.items():
+        accumulate(terms, ("y", j), g)
+    return WeightOneElement(chart, variables)._new(terms)
 
 
 # -- closed-form products -----------------------------------------------------
 
 
 def _vprod1(u: WeightOneElement, v: WeightOneElement) -> LaurentElement:
-    out = zero = LaurentElement(u.variables)
-    for i, f in u.field_part.items():
-        for j, g in v.field_part.items():
-            out = out - f * g.derive(j).derive(i) - g * f.derive(i).derive(j) \
-                - g.derive(i) * f.derive(j)
-        out = out + f * v.form_part.get(i, zero)
-    for j, g in v.field_part.items():
-        out = out + g * u.form_part.get(j, zero)
+    out = LaurentElement(u.variables)
+    for (cu, i), f in u._terms.items():
+        for (cv, j), g in v._terms.items():
+            if cu == cv == "d":
+                out = out - f * g.derive(j).derive(i) - g * f.derive(i).derive(j) \
+                    - g.derive(i) * f.derive(j)
+            elif cu != cv and i == j:  # a frame component against a form component
+                out = out + f * g
     return out
 
 
 def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
-    variables = u.variables
-    n = len(variables)
-    fields: dict[int, LaurentElement] = {}
-    form = OneForm(variables)
-    for i, f in u.field_part.items():
-        for j, g in v.field_part.items():
-            accumulate(fields, j, f * g.derive(i))
-            accumulate(fields, i, -(g * f.derive(j)))
-            dij_f = f.derive(i).derive(j)
-            form = form - de_rham(g).scale(dij_f) \
-                - de_rham(f.derive(j)).scale(g.derive(i)) \
-                - de_rham(dij_f).scale(g)
-        # field acting on the form part of v: the classical Lie derivative
-        for l, g in v.form_part.terms.items():
-            form = form + OneForm(variables, {l: f * g.derive(i)})
-            if l == i:
-                form = form + de_rham(f).scale(g)
+    terms: dict = {}
+
+    def add_form(omega: OneForm) -> None:
+        for l, g in omega._terms.items():
+            accumulate(terms, ("y", l), g)
+
+    for (cu, i), f in u._terms.items():
+        if cu != "d":
+            continue
+        for (cv, j), g in v._terms.items():
+            if cv == "d":
+                accumulate(terms, ("d", j), f * g.derive(i))
+                accumulate(terms, ("d", i), -(g * f.derive(j)))
+                dij_f = f.derive(i).derive(j)
+                add_form(-(de_rham(g).scale(dij_f) + de_rham(f.derive(j)).scale(g.derive(i))
+                           + de_rham(dij_f).scale(g)))
+            else:
+                # the field acting on the form part of v: the classical Lie derivative
+                accumulate(terms, ("y", j), f * g.derive(i))
+                if j == i:
+                    add_form(de_rham(f).scale(g))
     # form part of u acting on the field part of v
-    if u.form_part and v.field_part:
-        tau = VectorField(variables, v.field_part)
-        form = form - lie_derivative(tau, u.form_part) \
-            + de_rham(iota_one(tau, u.form_part))
-    return WeightOneElement(u.chart, variables, fields, form)
+    form, tau = u.form_part, VectorField(u.variables, v.field_part)
+    if form and tau:
+        add_form(de_rham(iota_one(tau, form)) - lie_derivative(tau, form))
+    return u._new(terms)
 
 
 # one-time oracle check of the closed forms, per variable list
@@ -382,24 +379,15 @@ def morphism_check(basis: list[str],
     not in the images are solved for; everything is re-verified at the solved
     values.
     """
-    names = set()
-    for val in pairing.values():
-        names |= val.parameters()
-    for im in images.values():
-        for f in im.field_part.values():
-            for c in f.terms.values():
-                names -= c.parameters()
-        for g in im.form_part.terms.values():
-            for c in g.terms.values():
-                names -= c.parameters()
-    unknowns = sorted(names)
+    unknowns = sorted(set().union(*(val.parameters() for val in pairing.values()))
+                      .difference(*(im.parameters() for im in images.values())))
     failures = []
     equations = []
     computed1 = {}
     for a in basis:
         for b in basis:
             p = vprod(images[a], 1, images[b])
-            if not p.is_zero() and p.degrees() != {0}:
+            if p and degrees(p) != {0}:
                 failures.append(((a, b), 1, f"non-scalar pairing {p}"))
                 continue
             computed1[(a, b)] = p.constant_term()

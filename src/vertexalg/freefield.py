@@ -341,8 +341,7 @@ class FreeFieldElement(LinearCombination):
         clean: Terms = {}
         weight = None
         for key, coeff in terms.items():
-            if isinstance(coeff, (int, Fraction)):
-                coeff = ParamScalar.of(coeff)
+            coeff = ParamScalar.of(coeff)
             if not coeff:
                 continue
             alpha, tail = key

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .algebroid import WeightOneElement, embed_form, fock_algebra
-from .errors import InhomogeneousInput, InvalidInput, VariableMismatch
+from .algebroid import WeightOneElement, embed, fock_algebra
+from .errors import InvalidInput, VariableMismatch
 from .freefield import nproduct, translate
 from .laurent import (
     LaurentElement,
@@ -21,6 +21,7 @@ from .laurent import (
     TwoForm,
     VectorField,
     exponent_vectors,
+    homogeneous_degree,
     iota_two,
 )
 from .scalar import ONE, LinearCombination, ParamScalar
@@ -40,8 +41,7 @@ class GluingForm(LinearCombination):
         for (a, b), c in (terms or {}).items():
             if a < 1 or b < 1:
                 raise InvalidInput("gluing basis indices must satisfy a, b >= 1")
-            if isinstance(c, int):
-                c = ParamScalar.of(c)
+            c = ParamScalar.of(c)
             if c:
                 clean[(a, b)] = c
         super().__init__(clean)
@@ -66,20 +66,23 @@ def transition(v: WeightOneElement, omega: GluingForm,
     """Twisted chart change: add the contraction of the field part into omega.
 
     The direction defaults to leaving the section's chart: "2->1" for a
-    section on U2, "1->2" otherwise.
+    section on U2, "1->2" otherwise.  The image is labelled with the other
+    chart (U1 <-> U2); any other label, such as an overlap, is kept.
     """
     if v.variables != omega.variables:
         raise VariableMismatch("section and gluing form over different variables")
     if direction is None:
         direction = _route(v.chart)[2]
-    tau = VectorField(v.variables, v.field_part)
-    corr = iota_two(tau, omega.to_two_form())
+    corr = iota_two(VectorField(v.variables, v.field_part), omega.to_two_form())
     if direction == "2->1":
         corr = -corr
     elif direction != "1->2":
         raise InvalidInput("direction must be '1->2' or '2->1'")
-    return WeightOneElement(v.chart, v.variables, dict(v.field_part),
-                            v.form_part + corr)
+    image = WeightOneElement(_OTHER_CHART.get(v.chart, v.chart), v.variables)
+    return image._new(v.terms) + WeightOneElement.form(image.chart, corr)
+
+
+_OTHER_CHART = {"U1": "U2", "U2": "U1"}
 
 
 def _route(chart: str) -> tuple[str, str, str]:
@@ -106,28 +109,7 @@ def _laurent_regular(f: LaurentElement, j: int) -> bool:
 def regular_on(v: WeightOneElement, chart: str) -> bool:
     """True when every coefficient is pole-free on the given chart."""
     j = _pole_variable(chart)
-    return all(_laurent_regular(f, j) for f in v.field_part.values()) and all(
-        _laurent_regular(g, j) for g in v.form_part.terms.values()
-    )
-
-
-def _split_poles(f: LaurentElement, j: int) -> tuple[LaurentElement, LaurentElement]:
-    """Split into the part regular in variable j and the polar remainder."""
-    reg, pole = {}, {}
-    for exp, c in f.terms.items():
-        (reg if exp[j - 1] >= 0 else pole)[exp] = c
-    return LaurentElement(f.variables, reg), LaurentElement(f.variables, pole)
-
-
-def _internal_degree(v: WeightOneElement) -> int:
-    degs = set()
-    for i, f in v.field_part.items():
-        degs |= {d - 1 for d in f.degrees()}
-    for g in v.form_part.terms.values():
-        degs |= {d + 1 for d in g.degrees()}
-    if len(degs) > 1:
-        raise InhomogeneousInput(f"section has mixed internal degrees {sorted(degs)}")
-    return degs.pop() if degs else 0
+    return all(_laurent_regular(f, j) for f in v.terms.values())
 
 
 def extend_section(v: WeightOneElement, omega: GluingForm):
@@ -140,26 +122,22 @@ def extend_section(v: WeightOneElement, omega: GluingForm):
     monomial singular on both charts cannot be, so failure is a proof at this
     degree.
     """
-    _internal_degree(v)
+    homogeneous_degree(v)
     source, target, direction = _route(v.chart)
     if not regular_on(v, source):
         raise InvalidInput(f"input section must be regular on {source}")
     j_source, j_target = _pole_variable(source), _pole_variable(target)
-    # fields cannot be corrected by a one-form
-    if not all(_laurent_regular(f, j_target) for f in v.field_part.values()):
-        return None
-    twisted = transition(v, omega, direction)
-    alpha_comps: dict[int, LaurentElement] = {}
-    for k, g in twisted.form_part.terms.items():
-        _, pole = _split_poles(g, j_target)
+    alpha: dict[int, LaurentElement] = {}
+    for (cls, k), g in transition(v, omega, direction).terms.items():
+        pole = g._new({exp: c for exp, c in g.terms.items() if exp[j_target - 1] < 0})
         if not pole:
             continue
-        if not _laurent_regular(pole, j_source):
-            return None  # doubly negative monomial: unremovable obstruction
-        alpha_comps[k] = -pole
-    alpha = OneForm(v.variables, alpha_comps)
-    return WeightOneElement(v.chart, v.variables, dict(v.field_part),
-                            v.form_part + alpha)
+        # a frame component cannot be corrected by a one-form, and a doubly
+        # negative monomial is an unremovable obstruction
+        if cls == "d" or not _laurent_regular(pole, j_source):
+            return None
+        alpha[k] = -pole
+    return v + WeightOneElement.form(v.chart, OneForm(v.variables, alpha))
 
 
 def invariant_sections(degree: int, N: int) -> list[WeightOneElement]:
@@ -178,14 +156,12 @@ def conformal_glue_check(omega: GluingForm, max_weight: int = 3) -> bool:
     with each frame generator replaced by its transition image, and compares
     exactly.
     """
-    alg = fock_algebra(omega.variables, max_weight)
-    L = alg.virasoro_element()
-    two = omega.to_two_form()
+    variables = omega.variables
+    alg = fock_algebra(variables, max_weight)
+    one = LaurentElement.constant(variables, 1)
     rebuilt = alg.zero()
-    for j in range(1, len(omega.variables) + 1):
-        frame_im = alg.frame(j) + embed_form(
-            iota_two(VectorField(omega.variables,
-                                 {j: LaurentElement.constant(omega.variables, 1)}), two),
-            alg)
+    for j in range(1, len(variables) + 1):
+        frame_im = embed(transition(WeightOneElement.field("U1", variables, j, one), omega),
+                         alg)
         rebuilt = rebuilt + nproduct(translate(alg.coordinate(j)), -1, frame_im)
-    return rebuilt == L
+    return rebuilt == alg.virasoro_element()

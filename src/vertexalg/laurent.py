@@ -8,6 +8,11 @@ pairs for two-forms) to ring elements.  All of them are LinearCombinations
 derivative, contraction) are implemented by the standard formulas.
 
 Coordinate indices are 1-based throughout (y1, y2, ...).
+
+Grading: the internal degree of a monomial y^e is sum(e); dy_j adds +1,
+dy_i^dy_j adds +2 and d/dy_i adds -1.  Each class of components declares
+this shift for its keys as `degree_shift`, and `degrees` is the one function
+that applies the rule.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import InvalidInput, VariableMismatch
+from .errors import InhomogeneousInput, InvalidInput, VariableMismatch
 from .scalar import ONE, ZERO, LinearCombination, ParamScalar, accumulate
 
 ExpVec = tuple[int, ...]
@@ -33,12 +38,6 @@ def exponent_vectors(total: int, n: int) -> Iterator[ExpVec]:
             yield (first,) + rest
 
 
-def _coerce_scalar(c) -> ParamScalar:
-    if isinstance(c, ParamScalar):
-        return c
-    return ParamScalar.of(c)
-
-
 class LaurentElement(LinearCombination):
     """Laurent polynomial in named coordinates with ParamScalar coefficients."""
 
@@ -49,7 +48,7 @@ class LaurentElement(LinearCombination):
         clean: dict[ExpVec, ParamScalar] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = _coerce_scalar(coeff)
+                c = ParamScalar.of(coeff)
                 if c:
                     if len(exp) != len(self.variables):
                         raise VariableMismatch("exponent vector length mismatch")
@@ -75,9 +74,6 @@ class LaurentElement(LinearCombination):
         return LaurentElement(variables, {tuple(exp): ONE})
 
     # -- queries -----------------------------------------------------
-
-    def degrees(self) -> set[int]:
-        return {sum(exp) for exp in self._terms}
 
     def min_exponent(self, i: int) -> int | None:
         """Smallest exponent of coordinate i across terms, None for zero."""
@@ -165,6 +161,7 @@ class OneForm(LinearCombination):
     """Sum g_j dy_j, components keyed by 1-based coordinate index."""
 
     __slots__ = ("variables",)
+    degree_shift = staticmethod(lambda j: 1)
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
         self.variables = tuple(variables)
@@ -178,6 +175,7 @@ class TwoForm(LinearCombination):
     """Sum f_ij dy_i ^ dy_j, components keyed by index pairs i < j."""
 
     __slots__ = ("variables",)
+    degree_shift = staticmethod(lambda ij: 2)
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
         self.variables = tuple(variables)
@@ -193,6 +191,7 @@ class VectorField(LinearCombination):
     """Sum f_i d/dy_i, components keyed by 1-based coordinate index."""
 
     __slots__ = ("variables",)
+    degree_shift = staticmethod(lambda i: -1)
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
         self.variables = tuple(variables)
@@ -271,40 +270,32 @@ def lie_derivative(tau: VectorField, omega: OneForm) -> OneForm:
     return iota_two(tau, de_rham_one(omega)) + de_rham(iota_one(tau, omega))
 
 
-# -- Z_N weights ----------------------------------------------------------
+# -- grading --------------------------------------------------------------
 
 
-def _weights_of(obj, shift_for_key) -> set[int]:
-    weights = set()
+def degrees(obj) -> set[int]:
+    """The internal degrees of the monomials of a function, or of a form,
+    vector field or section (whose class declares `degree_shift`)."""
     if isinstance(obj, LaurentElement):
-        for exp in obj.terms:
-            weights.add(sum(exp))
-        return weights
-    for key, comp in obj.terms.items():
-        shift = shift_for_key(key)
-        for exp in comp.terms:
-            weights.add(sum(exp) + shift)
-    return weights
+        return {sum(exp) for exp in obj._terms}
+    shift = obj.degree_shift
+    return {sum(exp) + shift(key) for key, f in obj._terms.items() for exp in f._terms}
+
+
+def homogeneous_degree(obj) -> int | None:
+    """The common internal degree of obj's monomials, None for zero; mixed
+    degrees raise InhomogeneousInput."""
+    degs = degrees(obj)
+    if len(degs) > 1:
+        raise InhomogeneousInput(f"input has mixed internal degrees {sorted(degs)}")
+    return next(iter(degs), None)
 
 
 def zn_weight(obj, N: int):
-    """Common residue mod N of all monomials, or the string "inhomogeneous".
-
-    dy_i contributes +1, dy_i^dy_j contributes +2, d/dy_i contributes -1.
-    """
+    """Common residue mod N of all internal degrees, or "inhomogeneous"."""
     if N < 1:
         raise InvalidInput("N must be positive")
-    if isinstance(obj, LaurentElement):
-        weights = _weights_of(obj, None)
-    elif isinstance(obj, OneForm):
-        weights = _weights_of(obj, lambda k: 1)
-    elif isinstance(obj, TwoForm):
-        weights = _weights_of(obj, lambda k: 2)
-    elif isinstance(obj, VectorField):
-        weights = _weights_of(obj, lambda k: -1)
-    else:
-        raise TypeError(f"unsupported object {type(obj).__name__}")
-    residues = {w % N for w in weights}
+    residues = {d % N for d in degrees(obj)}
     if not residues:
         return 0
     if len(residues) > 1:

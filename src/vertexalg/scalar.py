@@ -2,11 +2,12 @@
 
 Every exact object of the package is a LinearCombination: a sparse map
 {key: value} that never stores a zero value.  ParamScalar (here), the Laurent
-elements and forms of `laurent`, the gluing forms of `geometry` and the Fock
-elements of `freefield` share its sum, difference, negation, scaling,
-equality and hashing.  Canonical form is enforced in two places only: each
-public constructor checks and coerces what it is given and drops zeros, and
-every sum goes through `accumulate`, which drops a key whose value cancels.
+elements and forms of `laurent`, the weight-one sections of `algebroid`, the
+gluing forms of `geometry` and the Fock elements of `freefield` share its
+sum, difference, negation, scaling, equality and hashing.  Canonical form is
+enforced in two places only: each public constructor checks what it is given,
+coerces every scalar through `ParamScalar.of` and drops zeros, and every sum
+goes through `accumulate`, which drops a key whose value cancels.
 Arithmetic results are built by `LinearCombination._new` from terms that are
 already canonical, so they are never coerced or checked again.
 
@@ -77,6 +78,10 @@ class LinearCombination:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def parameters(self) -> set[str]:
+        """The formal parameters occurring in any value."""
+        return set().union(*(value.parameters() for value in self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -153,20 +158,31 @@ class ParamScalar(LinearCombination):
     """Polynomial in formal parameters over the rationals, canonical form.
 
     Keys are parameter monomials (unique, sorted by name), values nonzero
-    Fractions.  Ints and Fractions are accepted wherever a ParamScalar is.
+    Fractions.  Ints and Fractions are accepted wherever a ParamScalar is, and
+    a constant hashes as its Fraction, so it also finds a rational dict key.
     """
 
     __slots__ = ()
     variables = ()  # a scalar lives over no coordinates
 
     def __init__(self, terms: Mapping[Monomial, RationalLike] | None = None):
-        super().__init__({mono: c for mono, coeff in (terms or {}).items()
-                          if (c := Fraction(coeff))})
+        clean = {}
+        for mono, coeff in (terms or {}).items():
+            if not isinstance(coeff, (int, Fraction)):
+                raise InvalidInput(f"coefficient {coeff!r} is not exact: "
+                                   "use an int, a Fraction or a ParamScalar")
+            if coeff:
+                clean[mono] = Fraction(coeff)
+        super().__init__(clean)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def of(value: RationalLike) -> "ParamScalar":
+    def of(value: "RationalLike | ParamScalar") -> "ParamScalar":
+        """The one coercion of every public constructor: an int, a Fraction
+        or a ParamScalar; anything else, a float or a string, is InvalidInput."""
+        if isinstance(value, ParamScalar):
+            return value
         return ParamScalar({(): value})
 
     @staticmethod
@@ -250,6 +266,13 @@ class ParamScalar(LinearCombination):
                     value = value * ParamScalar({((name, e),): 1})
             out = out + value
         return out
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            terms = self._terms
+            self._hash = (hash(terms.get((), 0)) if self.is_constant()
+                          else hash(frozenset(terms.items())))
+        return self._hash
 
     # -- printing ------------------------------------------------------
 

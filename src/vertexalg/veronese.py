@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import WeightOneElement, embed, extract, fock_algebra
-from .errors import InhomogeneousInput, InvalidInput, VertexAlgError
+from .errors import InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
-from .laurent import LaurentElement, OneForm, de_rham, exponent_vectors
+from .laurent import LaurentElement, OneForm, de_rham, exponent_vectors, homogeneous_degree
 from .scalar import ZERO, ParamScalar, accumulate, row_reduce, solve_linear_system
 
 ExpVec = tuple[int, ...]
@@ -85,17 +85,6 @@ def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseMode
 # -- graded membership in the span of generator differentials ----------------
 
 
-def _form_degree(omega: OneForm) -> int | None:
-    degs = set()
-    for g in omega.terms.values():
-        degs |= {d + 1 for d in g.degrees()}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise InhomogeneousInput(f"one-form has mixed internal degrees {sorted(degs)}")
-    return degs.pop()
-
-
 def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScalar]:
     """Residual conditions for omega to lie in the span, over degree-matched
     invariant monomials, of the generator differentials.
@@ -104,7 +93,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     matched is returned as a list of scalar conditions (possibly involving
     parameters), so an empty-or-zero residual list means membership.
     """
-    degree = _form_degree(omega)
+    degree = homogeneous_degree(omega)
     if degree is None:
         return []
     if degree > model.degree_bound:
@@ -139,8 +128,7 @@ def omega_membership(omega: OneForm, model: VeroneseModel) -> bool:
 
 def gl2_chart_images(k) -> dict[str, WeightOneElement]:
     """Sections on the chart where y1 is invertible, gluing multiple k."""
-    if not isinstance(k, ParamScalar):
-        k = ParamScalar.of(k)
+    k = ParamScalar.of(k)
     y1 = LaurentElement.coordinate(V2, 1)
     y2 = LaurentElement.coordinate(V2, 2)
     inv = LaurentElement.monomial(V2, (-1, 0))

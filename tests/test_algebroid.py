@@ -75,8 +75,13 @@ def test_vprod0_with_laurent_form_correction():
 
 
 def test_chart_mismatch():
+    u, other = fld(1, mono(1, 0)), WeightOneElement.field("other", V, 1, mono(1, 0))
     with pytest.raises(ChartMismatch):
-        vprod(fld(1, mono(1, 0)), 1, WeightOneElement.field("other", V, 1, mono(1, 0)))
+        vprod(u, 1, other)
+    with pytest.raises(ChartMismatch):
+        u + other
+    assert u != other and u.terms == other.terms
+    assert u == fld(1, mono(1, 0)) and hash(u) == hash(fld(1, mono(1, 0)))
 
 
 def test_symbol():

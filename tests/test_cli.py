@@ -173,6 +173,8 @@ def test_config_file(tmp_path, capsys):
     ["quantize", "--N", "4", "--degree", "3"],
     ["witness", "--n", "3"],
     ["nprod", "y1 + d1"],
+    ["membership", "--N", "3", "--omega", "T(y1)+y2*T(y1)"],
+    ["extend", "y2*d1+d1", "--omega", "w[1,1]"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

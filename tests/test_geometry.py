@@ -39,6 +39,19 @@ def test_transition_frame_field():
     assert out.form_part == OneForm(V, {2: mono(-1, -1, 1).scale(K)})
 
 
+def test_transition_relabels_the_chart():
+    v = WeightOneElement.field("U1", V, 1, mono(0, 1)) \
+        + WeightOneElement.form("U1", OneForm(V, {2: mono(1, -1)}))
+    image = transition(v, w11(K))
+    assert image.chart == "U2"
+    assert image == WeightOneElement("U2", V, v.field_part,
+                                     v.form_part + OneForm(V, {2: mono(-1, 0, 1).scale(K)}))
+    back = transition(image, w11(K), "2->1")
+    assert back.chart == "U1" and back == v
+    overlap = fld(1, mono(0, 1))
+    assert transition(overlap, w11(K)).chart == C
+
+
 def test_transition_pure_form_fixed():
     v = frm({1: mono(-1, 0)})
     assert transition(v, w11(K)) == v

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from vertexalg.errors import VariableMismatch
+from vertexalg.algebroid import WeightOneElement
+from vertexalg.errors import InhomogeneousInput, VariableMismatch
 from vertexalg.laurent import (
     LaurentElement,
     OneForm,
@@ -11,6 +12,8 @@ from vertexalg.laurent import (
     bracket,
     de_rham,
     de_rham_one,
+    degrees,
+    homogeneous_degree,
     iota_one,
     iota_two,
     lie_derivative,
@@ -106,6 +109,36 @@ def test_zn_weight():
         assert zn_weight(VectorField(V, {1: mono(1, 0)}), N) == 0
     mixed = mono(1, 0) + mono(0, 2)
     assert zn_weight(mixed, 2) == "inhomogeneous"
+
+
+def test_grading_agrees_on_every_kind():
+    def section(fields, forms):
+        return WeightOneElement("U1", V, fields, OneForm(V, forms))
+
+    # (homogeneous element, its degree, a mixed element, its degrees)
+    cases = [
+        (mono(2, 1), 3, mono(2, 1) + mono(0, 1), {1, 3}),
+        (OneForm(V, {1: mono(1, 0)}), 2, OneForm(V, {1: mono(1, 0), 2: mono(0, 0)}), {1, 2}),
+        (TwoForm(V, {(1, 2): mono(-1, -1)}), 0,
+         TwoForm(V, {(1, 2): mono(-1, -1) + mono(0, -1)}), {0, 1}),
+        (VectorField(V, {1: mono(1, 1)}), 1, VectorField(V, {1: mono(1, 1), 2: mono(0, 0)}),
+         {-1, 1}),
+        (section({1: mono(0, 2)}, {2: mono(0, 0)}), 1,
+         section({1: mono(0, 1) + mono(0, 0)}, {}), {-1, 0}),
+    ]
+    for homogeneous, d, mixed, degs in cases:
+        assert degrees(homogeneous) == {d} and homogeneous_degree(homogeneous) == d
+        assert degrees(mixed) == degs
+        with pytest.raises(InhomogeneousInput, match="mixed internal degrees"):
+            homogeneous_degree(mixed)
+        for N in range(1, 5):
+            assert zn_weight(homogeneous, N) == d % N
+            residues = {e % N for e in degs}
+            assert zn_weight(mixed, N) == (residues.pop() if len(residues) == 1
+                                           else "inhomogeneous")
+        zero = homogeneous - homogeneous
+        assert degrees(zero) == set() and homogeneous_degree(zero) is None
+        assert zn_weight(zero, 3) == 0
 
 
 def test_bracket_jacobi_random():

@@ -1,8 +1,8 @@
 """Seeded properties of the shared sparse base, scalar.LinearCombination.
 
-ParamScalar, LaurentElement, OneForm, TwoForm, VectorField, GluingForm and
-FreeFieldElement inherit their sum, difference, negation, scaling, equality,
-hashing and truth value from it.  Every test runs on random elements of
+ParamScalar, LaurentElement, OneForm, TwoForm, VectorField, GluingForm,
+FreeFieldElement and WeightOneElement inherit their sum, difference,
+negation, scaling, equality, hashing and truth value from it.  Every test runs on random elements of
 every type, so a type that drifts from the canonical form (no zero value
 stored) fails here.
 """
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from vertexalg import cli
+from vertexalg.algebroid import WeightOneElement
 from vertexalg.errors import InhomogeneousInput, InvalidInput, VariableMismatch
 from vertexalg.freefield import FreeFieldAlgebra
 from vertexalg.geometry import GluingForm
@@ -61,6 +62,11 @@ KINDS = {
     "FreeFieldElement": (lambda rng, vs: ALGEBRAS[vs].element(
                              {w: _scalar(rng) for w in rng.sample(WORDS, rng.randint(0, 3))}),
                          lambda a: a.algebra.element(a.terms)),
+    "WeightOneElement": (lambda rng, vs: WeightOneElement(
+                             "U1", vs, _components(rng, [1, 2], vs),
+                             OneForm(vs, _components(rng, [1, 2], vs))),
+                         lambda a: WeightOneElement(a.chart, a.variables, a.field_part,
+                                                    a.form_part)),
 }
 
 
@@ -116,6 +122,49 @@ def test_scalar_compares_with_rationals():
     assert ParamScalar.var("k") != 0
     assert three + 1 == 4 and 1 - three == -2 and 2 * three == 6
     assert hash(three) == hash(ParamScalar({(): Fraction(3)}))
+
+
+def test_constant_scalars_hash_as_their_rationals():
+    assert {3: "x"}.get(ParamScalar.of(3)) == "x"
+    assert {Fraction(-2, 3): "y"}.get(ParamScalar.of(Fraction(-2, 3))) == "y"
+    k = ParamScalar.var("k")
+    pairs = [(ParamScalar.of(3), 3), (ParamScalar.of(Fraction(1, 2)), Fraction(1, 2)),
+             (ParamScalar.zero(), 0), (k + k - k, k), (1 + k, ParamScalar({(): 1, (("k", 1),): 1}))]
+    for seed in SEEDS:
+        x = _scalar(random.Random(seed))
+        pairs.append((x, ParamScalar(x.terms)))
+        if x.is_constant():
+            pairs.append((x, x.constant_value()))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+
+
+# public constructor -> (element with one coefficient c, the value it stores)
+COEFFICIENT_SLOTS = {
+    "ParamScalar": (lambda c: ParamScalar({(): c}), lambda x: x.get(())),
+    "LaurentElement": (lambda c: LaurentElement.monomial(V, (1, 0), c), lambda x: x.get((1, 0))),
+    "GluingForm": (lambda c: GluingForm({(1, 1): c}), lambda x: x.get((1, 1))),
+    "FreeFieldElement": (lambda c: ALGEBRAS[V].element({WORDS[0]: c}),
+                         lambda x: x.get(WORDS[0])),
+}
+
+
+@pytest.mark.parametrize("kind", COEFFICIENT_SLOTS)
+def test_constructors_accept_exact_scalars_only(kind):
+    build, stored = COEFFICIENT_SLOTS[kind]
+    half = build(Fraction(1, 2))
+    want = Fraction(1, 2) if kind == "ParamScalar" else ParamScalar.of(Fraction(1, 2))
+    assert stored(half) == want and type(stored(half)) is type(want)
+    same = [build(2), build(Fraction(2))]
+    if kind != "ParamScalar":
+        same.append(build(ParamScalar.of(2)))
+        assert build(ParamScalar.of(Fraction(1, 2))) == half
+    assert len({hash(x) for x in same}) == 1 and same[0] == same[1] == same[-1]
+    for bad in (0.5, 0.1, "1/2", None):
+        with pytest.raises(InvalidInput):
+            build(bad)
+        with pytest.raises(InvalidInput):
+            build(ParamScalar.of(bad))
 
 
 def test_public_constructors_drop_zeros_and_coerce_ints():
