@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
@@ -164,15 +165,27 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
 
 
 def _vprod1(u: WeightOneElement, v: WeightOneElement) -> LaurentElement:
-    out = LaurentElement(u.variables)
+    terms: dict = {}
+
+    def add(h: LaurentElement) -> None:
+        for exp, c in h._terms.items():
+            accumulate(terms, exp, c)
+
     for (cu, i), f in u._terms.items():
         for (cv, j), g in v._terms.items():
             if cu == cv == "d":
-                out = out - f * g.derive(j).derive(i) - g * f.derive(i).derive(j) \
-                    - g.derive(i) * f.derive(j)
+                # -(f g_ji + g f_ij + g_i f_j); a zero first derivative
+                # drops its terms before any product is formed
+                gj, fi, gi, fj = g.derive(j), f.derive(i), g.derive(i), f.derive(j)
+                if gj:
+                    add(-(f * gj.derive(i)))
+                if fi:
+                    add(-(g * fi.derive(j)))
+                if gi and fj:
+                    add(-(gi * fj))
             elif cu != cv and i == j:  # a frame component against a form component
-                out = out + f * g
-    return out
+                add(f * g)
+    return LaurentElement(u.variables)._new(terms)
 
 
 def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
@@ -186,15 +199,24 @@ def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
         if cu != "d":
             continue
         for (cv, j), g in v._terms.items():
+            gi = g.derive(i)
             if cv == "d":
-                accumulate(terms, ("d", j), f * g.derive(i))
-                accumulate(terms, ("d", i), -(g * f.derive(j)))
-                dij_f = f.derive(i).derive(j)
-                add_form(-(de_rham(g).scale(dij_f) + de_rham(f.derive(j)).scale(g.derive(i))
-                           + de_rham(dij_f).scale(g)))
+                fi, fj = f.derive(i), f.derive(j)
+                if gi:
+                    accumulate(terms, ("d", j), f * gi)
+                if fj:
+                    accumulate(terms, ("d", i), -(g * fj))
+                # -(dg f_ij + d(f_j) g_i + d(f_ij) g), each skipped when a
+                # factor is zero
+                fij = fi.derive(j) if fi else None
+                if fij:
+                    add_form(-(de_rham(g).scale(fij) + de_rham(fij).scale(g)))
+                if fj and gi:
+                    add_form(-de_rham(fj).scale(gi))
             else:
                 # the field acting on the form part of v: the classical Lie derivative
-                accumulate(terms, ("y", j), f * g.derive(i))
+                if gi:
+                    accumulate(terms, ("y", j), f * gi)
                 if j == i:
                     add_form(de_rham(f).scale(g))
     # form part of u acting on the field part of v
@@ -349,22 +371,18 @@ def gl_bracket_table(n: int) -> dict[tuple[str, str], dict[str, ParamScalar]]:
 
 
 def gl_pairing_table(n: int):
-    """(a, b) = k1 tr(a0 b0) + k2 tr(a) tr(b) / n, a0 the traceless part."""
-    from fractions import Fraction
-
-    k1 = ParamScalar.var("k1")
-    k2 = ParamScalar.var("k2")
+    """(a, b) = k1 tr(a0 b0) + k2 tr(a) tr(b) / n, a0 the traceless part;
+    with t = tr(a) tr(b) / n that is k1 (tr(ab) - t) + k2 t."""
+    k1, k2 = (("k1", 1),), (("k2", 1),)
     table = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             for c in range(1, n + 1):
                 for d in range(1, n + 1):
-                    tr_prod = Fraction(1 if (b == c and a == d) else 0)
-                    tr_a = Fraction(1 if a == b else 0)
-                    tr_b = Fraction(1 if c == d else 0)
-                    val = k1 * ParamScalar.of(tr_prod - tr_a * tr_b / n) \
-                        + k2 * ParamScalar.of(tr_a * tr_b / n)
-                    table[(f"E{a}{b}", f"E{c}{d}")] = val
+                    tr_prod = int(b == c and a == d)
+                    trace = Fraction(int(a == b and c == d), n)
+                    table[(f"E{a}{b}", f"E{c}{d}")] = ParamScalar(
+                        {k1: tr_prod - trace, k2: trace})
     return table
 
 

@@ -114,10 +114,13 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
         name = node.name
         if name in alg.variables:
             return alg.coordinate(alg.variables.index(name) + 1)
-        if name.startswith("d") and name[1:].isdigit():
+        # y<i> and d<i> name a coordinate and a frame field, never a parameter
+        if name[:1] in ("y", "d") and name[1:].isdecimal():
             i = int(name[1:])
-            if 1 <= i <= len(alg.variables):
-                return alg.frame(i)
+            if not 1 <= i <= len(alg.variables):
+                raise UsageError(f"{name} is out of range: the variables are "
+                                 f"{', '.join(alg.variables)}")
+            return alg.coordinate(i) if name[0] == "y" else alg.frame(i)
         if name in params:
             return alg.vacuum().scale(ParamScalar.of(params[name]))
         return alg.vacuum().scale(ParamScalar.var(name))

@@ -66,18 +66,23 @@ def transition(v: WeightOneElement, omega: GluingForm,
     """Twisted chart change: add the contraction of the field part into omega.
 
     The direction defaults to leaving the section's chart: "2->1" for a
-    section on U2, "1->2" otherwise.  The image is labelled with the other
-    chart (U1 <-> U2); any other label, such as an overlap, is kept.
+    section on U2, "1->2" otherwise.  A section on U1 or U2 can only leave its
+    chart, so any other explicit direction is refused.  The image is labelled
+    with the other chart (U1 <-> U2); any other label, such as an overlap, is
+    kept and takes either direction.
     """
     if v.variables != omega.variables:
         raise VariableMismatch("section and gluing form over different variables")
+    leaving = _route(v.chart)[2]
     if direction is None:
-        direction = _route(v.chart)[2]
+        direction = leaving
+    if direction not in ("1->2", "2->1"):
+        raise InvalidInput("direction must be '1->2' or '2->1'")
+    if v.chart in _OTHER_CHART and direction != leaving:
+        raise InvalidInput(f"a section on {v.chart} transitions {leaving}, not {direction}")
     corr = iota_two(VectorField(v.variables, v.field_part), omega.to_two_form())
     if direction == "2->1":
         corr = -corr
-    elif direction != "1->2":
-        raise InvalidInput("direction must be '1->2' or '2->1'")
     image = WeightOneElement(_OTHER_CHART.get(v.chart, v.chart), v.variables)
     return image._new(v.terms) + WeightOneElement.form(image.chart, corr)
 

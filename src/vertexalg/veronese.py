@@ -9,6 +9,11 @@ charge solver that pins the unique gluing multiple, the admissible-gluing
 classification by section extension, the gl_2 chart sections, graded
 derivation computation, and the higher-dimensional obstruction witness.
 
+The span of the generator differentials is graded by the torus multidegree
+in Z^n: m*dx_g has multidegree m + exp(x_g), and a coordinate y^e dy_i has
+e + e_i.  The span matrix is therefore block-diagonal by multidegree, and
+membership builds only the blocks its target touches.
+
 The identity current convention: the trace element of gl_2 acts on the model
 through N times the Euler derivation, the degree-0 derivation that maps every
 generator x_j to itself; the factor N is a normalization choice.
@@ -16,6 +21,7 @@ generator x_j to itself; the factor N is a normalization choice.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +29,7 @@ from .algebroid import WeightOneElement, embed, extract, fock_algebra
 from .errors import InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
-from .laurent import LaurentElement, OneForm, de_rham, exponent_vectors, homogeneous_degree
+from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
 from .scalar import ZERO, ParamScalar, accumulate, row_reduce, solve_linear_system
 
 ExpVec = tuple[int, ...]
@@ -36,10 +42,36 @@ class VeroneseModel:
     degree_bound: int
     variables: tuple[str, ...]
     generators: dict[str, ExpVec]
-    relations: list[tuple[tuple[str, str], tuple[str, str]]]
 
     def generator_element(self, name: str) -> LaurentElement:
         return LaurentElement.monomial(self.variables, self.generators[name])
+
+    @functools.cached_property
+    def relations(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
+        """The binomial syzygies x_u x_v = x_w x_z, built and checked against
+        the generator map on first read; membership and the witness never
+        read them."""
+        n, N = self.n, self.N
+        if n == 2:
+            relations = [((f"x{i}", f"x{j}"), (f"x{i + 1}", f"x{j - 1}"))
+                         for i in range(N - 1) for j in range(i + 2, N + 1)]
+        else:
+            canonical = _generator_exponents(n, N)
+            names, exps = list(canonical), list(canonical.values())
+            by_product: dict[ExpVec, list[tuple[str, str]]] = {}
+            for a in range(len(names)):
+                for b in range(a, len(names)):
+                    key = tuple(x + y for x, y in zip(exps[a], exps[b]))
+                    by_product.setdefault(key, []).append((names[a], names[b]))
+            relations = [(pairs[0], other) for pairs in by_product.values()
+                         for other in pairs[1:]]
+        gens = self.generators
+        for (u, v), (w, z) in relations:
+            lhs = tuple(x + y for x, y in zip(gens[u], gens[v]))
+            rhs = tuple(x + y for x, y in zip(gens[w], gens[z]))
+            if lhs != rhs:
+                raise VertexAlgError("relation is not a syzygy of the generator map")
+        return relations
 
 
 @dataclass
@@ -49,37 +81,22 @@ class ChargeResult:
     admissible_gluing: GluingForm | None
 
 
+def _generator_exponents(n: int, N: int) -> dict[str, ExpVec]:
+    if n == 2:
+        return {f"x{j}": (N - j, j) for j in range(N + 1)}
+    exps = sorted(exponent_vectors(N, n), reverse=True)
+    return {f"x{j}": e for j, e in enumerate(exps)}
+
+
 def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseModel:
-    """All degree-N monomials as generators plus their binomial syzygies."""
+    """All degree-N monomials as generators; their binomial syzygies are
+    built on first read of `relations`."""
     if n < 2 or N < 1:
         raise InvalidInput("need n >= 2 and N >= 1")
     if degree_bound is None:
         degree_bound = 2 * N + 2
     variables = tuple(f"y{i}" for i in range(1, n + 1))
-    if n == 2:
-        generators = {f"x{j}": (N - j, j) for j in range(N + 1)}
-        relations = [((f"x{i}", f"x{j}"), (f"x{i + 1}", f"x{j - 1}"))
-                     for i in range(N - 1) for j in range(i + 2, N + 1)]
-    else:
-        exps = sorted(exponent_vectors(N, n), reverse=True)
-        generators = {f"x{j}": e for j, e in enumerate(exps)}
-        names = list(generators)
-        by_product: dict[ExpVec, list[tuple[str, str]]] = {}
-        for a in range(len(names)):
-            for b in range(a, len(names)):
-                key = tuple(x + y for x, y in zip(exps[a], exps[b]))
-                by_product.setdefault(key, []).append((names[a], names[b]))
-        relations = []
-        for pairs in by_product.values():
-            anchor = pairs[0]
-            for other in pairs[1:]:
-                relations.append((anchor, other))
-    for (u, v), (w, z) in relations:
-        lhs = tuple(x + y for x, y in zip(generators[u], generators[v]))
-        rhs = tuple(x + y for x, y in zip(generators[w], generators[z]))
-        if lhs != rhs:
-            raise VertexAlgError("relation is not a syzygy of the generator map")
-    return VeroneseModel(n, N, degree_bound, variables, generators, relations)
+    return VeroneseModel(n, N, degree_bound, variables, _generator_exponents(n, N))
 
 
 # -- graded membership in the span of generator differentials ----------------
@@ -92,6 +109,13 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     The span matrix is rational and is eliminated exactly; whatever cannot be
     matched is returned as a list of scalar conditions (possibly involving
     parameters), so an empty-or-zero residual list means membership.
+
+    Only the columns in omega's multidegree blocks are built.  The column
+    m*dx_g has multidegree m + exp(x_g) and the coordinate y^e dy_i has
+    e + e_i, so the span matrix is block-diagonal by multidegree; a block
+    omega does not touch has a zero right-hand side and never mixes with the
+    others in the elimination, so dropping it leaves the residual list the
+    same, value for value and in the same order.
     """
     degree = homogeneous_degree(omega)
     if degree is None:
@@ -99,21 +123,22 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     if degree > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
     n, N = model.n, model.N
-    span: list[OneForm] = []
-    if degree >= N and (degree - N) % N == 0:
-        for m in exponent_vectors(degree - N, n):
-            mono = LaurentElement.monomial(model.variables, m)
-            for gexp in model.generators.values():
-                g = LaurentElement.monomial(model.variables, gexp)
-                span.append(de_rham(g).scale(mono))
-    def vec(form: OneForm) -> dict[tuple[int, ExpVec], ParamScalar]:
-        return {(i, exp): c for i, g in form.terms.items()
-                for exp, c in g.terms.items()}
-    target = vec(omega)
+    target = {(i, exp): c for i, g in omega.terms.items() for exp, c in g.terms.items()}
+    blocks = {tuple(e + (k == i - 1) for k, e in enumerate(exp)) for i, exp in target}
     rows: dict[tuple[int, ExpVec], dict[int, Fraction]] = {c: {} for c in target}
-    for j, s in enumerate(span):
-        for coord, c in vec(s).items():
-            rows.setdefault(coord, {})[j] = c.constant_value()
+    if degree >= N and (degree - N) % N == 0:
+        j = 0
+        for m in exponent_vectors(degree - N, n):
+            for gexp in model.generators.values():
+                block = tuple(a + b for a, b in zip(m, gexp))
+                if block not in blocks:
+                    continue
+                # m*dx_g = sum_i g_i y^(m + g - e_i) dy_i
+                for i, gi in enumerate(gexp, 1):
+                    if gi:
+                        exp = block[:i - 1] + (block[i - 1] - 1,) + block[i:]
+                        rows.setdefault((i, exp), {})[j] = Fraction(gi)
+                j += 1
     return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
 
 

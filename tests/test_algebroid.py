@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,14 +39,20 @@ def frm(comps):
     return WeightOneElement.form(C, OneForm(V, comps))
 
 
-def random_element(rng, lo=-1, hi=2):
-    f = LaurentElement(V)
+def random_element(rng, lo=-1, hi=2, variables=V):
+    n = len(variables)
+
+    def monomial():
+        exp = [rng.randint(lo, hi) for _ in range(n)]
+        return LaurentElement.monomial(variables, exp, rng.randint(-3, 3))
+
+    f = LaurentElement(variables)
     for _ in range(rng.randint(1, 2)):
-        f = f + mono(rng.randint(lo, hi), rng.randint(lo, hi), rng.randint(-3, 3))
-    v = fld(rng.randint(1, 2), f)
+        f = f + monomial()
+    v = WeightOneElement.field(C, variables, rng.randint(1, n), f)
     if rng.random() < 0.5:
-        g = mono(rng.randint(lo, hi), rng.randint(lo, hi), rng.randint(-3, 3))
-        v = v + frm({rng.randint(1, 2): g})
+        g = monomial()
+        v = v + WeightOneElement.form(C, OneForm(variables, {rng.randint(1, n): g}))
     return v
 
 
@@ -125,6 +133,37 @@ def test_oracle_equivalence_laurent_random():
         v = random_element(rng)
         assert vprod(u, 1, v) == oracle_vprod(u, 1, v)
         assert vprod(u, 0, v) == oracle_vprod(u, 0, v)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_equivalence_more_variables(n):
+    rng = random.Random(43 + n)
+    variables = tuple(f"y{i}" for i in range(1, n + 1))
+    for _ in range(40):
+        u = random_element(rng, variables=variables)
+        v = random_element(rng, variables=variables)
+        assert vprod(u, 1, v) == oracle_vprod(u, 1, v)
+        assert vprod(u, 0, v) == oracle_vprod(u, 0, v)
+    # the linear images y_a d/dy_b of morphism --n, whose second derivatives vanish
+    linear = [WeightOneElement.field(C, variables, b, LaurentElement.coordinate(variables, a))
+              for a in range(1, n + 1) for b in range(1, n + 1)]
+    for u in linear:
+        for v in rng.sample(linear, 4):
+            assert vprod(u, 1, v) == oracle_vprod(u, 1, v)
+            assert vprod(u, 0, v) == oracle_vprod(u, 0, v)
+
+
+def test_gl_pairing_table_matches_the_product_formula():
+    k1, k2 = ParamScalar.var("k1"), ParamScalar.var("k2")
+    for n in range(2, 6):
+        table = gl_pairing_table(n)
+        assert len(table) == n ** 4
+        for a, b, c, d in itertools.product(range(1, n + 1), repeat=4):
+            tr_prod = Fraction(1 if (b == c and a == d) else 0)
+            trace = Fraction(1 if a == b else 0) * Fraction(1 if c == d else 0) / n
+            want = k1 * ParamScalar.of(tr_prod - trace) + k2 * ParamScalar.of(trace)
+            got = table[(f"E{a}{b}", f"E{c}{d}")]
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
 
 
 def test_vprod1_symmetric_random():

@@ -175,6 +175,9 @@ def test_config_file(tmp_path, capsys):
     ["nprod", "y1 + d1"],
     ["membership", "--N", "3", "--omega", "T(y1)+y2*T(y1)"],
     ["extend", "y2*d1+d1", "--omega", "w[1,1]"],
+    ["membership", "--N", "2", "--omega", "y3*T(y3)"],
+    ["membership", "--n", "3", "--N", "2", "--omega", "T(y4^2)"],
+    ["extend", "y3*d1", "--omega", "w[1,1]"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -196,6 +199,14 @@ def test_degenerate_runs_do_not_pass(capsys, argv):
     assert code == 2
     assert out == ""
     assert "must be at least" in err
+
+
+def test_superscript_digits_name_no_variable(capsys):
+    # "d²" is no frame index: it stays a formal parameter instead of
+    # failing in int()
+    code, out, _ = run(capsys, "nprod", "d²*y1", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["payload"]["value"] == "d²*y1"
 
 
 def test_negative_powers_are_exact(capsys):

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from vertexalg.algebroid import WeightOneElement, symbol, vprod
+from vertexalg.errors import InvalidInput
 from vertexalg.geometry import (
     GluingForm,
     conformal_glue_check,
@@ -50,6 +53,20 @@ def test_transition_relabels_the_chart():
     assert back.chart == "U1" and back == v
     overlap = fld(1, mono(0, 1))
     assert transition(overlap, w11(K)).chart == C
+
+
+def test_transition_refuses_a_contradictory_direction():
+    for chart, wrong in (("U1", "2->1"), ("U2", "1->2")):
+        v = WeightOneElement.field(chart, V, 1, mono(0, 1))
+        with pytest.raises(InvalidInput):
+            transition(v, w11(K), wrong)
+    with pytest.raises(InvalidInput):
+        transition(fld(1, mono(0, 1)), w11(K), "1->3")
+    # the matching direction is the default, and an overlap takes either
+    u1 = WeightOneElement.field("U1", V, 1, mono(0, 1))
+    assert transition(u1, w11(K), "1->2") == transition(u1, w11(K))
+    overlap = fld(1, mono(0, 1))
+    assert transition(transition(overlap, w11(K), "2->1"), w11(K), "1->2") == overlap
 
 
 def test_transition_pure_form_fixed():

@@ -1,12 +1,22 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from vertexalg.errors import InvalidInput
+from vertexalg.errors import InvalidInput, VertexAlgError
 from vertexalg.geometry import GluingForm
-from vertexalg.laurent import LaurentElement, OneForm, de_rham, zn_weight
-from vertexalg.scalar import ParamScalar
+from vertexalg.laurent import (
+    LaurentElement,
+    OneForm,
+    de_rham,
+    exponent_vectors,
+    homogeneous_degree,
+    zn_weight,
+)
+from vertexalg.scalar import ZERO, ParamScalar, row_reduce
 from vertexalg.veronese import (
     build_model,
     classify_admissible,
@@ -44,6 +54,22 @@ def test_build_model_three_variables():
         lhs = tuple(a + b for a, b in zip(m.generators[u], m.generators[v]))
         rhs = tuple(a + b for a, b in zip(m.generators[w], m.generators[z]))
         assert lhs == rhs
+
+
+def test_relations_are_built_on_first_read():
+    m = build_model(3, 5)
+    higher_witness(m)
+    assert "relations" not in m.__dict__
+    assert build_model(2, 2).relations == [(("x0", "x2"), ("x1", "x1"))]
+    assert build_model(3, 2).relations == [
+        (("x0", "x3"), ("x1", "x1")), (("x0", "x4"), ("x1", "x2")),
+        (("x0", "x5"), ("x2", "x2")), (("x1", "x4"), ("x2", "x3")),
+        (("x1", "x5"), ("x2", "x4")), (("x3", "x5"), ("x4", "x4"))]
+    for n in (2, 3):
+        corrupt = build_model(n, 2)
+        corrupt.generators["x1"] = (2,) + (0,) * (n - 1)
+        with pytest.raises(VertexAlgError):
+            corrupt.relations
 
 
 def test_membership_generator_differentials():
@@ -245,3 +271,130 @@ def test_out_of_range_arguments_raise_invalid_input():
         with pytest.raises(InvalidInput) as info:
             call()
         assert isinstance(info.value, ValueError)
+
+
+# -- membership by multidegree block against the full span ----------------------
+
+
+def _coordinates(form: OneForm) -> dict:
+    return {(i, exp): c for i, g in form.terms.items() for exp, c in g.terms.items()}
+
+
+@functools.cache
+def _full_span(n: int, N: int, degree: int) -> list[dict]:
+    """The coordinates of every column m*dx_g of the span at this degree,
+    none dropped."""
+    model = build_model(n, N)
+    span = []
+    if degree >= N and (degree - N) % N == 0:
+        for m in exponent_vectors(degree - N, n):
+            mono_m = LaurentElement.monomial(model.variables, m)
+            for gexp in model.generators.values():
+                g = LaurentElement.monomial(model.variables, gexp)
+                span.append(_coordinates(de_rham(g).scale(mono_m)))
+    return span
+
+
+def _full_span_residuals(omega: OneForm, model) -> list[ParamScalar]:
+    """Residuals of omega against the unrestricted span matrix."""
+    degree = homogeneous_degree(omega)
+    if degree is None:
+        return []
+    target = _coordinates(omega)
+    rows = {c: {} for c in target}
+    for j, column in enumerate(_full_span(model.n, model.N, degree)):
+        for coord, c in column.items():
+            rows.setdefault(coord, {})[j] = c.constant_value()
+    return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
+
+
+_SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+
+def _random_coefficient(rng: random.Random) -> ParamScalar:
+    c = ParamScalar.of(Fraction(rng.choice((1, -1, 2, -3, 5)), rng.randint(1, 3)))
+    if rng.random() < 0.3:
+        c = c + ParamScalar.var("k").scale(rng.randint(-2, 2))
+    return c
+
+
+def _random_coordinate(rng: random.Random, n: int, degree: int) -> tuple[int, tuple]:
+    """A coordinate y^e dy_i of the given degree, sometimes with a pole."""
+    e = list(rng.choice(list(exponent_vectors(degree - 1, n))))
+    if rng.random() < 0.35:
+        a, b = rng.sample(range(n), 2)
+        shift = rng.randint(1, 2)
+        e[a] -= shift
+        e[b] += shift
+    return rng.randint(1, n), tuple(e)
+
+
+def _random_form(rng: random.Random, model) -> OneForm:
+    """A member (a combination of span columns), a member plus stray
+    coordinates, or stray coordinates alone, mostly of a degree the span
+    does not reach."""
+    n, N = model.n, model.N
+    if rng.random() < 0.1:
+        degree = rng.choice([d for d in range(1, 2 * N + 1) if d % N] or [2 * N + 1])
+        span = []
+    else:
+        degree = rng.choice((N, 2 * N))
+        span = _full_span(model.n, model.N, degree)
+    omega = OneForm(model.variables)
+    for column in rng.sample(span, min(len(span), rng.randint(1, 3))):
+        c = _random_coefficient(rng)
+        omega = omega + OneForm(model.variables, {
+            i: LaurentElement.monomial(model.variables, exp, x * c)
+            for (i, exp), x in column.items()})
+    if not span or rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            i, e = _random_coordinate(rng, n, degree)
+            mono_e = LaurentElement.monomial(model.variables, e, _random_coefficient(rng))
+            omega = omega + OneForm(model.variables, {i: mono_e})
+    return omega
+
+
+def _random_forms(seed: int, count: int):
+    rng = random.Random(seed)
+    models = {shape: build_model(*shape, degree_bound=10) for shape in _SHAPES}
+    for _ in range(count):
+        model = models[rng.choice(_SHAPES)]
+        yield _random_form(rng, model), model
+
+
+def test_membership_blocks_match_the_full_span():
+    members = non_members = poles = 0
+    for omega, model in _random_forms(20261018, 2200):
+        got = membership_residuals(omega, model)
+        assert got == _full_span_residuals(omega, model), (omega, model.n, model.N)
+        members += not got
+        non_members += bool(got)
+        poles += any(min(exp) < 0 for _, exp in _coordinates(omega))
+    assert members >= 500 and non_members >= 500 and poles >= 200
+
+
+def test_membership_verdicts_match_a_sympy_rank_test():
+    k = (("k", 1),)
+    verdicts = set()
+    for omega, model in _random_forms(7, 150):
+        degree = homogeneous_degree(omega)
+        if degree is None:
+            continue
+        span = [{c: x.constant_value() for c, x in column.items()}
+                for column in _full_span(model.n, model.N, degree)]
+        target = _coordinates(omega)
+        coords = sorted(set(target).union(*span))
+        # every coefficient is c0 + c1*k, and omega lies in the span for every
+        # k exactly when both the c0 and the c1 vectors do
+        assert all(set(v.terms) <= {(), k} for v in target.values())
+        parts = [{c: v.get(key, 0) for c, v in target.items()} for key in ((), k)]
+        a = sympy.Matrix(len(coords), len(span), lambda r, j: span[j].get(coords[r], 0))
+        ab = a.row_join(sympy.Matrix(len(coords), 2, lambda r, j: parts[j].get(coords[r], 0)))
+        member = _rank(a) == _rank(ab)
+        assert omega_membership(omega, model) == member
+        verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+def _rank(m: sympy.Matrix) -> int:
+    return DomainMatrix.from_Matrix(m).convert_to(sympy.QQ).rank()
