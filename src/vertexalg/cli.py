@@ -49,6 +49,7 @@ from .expr import (
 )
 from .freefield import FreeFieldAlgebra, axiom_defect, nproduct, random_element, translate
 from .geometry import (
+    V2,
     GluingForm,
     conformal_glue_check,
     extend_section,
@@ -106,24 +107,29 @@ def _arg(args, name: str, default: int, least: int) -> int:
 # -- expression evaluation -----------------------------------------------------
 
 
+def _name(name: str, n_vars: int, params: dict[str, Fraction]):
+    """("y", i) or ("d", i) for the coordinate or frame field y<i> or d<i>,
+    1 <= i <= n_vars; any other identifier is a parameter: its --param value,
+    else the formal parameter."""
+    if name[:1] in ("y", "d") and name[1:].isdecimal():
+        i = int(name[1:])
+        if not 1 <= i <= n_vars:
+            raise UsageError(f"{name} is out of range: the variables are "
+                             f"{', '.join(f'y{j}' for j in range(1, n_vars + 1))}")
+        return name[0], i
+    return ParamScalar.of(params[name]) if name in params else ParamScalar.var(name)
+
+
 def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     """Evaluate an expression tree inside the free-field algebra."""
     if isinstance(node, Num):
         return alg.vacuum().scale(ParamScalar.of(node.value))
     if isinstance(node, Ident):
-        name = node.name
-        if name in alg.variables:
-            return alg.coordinate(alg.variables.index(name) + 1)
-        # y<i> and d<i> name a coordinate and a frame field, never a parameter
-        if name[:1] in ("y", "d") and name[1:].isdecimal():
-            i = int(name[1:])
-            if not 1 <= i <= len(alg.variables):
-                raise UsageError(f"{name} is out of range: the variables are "
-                                 f"{', '.join(alg.variables)}")
-            return alg.coordinate(i) if name[0] == "y" else alg.frame(i)
-        if name in params:
-            return alg.vacuum().scale(ParamScalar.of(params[name]))
-        return alg.vacuum().scale(ParamScalar.var(name))
+        value = _name(node.name, len(alg.variables), params)
+        if isinstance(value, ParamScalar):
+            return alg.vacuum().scale(value)
+        kind, i = value
+        return alg.coordinate(i) if kind == "y" else alg.frame(i)
     if isinstance(node, Translate):
         return translate(eval_fock(node.arg, alg, params))
     if isinstance(node, Gluing):
@@ -159,9 +165,11 @@ def eval_gluing(node, params: dict[str, Fraction]):
     if isinstance(node, Num):
         return ParamScalar.of(node.value)
     if isinstance(node, Ident):
-        if node.name in params:
-            return ParamScalar.of(params[node.name])
-        return ParamScalar.var(node.name)
+        value = _name(node.name, len(V2), params)
+        if not isinstance(value, ParamScalar):
+            raise UsageError(f"{node.name} names a coordinate or frame field; "
+                             "a gluing form takes only scalar coefficients")
+        return value
     if isinstance(node, Gluing):
         return GluingForm.basis(node.a, node.b)
     if isinstance(node, Neg):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     InhomogeneousInput,
@@ -127,13 +127,6 @@ class FreeFieldAlgebra:
         if any(tail for _, tail in x._terms):
             raise InvalidInput(f"{x} has creation symbols, so it is not a chart function")
         return LaurentElement(self.variables, {alpha: c for (alpha, _), c in x._terms.items()})
-
-    def word(self, f: LaurentElement, symbols: Iterable[Symbol]) -> "FreeFieldElement":
-        """Raw normally ordered word: zero-mode prefix f times creation symbols."""
-        if f.variables != self.variables:
-            raise VariableMismatch("laurent element over wrong variable list")
-        tail = tuple(sorted(symbols, key=_sort_key))
-        return self.element({(exp, tail): c for exp, c in f.terms.items()})
 
     def virasoro_element(self) -> "FreeFieldElement":
         terms: Terms = {}

@@ -73,37 +73,24 @@ def transition(v: WeightOneElement, omega: GluingForm,
     """
     if v.variables != omega.variables:
         raise VariableMismatch("section and gluing form over different variables")
-    leaving = _route(v.chart)[2]
+    other, leaving, _ = _CHARTS.get(v.chart, _CHARTS["U1"])
     if direction is None:
         direction = leaving
     if direction not in ("1->2", "2->1"):
         raise InvalidInput("direction must be '1->2' or '2->1'")
-    if v.chart in _OTHER_CHART and direction != leaving:
+    if v.chart in _CHARTS and direction != leaving:
         raise InvalidInput(f"a section on {v.chart} transitions {leaving}, not {direction}")
     corr = iota_two(VectorField(v.variables, v.field_part), omega.to_two_form())
     if direction == "2->1":
         corr = -corr
-    image = WeightOneElement(_OTHER_CHART.get(v.chart, v.chart), v.variables)
+    image = WeightOneElement(other if v.chart in _CHARTS else v.chart, v.variables)
     return image._new(v.terms) + WeightOneElement.form(image.chart, corr)
 
 
-_OTHER_CHART = {"U1": "U2", "U2": "U1"}
-
-
-def _route(chart: str) -> tuple[str, str, str]:
-    """Source chart, target chart and transition direction of a section on
-    `chart`: a section on U2 extends to U1; any other is read as on U1."""
-    return ("U2", "U1", "2->1") if chart == "U2" else ("U1", "U2", "1->2")
-
-
-def _pole_variable(chart: str) -> int:
-    # U1 allows poles along the first coordinate only, so regularity on U1
-    # constrains the second coordinate, and symmetrically for U2
-    if chart == "U1":
-        return 2
-    if chart == "U2":
-        return 1
-    raise InvalidInput("chart must be 'U1' or 'U2'")
+# chart -> (the other chart, the direction leaving it, the coordinate with no
+# pole on it: U1 allows poles along the first coordinate only, U2 along the
+# second); any other label, such as an overlap, routes as U1
+_CHARTS = {"U1": ("U2", "1->2", 2), "U2": ("U1", "2->1", 1)}
 
 
 def _laurent_regular(f: LaurentElement, j: int) -> bool:
@@ -113,8 +100,9 @@ def _laurent_regular(f: LaurentElement, j: int) -> bool:
 
 def regular_on(v: WeightOneElement, chart: str) -> bool:
     """True when every coefficient is pole-free on the given chart."""
-    j = _pole_variable(chart)
-    return all(_laurent_regular(f, j) for f in v.terms.values())
+    if chart not in _CHARTS:
+        raise InvalidInput("chart must be 'U1' or 'U2'")
+    return all(_laurent_regular(f, _CHARTS[chart][2]) for f in v.terms.values())
 
 
 def extend_section(v: WeightOneElement, omega: GluingForm):
@@ -128,10 +116,11 @@ def extend_section(v: WeightOneElement, omega: GluingForm):
     degree.
     """
     homogeneous_degree(v)
-    source, target, direction = _route(v.chart)
+    source = v.chart if v.chart in _CHARTS else "U1"
+    target, direction, j_source = _CHARTS[source]
     if not regular_on(v, source):
         raise InvalidInput(f"input section must be regular on {source}")
-    j_source, j_target = _pole_variable(source), _pole_variable(target)
+    j_target = _CHARTS[target][2]
     alpha: dict[int, LaurentElement] = {}
     for (cls, k), g in transition(v, omega, direction).terms.items():
         pole = g._new({exp: c for exp, c in g.terms.items() if exp[j_target - 1] < 0})

@@ -1,8 +1,14 @@
 """Cone-of-monomials models and their quantization verifiers.
 
 A model packages the invariant subring of a polynomial ring generated by all
-degree-N monomials (for two variables: x_j maps to y1^(N-j) y2^j) together
-with its binomial relations.  On top of it sit the exact checkers: graded
+degree-N monomials with its binomial relations, by one rule for every n.  The
+generators x0, x1, ... are the degree-N exponent vectors in lexicographically
+decreasing order (for n = 2, x_j maps to y1^(N-j) y2^j).  Each generator
+pair is related to the first pair with the same product, which joins every
+two pairs of equal product.  A derivation constraint is linear in the
+relation, so any list that joins them puts the same row space on the
+derivation unknowns, and the reduced echelon form and derivation basis
+depend only on that row space.  On top sit the exact checkers: graded
 membership of one-forms in the span of generator differentials, the relation
 defects produced by quantum products on the twisted punctured plane, the
 charge solver that pins the unique gluing multiple, the admissible-gluing
@@ -22,6 +28,7 @@ generator x_j to itself; the factor N is a normalization choice.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +40,7 @@ from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degr
 from .scalar import ZERO, ParamScalar, accumulate, row_reduce, solve_linear_system
 
 ExpVec = tuple[int, ...]
+Columns = dict[tuple[str, ExpVec], int]  # (generator, monomial) -> unknown
 
 
 @dataclass
@@ -48,23 +56,16 @@ class VeroneseModel:
 
     @functools.cached_property
     def relations(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-        """The binomial syzygies x_u x_v = x_w x_z, built and checked against
-        the generator map on first read; membership and the witness never
-        read them."""
-        n, N = self.n, self.N
-        if n == 2:
-            relations = [((f"x{i}", f"x{j}"), (f"x{i + 1}", f"x{j - 1}"))
-                         for i in range(N - 1) for j in range(i + 2, N + 1)]
-        else:
-            canonical = _generator_exponents(n, N)
-            names, exps = list(canonical), list(canonical.values())
-            by_product: dict[ExpVec, list[tuple[str, str]]] = {}
-            for a in range(len(names)):
-                for b in range(a, len(names)):
-                    key = tuple(x + y for x, y in zip(exps[a], exps[b]))
-                    by_product.setdefault(key, []).append((names[a], names[b]))
-            relations = [(pairs[0], other) for pairs in by_product.values()
-                         for other in pairs[1:]]
+        """The binomial syzygies x_u x_v = x_w x_z, for every n: each pair
+        u <= v is related to the first pair with the same product.  Built and
+        checked against the generator map on first read; membership and the
+        witness never read them."""
+        canonical = _generator_exponents(self.n, self.N)
+        by_product: dict[ExpVec, list[tuple[str, str]]] = {}
+        for (u, eu), (v, ev) in itertools.combinations_with_replacement(canonical.items(), 2):
+            by_product.setdefault(tuple(x + y for x, y in zip(eu, ev)), []).append((u, v))
+        relations = [(pairs[0], other) for pairs in by_product.values()
+                     for other in pairs[1:]]
         gens = self.generators
         for (u, v), (w, z) in relations:
             lhs = tuple(x + y for x, y in zip(gens[u], gens[v]))
@@ -82,10 +83,9 @@ class ChargeResult:
 
 
 def _generator_exponents(n: int, N: int) -> dict[str, ExpVec]:
-    if n == 2:
-        return {f"x{j}": (N - j, j) for j in range(N + 1)}
-    exps = sorted(exponent_vectors(N, n), reverse=True)
-    return {f"x{j}": e for j, e in enumerate(exps)}
+    """x0, x1, ... are the degree-N exponent vectors, lexicographically
+    decreasing (the order exponent_vectors yields)."""
+    return {f"x{j}": e for j, e in enumerate(exponent_vectors(N, n))}
 
 
 def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseModel:
@@ -223,21 +223,10 @@ def classify_admissible(model: VeroneseModel,
                   for a in range(1, degree_bound)
                   for b in range(1, degree_bound + 1 - a)
                   if (a + b - 2) % N == 0]
-    survivors = []
-    for omega in candidates:
-        ok = True
-        for d in range(0, degree_bound + 1):
-            if d % N != 0:
-                continue
-            for v in invariant_sections(d, N):
-                if extend_section(v, omega) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            survivors.append(omega)
-    return survivors
+    return [omega for omega in candidates
+            if all(extend_section(v, omega) is not None
+                   for d in range(0, degree_bound + 1, N)
+                   for v in invariant_sections(d, N))]
 
 
 def solve_charge(model: VeroneseModel) -> ChargeResult:
@@ -277,37 +266,30 @@ class DerivationReport:
     gl_generates: bool
 
 
-def _derivation_rows(model: VeroneseModel, monos: list[ExpVec]):
-    """Linear constraints on the generator images of a graded derivation,
-    as sparse rows {column: coefficient}."""
-    names = list(model.generators)
-    mono_pos = {m: i for i, m in enumerate(monos)}
+def _columns(model: VeroneseModel, monos: list[ExpVec]) -> Columns:
+    """Column of the unknown coefficient of each monomial in each generator's
+    image, generators outermost."""
+    return {key: col for col, key in enumerate(itertools.product(model.generators, monos))}
 
-    def slot(gname: str, exp: ExpVec) -> int | None:
-        if any(e < 0 for e in exp):
-            return None
-        pos = mono_pos.get(exp)
-        if pos is None:
-            return None
-        return len(monos) * names.index(gname) + pos
 
-    rows: dict[tuple, dict[int, int]] = {}
+def _derivation_rows(model: VeroneseModel, monos: list[ExpVec], columns: Columns):
+    """Linear constraints on the generator images of a graded derivation, as
+    sparse rows {column: coefficient}, one per relation and target monomial."""
+    gens = model.generators
+    rows = []
     for (u, v), (w, z) in model.relations:
-        contributions = [(u, model.generators[v], 1), (v, model.generators[u], 1),
-                         (w, model.generators[z], -1), (z, model.generators[w], -1)]
-        targets: set[ExpVec] = set()
-        for m in monos:
-            for _, other, _ in contributions:
-                targets.add(tuple(a + b for a, b in zip(m, other)))
+        contributions = [(u, gens[v], 1), (v, gens[u], 1), (w, gens[z], -1), (z, gens[w], -1)]
+        targets = {tuple(a + b for a, b in zip(m, other))
+                   for m in monos for _, other, _ in contributions}
         for target in targets:
             row: dict[int, int] = {}
             for gname, other, sign in contributions:
-                col = slot(gname, tuple(a - b for a, b in zip(target, other)))
+                col = columns.get((gname, tuple(a - b for a, b in zip(target, other))))
                 if col is not None:
                     accumulate(row, col, sign)
             if row:
-                rows[(target, (u, v), (w, z))] = row
-    return names, list(rows.values())
+                rows.append(row)
+    return rows
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
@@ -320,22 +302,18 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     if degree % N != 0 or N + degree < 0:
         return DerivationReport(degree, 0, [], [], True)
     monos = list(exponent_vectors(N + degree, n))
-    names, rows = _derivation_rows(model, monos)
-    null = row_reduce(rows).nullspace(len(names) * len(monos))
-    gens = {g: model.generator_element(g) for g in names}
+    columns = _columns(model, monos)
+    rows = _derivation_rows(model, monos, columns)
+    null = row_reduce(rows).nullspace(len(columns))
+    gens = {g: model.generator_element(g) for g in model.generators}
     basis = []
     for vec in null:
-        images: dict[str, LaurentElement] = {}
-        for gi, gname in enumerate(names):
-            f = LaurentElement(model.variables)
-            for mi, m in enumerate(monos):
-                c = vec.get(gi * len(monos) + mi)
-                if c:
-                    f = f + LaurentElement.monomial(model.variables, m, c)
-            images[gname] = f
+        images = {g: LaurentElement(model.variables, {m: vec[columns[g, m]] for m in monos
+                                                      if columns[g, m] in vec})
+                  for g in gens}
         _verify_derivation(model, images, gens)
         basis.append(images)
-    gl_vecs = _gl_multiple_vectors(model, degree, monos, names)
+    gl_vecs = _gl_multiple_vectors(model, degree, columns)
     for vec in gl_vecs:
         for row in rows:
             if sum(x * vec[c] for c, x in row.items() if c in vec):
@@ -344,28 +322,24 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     return DerivationReport(degree, len(null), monos, basis, generates)
 
 
-def _gl_multiple_vectors(model: VeroneseModel, degree: int,
-                         monos: list[ExpVec], names: list[str]):
+def _gl_multiple_vectors(model: VeroneseModel, degree: int, columns: Columns):
     """Coefficient vectors of m * y_a d/dy_b for invariant monomials m."""
     n = model.n
-    mono_pos = {m: i for i, m in enumerate(monos)}
     vecs = []
     for m in exponent_vectors(degree, n):
         for a in range(n):
             for b in range(n):
                 vec: dict[int, Fraction] = {}
-                for gi, gname in enumerate(names):
-                    gexp = model.generators[gname]
+                for gname, gexp in model.generators.items():
                     if gexp[b] == 0:
                         continue
                     out = list(gexp)
                     out[b] -= 1
                     out[a] += 1
-                    exp = tuple(x + y for x, y in zip(out, m))
-                    pos = mono_pos.get(exp)
-                    if pos is None:
+                    col = columns.get((gname, tuple(x + y for x, y in zip(out, m))))
+                    if col is None:
                         raise VertexAlgError("image monomial escaped the graded slice")
-                    vec[gi * len(monos) + pos] = Fraction(gexp[b])
+                    vec[col] = Fraction(gexp[b])
                 if vec:
                     vecs.append(vec)
     return vecs

@@ -178,6 +178,9 @@ def test_config_file(tmp_path, capsys):
     ["membership", "--N", "2", "--omega", "y3*T(y3)"],
     ["membership", "--n", "3", "--N", "2", "--omega", "T(y4^2)"],
     ["extend", "y3*d1", "--omega", "w[1,1]"],
+    ["extend", "y2*d1", "--omega", "y1*w[1,1]"],
+    ["glue-check", "--omega", "y1*w[1,1]"],
+    ["glue-check", "--omega", "d2*w[1,1]"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -118,6 +118,11 @@ def test_regular_on():
     assert regular_on(deep2, "U2") and not regular_on(deep2, "U1")
 
 
+def test_regular_on_refuses_an_unknown_chart():
+    with pytest.raises(InvalidInput):
+        regular_on(fld(1, mono(0, 1)), "overlap")
+
+
 def test_extend_section_yields_global_section():
     v = fld(1, mono(0, 1))  # y2 (x) frame_1
     out = extend_section(v, w11(K))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -207,7 +208,7 @@ def test_gl2_chart_images_match_geometry():
 
 
 def test_derivations_degree_zero():
-    for N in (2, 3, 4):
+    for N in (2, 3, 4, 5):
         m = build_model(2, N)
         rep = derivations(m, 0)
         assert rep.dimension == 4
@@ -215,10 +216,41 @@ def test_derivations_degree_zero():
 
 
 def test_derivations_positive_degree():
-    m = build_model(2, 3)
-    rep = derivations(m, 3)
-    assert rep.gl_generates
-    assert rep.dimension > 0
+    # the invariant multiples of y_a d/dy_b span the degree-d derivations,
+    # whose dimension is 2d + 4
+    for N, d in ((2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 3),
+                 (2, 12), (3, 6), (4, 4), (6, 6)):
+        rep = derivations(build_model(2, N, max(d, 2 * N + 2)), d)
+        assert rep.gl_generates, (N, d)
+        assert rep.dimension == 2 * d + 4, (N, d)
+
+
+def test_relations_connect_equal_products():
+    for n, Ns in ((2, range(1, 9)), (3, range(1, 5)), (4, range(1, 4))):
+        for N in Ns:
+            m = build_model(n, N)
+
+            def product(pair):
+                u, v = pair
+                return tuple(a + b for a, b in zip(m.generators[u], m.generators[v]))
+
+            pairs = list(itertools.combinations_with_replacement(m.generators, 2))
+            products = {product(p) for p in pairs}
+            assert len(m.relations) == len(pairs) - len(products), (n, N)
+            root = {p: p for p in pairs}
+
+            def find(p):
+                while root[p] != p:
+                    p = root[p]
+                return p
+
+            for left, right in m.relations:
+                assert product(left) == product(right)
+                root[find(left)] = find(right)
+            classes: dict = {}
+            for p in pairs:
+                classes.setdefault(product(p), set()).add(find(p))
+            assert all(len(roots) == 1 for roots in classes.values()), (n, N)
 
 
 def test_derivations_off_grading():
