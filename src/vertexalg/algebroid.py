@@ -196,12 +196,9 @@ def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
             accumulate(terms, ("y", l), g)
 
     for (cu, i), f in u._terms.items():
-        if cu != "d":
-            continue
         for (cv, j), g in v._terms.items():
-            gi = g.derive(i)
-            if cv == "d":
-                fi, fj = f.derive(i), f.derive(j)
+            if cu == cv == "d":
+                gi, fi, fj = g.derive(i), f.derive(i), f.derive(j)
                 if gi:
                     accumulate(terms, ("d", j), f * gi)
                 if fj:
@@ -213,16 +210,22 @@ def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
                     add_form(-(de_rham(g).scale(fij) + de_rham(fij).scale(g)))
                 if fj and gi:
                     add_form(-de_rham(fj).scale(gi))
-            else:
-                # the field acting on the form part of v: the classical Lie derivative
+            elif cu == "d":
+                # the field of u on the form of v: its Lie derivative,
+                # f d_i(g) dy_j + g d(f) when j == i
+                gi = g.derive(i)
                 if gi:
                     accumulate(terms, ("y", j), f * gi)
                 if j == i:
                     add_form(de_rham(f).scale(g))
-    # form part of u acting on the field part of v
-    form, tau = u.form_part, VectorField(u.variables, v.field_part)
-    if form and tau:
-        add_form(de_rham(iota_one(tau, form)) - lie_derivative(tau, form))
+            elif cv == "d":
+                # the form of u against the field of v: -iota_v d(u),
+                # -g d_j(f) dy_i + g d(f) when j == i
+                fj = f.derive(j)
+                if fj:
+                    accumulate(terms, ("y", i), -(g * fj))
+                if j == i:
+                    add_form(de_rham(f).scale(g))
     return u._new(terms)
 
 

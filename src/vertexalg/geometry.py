@@ -15,28 +15,20 @@ from typing import Mapping
 from .algebroid import WeightOneElement, embed, fock_algebra
 from .errors import InvalidInput, VariableMismatch
 from .freefield import nproduct, translate
-from .laurent import (
-    LaurentElement,
-    OneForm,
-    TwoForm,
-    VectorField,
-    exponent_vectors,
-    homogeneous_degree,
-    iota_two,
-)
+from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
 from .scalar import ONE, LinearCombination, ParamScalar
 
 V2 = ("y1", "y2")
 
 
 class GluingForm(LinearCombination):
-    """Combination sum c_ab dy1^dy2 / (y1^a y2^b) with a, b >= 1."""
+    """Combination sum c_ab dy1^dy2 / (y1^a y2^b) with a, b >= 1: the one
+    kind of 2-form of the package, on the punctured plane."""
 
-    __slots__ = ("variables",)
+    __slots__ = ()
+    variables = V2
 
-    def __init__(self, terms: Mapping[tuple[int, int], ParamScalar] | None = None,
-                 variables: tuple[str, str] = V2):
-        self.variables = tuple(variables)
+    def __init__(self, terms: Mapping[tuple[int, int], ParamScalar] | None = None):
         clean = {}
         for (a, b), c in (terms or {}).items():
             if a < 1 or b < 1:
@@ -47,13 +39,8 @@ class GluingForm(LinearCombination):
         super().__init__(clean)
 
     @staticmethod
-    def basis(a: int, b: int, coeff=ONE, variables=V2) -> "GluingForm":
-        return GluingForm({(a, b): coeff}, variables)
-
-    def to_two_form(self) -> TwoForm:
-        comp = LaurentElement(self.variables,
-                              {(-a, -b): c for (a, b), c in self._terms.items()})
-        return TwoForm(self.variables, {(1, 2): comp})
+    def basis(a: int, b: int, coeff=ONE) -> "GluingForm":
+        return GluingForm({(a, b): coeff})
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -80,11 +67,14 @@ def transition(v: WeightOneElement, omega: GluingForm,
         raise InvalidInput("direction must be '1->2' or '2->1'")
     if v.chart in _CHARTS and direction != leaving:
         raise InvalidInput(f"a section on {v.chart} transitions {leaving}, not {direction}")
-    corr = iota_two(VectorField(v.variables, v.field_part), omega.to_two_form())
+    # the contraction of f1 D1 + f2 D2 into phi dy1^dy2 is f1 phi dy2 - f2 phi dy1,
+    # phi = sum c_ab y1^-a y2^-b; the direction 2->1 subtracts it
+    phi = LaurentElement(V2, {(-a, -b): c for (a, b), c in omega.terms.items()})
     if direction == "2->1":
-        corr = -corr
+        phi = -phi
+    corr = {3 - i: f * phi if i == 1 else -(f * phi) for i, f in v.field_part.items()}
     image = WeightOneElement(other if v.chart in _CHARTS else v.chart, v.variables)
-    return image._new(v.terms) + WeightOneElement.form(image.chart, corr)
+    return image._new(v.terms) + WeightOneElement.form(image.chart, OneForm(V2, corr))
 
 
 # chart -> (the other chart, the direction leaving it, the coordinate with no

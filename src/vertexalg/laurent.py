@@ -1,18 +1,18 @@
-"""Laurent polynomial chart rings with Cartan calculus.
+"""Laurent polynomial chart rings with the classical calculus of their
+functions, one-forms and vector fields.
 
 Elements are sparse maps from integer exponent vectors (negative exponents
-allowed: chart localization) to ParamScalar coefficients.  One-forms,
-two-forms and vector fields are sparse maps from coordinate indices (index
-pairs for two-forms) to ring elements.  All of them are LinearCombinations
-(see `scalar`), and the classical Courant operations (Lie bracket, Lie
-derivative, contraction) are implemented by the standard formulas.
+allowed: chart localization) to ParamScalar coefficients.  One-forms and
+vector fields are sparse maps from coordinate indices to ring elements.  All
+of them are LinearCombinations (see `scalar`), and the classical Courant
+operations (Lie bracket, Lie derivative, contraction) are implemented by
+their coordinate formulas.
 
 Coordinate indices are 1-based throughout (y1, y2, ...).
 
-Grading: the internal degree of a monomial y^e is sum(e); dy_j adds +1,
-dy_i^dy_j adds +2 and d/dy_i adds -1.  Each class of components declares
-this shift for its keys as `degree_shift`, and `degrees` is the one function
-that applies the rule.
+Grading: the internal degree of a monomial y^e is sum(e); dy_j adds +1 and
+d/dy_i adds -1.  Each class of components declares this shift for its keys
+as `degree_shift`, and `degrees` is the one function that applies the rule.
 """
 
 from __future__ import annotations
@@ -171,22 +171,6 @@ class OneForm(LinearCombination):
         return _show(self, lambda j: f"d{self.variables[j - 1]}")
 
 
-class TwoForm(LinearCombination):
-    """Sum f_ij dy_i ^ dy_j, components keyed by index pairs i < j."""
-
-    __slots__ = ("variables",)
-    degree_shift = staticmethod(lambda ij: 2)
-
-    def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
-        self.variables = tuple(variables)
-        if any(not i < j for i, j in components or {}):
-            raise InvalidInput("two-form keys must satisfy i < j")
-        super().__init__(_components(self.variables, components))
-
-    def __repr__(self):
-        return _show(self, lambda ij: f"d{self.variables[ij[0] - 1]}^d{self.variables[ij[1] - 1]}")
-
-
 class VectorField(LinearCombination):
     """Sum f_i d/dy_i, components keyed by 1-based coordinate index."""
 
@@ -208,18 +192,6 @@ def de_rham(f: LaurentElement) -> OneForm:
     """The de Rham differential d: A -> Omega(A)."""
     n = len(f.variables)
     return OneForm(f.variables, {j: f.derive(j) for j in range(1, n + 1)})
-
-
-def de_rham_one(omega: OneForm) -> TwoForm:
-    """d on one-forms: d(g_j dy_j) = sum_i dg_j/dy_i dy_i ^ dy_j."""
-    n = len(omega.variables)
-    comps: dict[tuple[int, int], LaurentElement] = {}
-    for j, g in omega.terms.items():
-        for i in range(1, n + 1):
-            if i != j:
-                dg = g.derive(i)
-                accumulate(comps, (i, j) if i < j else (j, i), dg if i < j else -dg)
-    return TwoForm(omega.variables, comps)
 
 
 def apply_field(tau: VectorField, f: LaurentElement) -> LaurentElement:
@@ -251,23 +223,18 @@ def iota_one(tau: VectorField, omega: OneForm) -> LaurentElement:
     return out
 
 
-def iota_two(tau: VectorField, omega: TwoForm) -> OneForm:
-    """Contraction of a vector field with a two-form (first slot)."""
+def lie_derivative(tau: VectorField, omega: OneForm) -> OneForm:
+    """Lie derivative of a one-form: (L_tau w)_j = sum_i tau_i d_i w_j + w_i d_j tau_i."""
     tau._check(omega)
     comps: dict[int, LaurentElement] = {}
-    for (i, j), g in omega.terms.items():
-        fi = tau.get(i)
-        if fi is not None:
-            accumulate(comps, j, fi * g)
-        fj = tau.get(j)
-        if fj is not None:
-            accumulate(comps, i, -(fj * g))
+    for j, g in omega.terms.items():
+        accumulate(comps, j, apply_field(tau, g))
+    for i, f in tau.terms.items():
+        g = omega.get(i)
+        if g is not None:
+            for j, df in de_rham(f).terms.items():
+                accumulate(comps, j, g * df)
     return OneForm(tau.variables, comps)
-
-
-def lie_derivative(tau: VectorField, omega: OneForm) -> OneForm:
-    """Cartan magic formula: Lie_tau = iota_tau d + d iota_tau."""
-    return iota_two(tau, de_rham_one(omega)) + de_rham(iota_one(tau, omega))
 
 
 # -- grading --------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vertexalg.algebroid import WeightOneElement, symbol, vprod
-from vertexalg.errors import InvalidInput
+from vertexalg.errors import InvalidInput, VariableMismatch
 from vertexalg.geometry import (
     GluingForm,
     conformal_glue_check,
@@ -42,6 +42,20 @@ def test_transition_frame_field():
     assert out.form_part == OneForm(V, {2: mono(-1, -1, 1).scale(K)})
 
 
+def test_transition_contracts_into_the_gluing_form():
+    # frame index 2 alone: iota(D2) k dy1^dy2/(y1 y2) = -k dy1/(y1 y2)
+    d2 = fld(2, LaurentElement.constant(V, 1))
+    assert transition(d2, w11(K), "1->2") == d2 + frm({1: mono(-1, -1, 1).scale(-K)})
+    assert transition(d2, w11(K), "2->1") == d2 + frm({1: mono(-1, -1, 1).scale(K)})
+    # y2 D1 + 3 y1 D2 into (k/(y1 y2) + 2/(y1^2 y2)) dy1^dy2
+    om = w11(K) + GluingForm.basis(2, 1, ParamScalar.of(2))
+    v = fld(1, mono(0, 1)) + fld(2, mono(1, 0, 3))
+    contraction = frm({2: mono(-1, 0, 1).scale(K) + mono(-2, 0, 2),
+                       1: mono(0, -1, 1).scale(-3 * K) + mono(-1, -1, -6)})
+    assert transition(v, om, "1->2") == v + contraction
+    assert transition(v, om, "2->1") == v - contraction
+
+
 def test_transition_relabels_the_chart():
     v = WeightOneElement.field("U1", V, 1, mono(0, 1)) \
         + WeightOneElement.form("U1", OneForm(V, {2: mono(1, -1)}))
@@ -62,6 +76,9 @@ def test_transition_refuses_a_contradictory_direction():
             transition(v, w11(K), wrong)
     with pytest.raises(InvalidInput):
         transition(fld(1, mono(0, 1)), w11(K), "1->3")
+    z = ("y1", "z")
+    with pytest.raises(VariableMismatch):
+        transition(WeightOneElement.field("U1", z, 1, LaurentElement.constant(z, 1)), w11(K))
     # the matching direction is the default, and an overlap takes either
     u1 = WeightOneElement.field("U1", V, 1, mono(0, 1))
     assert transition(u1, w11(K), "1->2") == transition(u1, w11(K))

@@ -2,41 +2,42 @@ import random
 
 import pytest
 
-from vertexalg.algebroid import WeightOneElement
+from vertexalg.algebroid import WeightOneElement, oracle_vprod
 from vertexalg.errors import InhomogeneousInput, VariableMismatch
 from vertexalg.laurent import (
     LaurentElement,
     OneForm,
-    TwoForm,
     VectorField,
+    apply_field,
     bracket,
     de_rham,
-    de_rham_one,
     degrees,
     homogeneous_degree,
     iota_one,
-    iota_two,
     lie_derivative,
     zn_weight,
 )
 from vertexalg.scalar import ParamScalar
 
 V = ("y1", "y2")
+V3 = ("y1", "y2", "y3")
 
 
 def mono(e1, e2, c=1):
     return LaurentElement.monomial(V, (e1, e2), c)
 
 
-def random_laurent(rng, nterms=3, lo=-2, hi=3):
-    out = LaurentElement(V)
+def random_laurent(rng, nterms=3, lo=-2, hi=3, variables=V):
+    out = LaurentElement(variables)
     for _ in range(rng.randint(1, nterms)):
-        out = out + mono(rng.randint(lo, hi), rng.randint(lo, hi), rng.randint(-4, 4))
+        exps = [rng.randint(lo, hi) for _ in variables]
+        out = out + LaurentElement.monomial(variables, exps, rng.randint(-4, 4))
     return out
 
 
-def random_field(rng):
-    return VectorField(V, {rng.randint(1, 2): random_laurent(rng)})
+def random_field(rng, variables=V):
+    i = rng.randint(1, len(variables))
+    return VectorField(variables, {i: random_laurent(rng, variables=variables)})
 
 
 def test_mul_inverse():
@@ -87,24 +88,7 @@ def test_iota_one():
     assert iota_one(tau, OneForm(V, {2: LaurentElement.constant(V, 1)})) == mono(1, 0)
 
 
-def test_iota_two_gluing():
-    # contracting d/dy1 with k dy1^dy2/(y1^a y2^b) leaves k dy2/(y1^a y2^b)
-    k = ParamScalar.var("k")
-    a, b = 1, 1
-    omega = TwoForm(V, {(1, 2): mono(-a, -b, 1).scale(k)})
-    tau = VectorField(V, {1: LaurentElement.constant(V, 1)})
-    out = iota_two(tau, omega)
-    assert out == OneForm(V, {2: mono(-a, -b, 1).scale(k)})
-    # second slot picks up the sign
-    tau2 = VectorField(V, {2: LaurentElement.constant(V, 1)})
-    assert iota_two(tau2, omega) == OneForm(V, {1: mono(-a, -b, -1).scale(k)})
-
-
 def test_zn_weight():
-    omega11 = TwoForm(V, {(1, 2): mono(-1, -1)})
-    assert zn_weight(omega11, 3) == 0
-    omega12 = TwoForm(V, {(1, 2): mono(-1, -2)})
-    assert zn_weight(omega12, 2) == 1
     for N in (1, 2, 3, 5):
         assert zn_weight(VectorField(V, {1: mono(1, 0)}), N) == 0
     mixed = mono(1, 0) + mono(0, 2)
@@ -119,8 +103,6 @@ def test_grading_agrees_on_every_kind():
     cases = [
         (mono(2, 1), 3, mono(2, 1) + mono(0, 1), {1, 3}),
         (OneForm(V, {1: mono(1, 0)}), 2, OneForm(V, {1: mono(1, 0), 2: mono(0, 0)}), {1, 2}),
-        (TwoForm(V, {(1, 2): mono(-1, -1)}), 0,
-         TwoForm(V, {(1, 2): mono(-1, -1) + mono(0, -1)}), {0, 1}),
         (VectorField(V, {1: mono(1, 1)}), 1, VectorField(V, {1: mono(1, 1), 2: mono(0, 0)}),
          {-1, 1}),
         (section({1: mono(0, 2)}, {2: mono(0, 0)}), 1,
@@ -153,19 +135,26 @@ def test_bracket_jacobi_random():
         assert jac.is_zero()
 
 
-def test_cartan_magic_random():
+def test_lie_derivative_matches_oracle_random():
+    # the Fock _(0) product of a frame section with a form section has no
+    # field part, and its form part is the Lie derivative of the form
     rng = random.Random(6)
-    for _ in range(200):
-        tau = random_field(rng)
-        omega = OneForm(V, {rng.randint(1, 2): random_laurent(rng)})
-        lhs = lie_derivative(tau, omega)
-        rhs = iota_two(tau, de_rham_one(omega)) + de_rham(iota_one(tau, omega))
-        assert lhs == rhs
+    for variables in (V, V3):
+        n = len(variables)
+        for _ in range(40):
+            tau = VectorField(variables, {i: random_laurent(rng, 2, -1, 2, variables)
+                                          for i in rng.sample(range(1, n + 1), rng.randint(1, n))})
+            omega = OneForm(variables, {j: random_laurent(rng, 2, -1, 2, variables)
+                                        for j in rng.sample(range(1, n + 1), rng.randint(1, n))})
+            product = oracle_vprod(WeightOneElement("c", variables, tau.terms), 0,
+                                   WeightOneElement.form("c", omega))
+            assert product.field_part == {}
+            assert product.form_part == lie_derivative(tau, omega)
 
 
-def test_d_squared_zero_random():
+def test_lie_derivative_commutes_with_d_random():
     rng = random.Random(7)
-    for _ in range(200):
-        f = random_laurent(rng)
-        assert de_rham_one(de_rham(f)).is_zero()
-
+    for variables in (V, V3):
+        for _ in range(100):
+            tau, f = random_field(rng, variables), random_laurent(rng, variables=variables)
+            assert lie_derivative(tau, de_rham(f)) == de_rham(apply_field(tau, f))

@@ -1,6 +1,6 @@
 """Seeded properties of the shared sparse base, scalar.LinearCombination.
 
-ParamScalar, LaurentElement, OneForm, TwoForm, VectorField, GluingForm,
+ParamScalar, LaurentElement, OneForm, VectorField, GluingForm,
 FreeFieldElement and WeightOneElement inherit their sum, difference,
 negation, scaling, equality, hashing and truth value from it.  Every test runs on random elements of
 every type, so a type that drifts from the canonical form (no zero value
@@ -17,7 +17,7 @@ from vertexalg.algebroid import WeightOneElement
 from vertexalg.errors import InhomogeneousInput, InvalidInput, VariableMismatch
 from vertexalg.freefield import FreeFieldAlgebra
 from vertexalg.geometry import GluingForm
-from vertexalg.laurent import LaurentElement, OneForm, TwoForm, VectorField
+from vertexalg.laurent import LaurentElement, OneForm, VectorField
 from vertexalg.scalar import ParamScalar
 
 V = ("y1", "y2")
@@ -52,13 +52,11 @@ KINDS = {
                        lambda a: LaurentElement(a.variables, a.terms)),
     "OneForm": (lambda rng, vs: OneForm(vs, _components(rng, [1, 2], vs)),
                 lambda a: OneForm(a.variables, a.terms)),
-    "TwoForm": (lambda rng, vs: TwoForm(vs, _components(rng, [(1, 2)], vs)),
-                lambda a: TwoForm(a.variables, a.terms)),
     "VectorField": (lambda rng, vs: VectorField(vs, _components(rng, [1, 2], vs)),
                     lambda a: VectorField(a.variables, a.terms)),
     "GluingForm": (lambda rng, vs: GluingForm({(rng.randint(1, 3), rng.randint(1, 3)): _scalar(rng)
-                                               for _ in range(rng.randint(0, 3))}, vs),
-                   lambda a: GluingForm(a.terms, a.variables)),
+                                               for _ in range(rng.randint(0, 3))}),
+                   lambda a: GluingForm(a.terms)),
     "FreeFieldElement": (lambda rng, vs: ALGEBRAS[vs].element(
                              {w: _scalar(rng) for w in rng.sample(WORDS, rng.randint(0, 3))}),
                          lambda a: a.algebra.element(a.terms)),
@@ -174,7 +172,7 @@ def test_public_constructors_drop_zeros_and_coerce_ints():
     f = LaurentElement(V, {(1, 0): 0, (0, 1): 2})
     assert f.terms == {(0, 1): ParamScalar.of(2)} and type(f.terms[(0, 1)]) is ParamScalar
     zero = LaurentElement(V)
-    for form, key in ((OneForm, 1), (VectorField, 1), (TwoForm, (1, 2))):
+    for form, key in ((OneForm, 1), (VectorField, 1)):
         assert form(V, {key: zero}).terms == {}
         assert form(V, {key: f}).terms == {key: f}
     g = GluingForm({(1, 1): 0, (1, 2): 3})
@@ -187,8 +185,6 @@ def test_public_constructors_drop_zeros_and_coerce_ints():
     assert alg.element({((0, 0), tail): 1, ((0, 0), tail[::-1]): -1}).terms == {}
     # the other checks of the public constructors still hold
     with pytest.raises(InvalidInput):
-        TwoForm(V, {(2, 1): f})
-    with pytest.raises(InvalidInput):
         GluingForm({(0, 1): 1})
     with pytest.raises(VariableMismatch):
         LaurentElement(V, {(1,): 1})
@@ -198,7 +194,8 @@ def test_public_constructors_drop_zeros_and_coerce_ints():
         alg.element({WORDS[0]: 1, ((1, 0), ()): 1})
 
 
-@pytest.mark.parametrize("kind", [k for k in KINDS if k != "ParamScalar"])
+# a scalar lives over no coordinates and a gluing form on the plane only
+@pytest.mark.parametrize("kind", [k for k in KINDS if k not in ("ParamScalar", "GluingForm")])
 def test_mismatched_operands_raise(kind):
     for seed in SEEDS:
         (a,) = _draws(kind, seed, 1)
