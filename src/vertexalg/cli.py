@@ -45,6 +45,7 @@ from .expr import (
     ParseError,
     Power,
     Translate,
+    is_identifier,
     parse_expr,
 )
 from .freefield import FreeFieldAlgebra, axiom_defect, nproduct, random_element, translate
@@ -107,11 +108,16 @@ def _arg(args, name: str, default: int, least: int) -> int:
 # -- expression evaluation -----------------------------------------------------
 
 
+def _is_field(name: str) -> bool:
+    """Whether name reads as a coordinate y<i> or a frame field d<i>."""
+    return name[:1] in ("y", "d") and name[1:].isdecimal()
+
+
 def _name(name: str, n_vars: int, params: dict[str, Fraction]):
     """("y", i) or ("d", i) for the coordinate or frame field y<i> or d<i>,
     1 <= i <= n_vars; any other identifier is a parameter: its --param value,
     else the formal parameter."""
-    if name[:1] in ("y", "d") and name[1:].isdecimal():
+    if _is_field(name):
         i = int(name[1:])
         if not 1 <= i <= n_vars:
             raise UsageError(f"{name} is out of range: the variables are "
@@ -367,16 +373,25 @@ def _read_config(path: str) -> dict[str, str]:
 
 
 def _parse_params(pairs) -> dict[str, Fraction]:
+    """name=value pairs: each name an identifier, no coordinate or frame
+    field, given once; each value a rational."""
     params = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--param expects name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
+        name, value = (part.strip() for part in pair.split("=", 1))
+        if not is_identifier(name):
+            raise UsageError(f"--param name {name!r} is not an identifier")
+        if _is_field(name):
+            raise UsageError(f"--param {name} names a coordinate or frame field, "
+                             "not a parameter")
+        if name in params:
+            raise UsageError(f"--param {name} is given twice")
         try:
-            params[name.strip()] = Fraction(value.strip())
+            params[name] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"--param {name.strip()} needs a rational value, "
-                             f"got {value.strip()!r}") from exc
+            raise UsageError(f"--param {name} needs a rational value, "
+                             f"got {value!r}") from exc
     return params
 
 

@@ -78,8 +78,14 @@ class NProd:
 
 Node = Num | Ident | Translate | Gluing | BinOp | Neg | Power | NProd
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_]\w*)"
+_IDENT = r"[A-Za-z_]\w*"
+_TOKEN = re.compile(rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>{_IDENT})"
                     r"|(?P<dot>\.\()|(?P<sym>[-+*^()\[\],]))")
+
+
+def is_identifier(text: str) -> bool:
+    """Whether text reads as one identifier of the expression language."""
+    return re.fullmatch(_IDENT, text) is not None
 
 
 def _tokenize(text: str):

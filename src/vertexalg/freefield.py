@@ -17,12 +17,14 @@ modes are computed from the inverse of the coordinate field.
 Each FreeFieldAlgebra keeps a product table.  The mode n of a basis word is
 linear in the state it acts on, so the kernel splits a state into basis
 states and computes the word's mode on each one once, with coefficient 1;
-later products scale the stored result by the state's coefficient.  Stored
-results are immutable and never handed out, their coefficients are rational
-and shared between entries, and the table has no size limit: it lives as
-long as its algebra.  A product with an rng peels words in a random order
-and neither reads nor writes the table, so comparing peel orders still
-checks the recursion itself.
+later products scale the stored result by the state's coefficient.  Every
+factor of the recursion (contraction counts, zero-mode exponents, binomials
+and multinomials) is an integer, so a stored result is a tuple of plain int
+coefficients, exact by construction, cheap to multiply and with nothing to
+share between entries.  Stored results are immutable and never handed out,
+and the table has no size limit: it lives as long as its algebra.  A product
+with an rng peels words in a random order and neither reads nor writes the
+table, so comparing peel orders still checks the recursion itself.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .scalar import ONE, LinearCombination, ParamScalar, accumulate
 Symbol = tuple[str, int, int]  # (class 'y'|'d', coordinate index, order m)
 ExpVec = tuple[int, ...]
 TermKey = tuple[ExpVec, tuple[Symbol, ...]]
-Terms = dict[TermKey, ParamScalar]
+# coefficients are ParamScalars, or ints inside the product table's expansions
+Terms = dict[TermKey, ParamScalar | int]
 
 
 def _sym_weight(s: Symbol) -> int:
@@ -59,11 +62,22 @@ def _term_weight(key: TermKey) -> int:
     return sum(_sym_weight(s) for s in key[1])
 
 
-def _binom(l: int, m: int) -> Fraction:
+def _binom(l: int, m: int) -> int:
+    """l choose m for any integer l: a product of m consecutive integers is
+    divisible by m!, so the floor division is exact."""
     num = 1
     for t in range(m):
         num *= l - t
-    return Fraction(num, math.factorial(m))
+    return num // math.factorial(m)
+
+
+def _multinomial(parts: tuple[int, ...]) -> int:
+    """The number of distinct orderings of parts: len(parts)! over the
+    factorial of each part's multiplicity, an exact integer division."""
+    out = math.factorial(len(parts))
+    for m in set(parts):
+        out //= math.factorial(parts.count(m))
+    return out
 
 
 def _partitions(total: int):
@@ -91,9 +105,9 @@ class FreeFieldAlgebra:
         self.n = len(self.variables)
         self.max_weight = max_weight
         self._zero_exp = (0,) * self.n
-        # (alpha, tail, n, basis state) -> word mode on that state, unit coefficient
+        # (alpha, tail, n, basis state) -> word mode on that state, unit
+        # coefficient, as a tuple of (key, int coefficient)
         self._products: dict = {}
-        self._coeffs: dict[ParamScalar, ParamScalar] = {}
 
     # -- element constructors ------------------------------------------
 
@@ -195,10 +209,7 @@ class FreeFieldAlgebra:
                     continue
                 for parts in _partitions(big):
                     l = len(parts)
-                    mult = Fraction(math.factorial(l))
-                    for m in set(parts):
-                        mult /= math.factorial(parts.count(m))
-                    factor = (-1) ** k * _binom(-1 - k, l) * mult
+                    factor = (-1) ** k * _binom(-1 - k, l) * _multinomial(parts)
                     syms = tuple(("y", i, m) for m in parts)
                     for (alpha, tail), coeff in tl.items():
                         new = list(alpha)
@@ -290,16 +301,11 @@ class FreeFieldAlgebra:
             entry = (alpha, tail, n, key)
             unit = self._products.get(entry)
             if unit is None:
-                unit = self._products[entry] = self._intern(
-                    self._expand(alpha, tail, n, {key: ONE}, wt_b, None))
+                unit = self._products[entry] = tuple(
+                    self._expand(alpha, tail, n, {key: 1}, wt_b, None).items())
             for key2, c in unit:
-                accumulate(out, key2, c * coeff)
+                accumulate(out, key2, coeff * c)
         return out
-
-    def _intern(self, terms: Terms) -> tuple[tuple[TermKey, ParamScalar], ...]:
-        """Immutable table entry; equal coefficients share one object."""
-        coeffs = self._coeffs
-        return tuple((key, coeffs.setdefault(c, c)) for key, c in terms.items())
 
     def _expand(self, alpha: ExpVec, tail: tuple[Symbol, ...], n: int,
                 terms: Terms, wt_b: int, rng) -> Terms:

@@ -13,8 +13,11 @@ Arithmetic results are built by `LinearCombination._new` from terms that are
 already canonical, so they are never coerced or checked again.
 
 A ParamScalar is a polynomial in formal parameters (k, gluing coefficients
-c_ab, ...) with Fraction coefficients; all other modules use these as their
-coefficient ring.
+c_ab, ...) with rational coefficients; all other modules use these as their
+coefficient ring.  A coefficient is an int or a Fraction, never a float: a
+public constructor stores an integral value as int and any other as
+Fraction, and the only divisions (`/` and negative powers) go through
+Fraction, so arithmetic stays exact while integer work runs on plain ints.
 """
 
 from __future__ import annotations
@@ -159,8 +162,9 @@ class ParamScalar(LinearCombination):
     """Polynomial in formal parameters over the rationals, canonical form.
 
     Keys are parameter monomials (unique, sorted by name), values nonzero
-    Fractions.  Ints and Fractions are accepted wherever a ParamScalar is, and
-    a constant hashes as its Fraction, so it also finds a rational dict key.
+    ints or Fractions.  Ints and Fractions are accepted wherever a ParamScalar
+    is, and a constant hashes as its rational value, so it also finds a
+    rational dict key.
     """
 
     __slots__ = ()
@@ -173,7 +177,7 @@ class ParamScalar(LinearCombination):
                 raise InvalidInput(f"coefficient {coeff!r} is not exact: "
                                    "use an int, a Fraction or a ParamScalar")
             if coeff:
-                clean[mono] = Fraction(coeff)
+                clean[mono] = int(coeff) if coeff.denominator == 1 else coeff
         super().__init__(clean)
 
     # -- constructors ------------------------------------------------
@@ -203,10 +207,10 @@ class ParamScalar(LinearCombination):
     def is_constant(self) -> bool:
         return all(m == () for m in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> RationalLike:
         if not self.is_constant():
             raise NonScalarDivisor("non-scalar divisor")
-        return self._terms.get((), Fraction(0))
+        return self._terms.get((), 0)
 
     def parameters(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
@@ -222,10 +226,12 @@ class ParamScalar(LinearCombination):
         return NotImplemented
 
     def __mul__(self, other) -> "ParamScalar":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         other = ParamScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, RationalLike] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 accumulate(out, _mul_monomials(m1, m2), c1 * c2)
@@ -241,14 +247,14 @@ class ParamScalar(LinearCombination):
             raise NonScalarDivisor("non-scalar divisor")
         if not other.is_constant():
             raise NonScalarDivisor("non-scalar divisor")
-        return self.scale(1 / other.constant_value())
+        return self.scale(Fraction(1) / other.constant_value())
 
     def __pow__(self, n: int) -> "ParamScalar":
         if n < 0:
             if self.is_zero() or not self.is_constant():
                 raise InvalidInput(f"negative power of {self}, which is not "
                                    "a nonzero constant")
-            return ParamScalar.of(self.constant_value() ** n)
+            return ParamScalar.of(Fraction(self.constant_value()) ** n)
         out = ParamScalar.one()
         for _ in range(n):
             out = out * self

@@ -162,6 +162,13 @@ def test_config_file(tmp_path, capsys):
     ["extend", "y2^-1*d1", "--omega", "w[1,1]"],
     ["nprod", "(y1+y2)^-1"],
     ["morphism", "--param", "k=abc"],
+    ["morphism", "--n", "2", "--param", "y1=3"],
+    ["morphism", "--n", "2", "--param", "d2=3"],
+    ["morphism", "--n", "2", "--param", "=3"],
+    ["morphism", "--n", "2", "--param", "k k=3"],
+    ["morphism", "--n", "2", "--param", "2k=3"],
+    ["morphism", "--n", "2", "--param", "k=4", "--param", "k=5"],
+    ["morphism", "--n", "2", "--param", "k=4", "--param", " k =4"],
     ["quantize", "--N", "2", "--config", "/nonexistent/vertexalg.cfg"],
     ["nprod", "1/0"],
     ["virasoro", "--weight", "2"],

@@ -2,15 +2,26 @@
 
 With no rng, `_word_mode` reads and fills the algebra's table of
 unit-coefficient results; a fresh algebra (empty table) and a random peel
-order (table bypassed) compute the same product independently.
+order (table bypassed) compute the same product independently.  The table's
+coefficients are plain ints, built from exact integer binomials and
+multinomials, which are checked here against their Fraction forms.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from vertexalg.algebroid import fock_algebra
-from vertexalg.freefield import FreeFieldAlgebra, nproduct, random_element
+from vertexalg.freefield import (
+    FreeFieldAlgebra,
+    _binom,
+    _multinomial,
+    _partitions,
+    nproduct,
+    random_element,
+)
 from vertexalg.scalar import ParamScalar
 
 # the largest result weight: two weight-3 factors under mode -2
@@ -72,7 +83,7 @@ def test_mutating_a_result_leaves_the_table_intact():
         assert nproduct(a, m, b) == nproduct(a, m, b, rng=random.Random(m))
 
 
-def test_table_holds_parameter_free_interned_coefficients():
+def test_table_holds_int_coefficients():
     alg = FreeFieldAlgebra(variables(2), MAX_WEIGHT)
     k = ParamScalar.var("k")
     for a, m, b, peel_seed in random_pairs(alg, 60, 10):
@@ -81,5 +92,42 @@ def test_table_holds_parameter_free_interned_coefficients():
         assert got == nproduct(a.scale(k), m, b.scale(k + 1),
                                rng=random.Random(peel_seed))
     coeffs = [c for unit in alg._products.values() for _, c in unit]
-    assert coeffs and all(c.is_constant() for c in coeffs)
-    assert all(alg._coeffs[c] is c for c in coeffs)
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_binom_is_exact_for_negative_tops():
+    for l in range(-10, 11):
+        for m in range(8):
+            expected = Fraction(math.prod(l - t for t in range(m)), math.factorial(m))
+            got = _binom(l, m)
+            assert type(got) is int and got == expected
+
+
+def test_multinomial_matches_its_fraction_form():
+    for total in range(1, 9):
+        for parts in _partitions(total):
+            expected = Fraction(math.factorial(len(parts)))
+            for m in set(parts):
+                expected /= math.factorial(parts.count(m))
+            got = _multinomial(parts)
+            assert type(got) is int and got == expected
+
+
+def substitute(x, value):
+    """x with the value put for the parameter k in every coefficient."""
+    return x.algebra.element({key: c.substitute({"k": value})
+                              for key, c in x.terms.items()})
+
+
+@pytest.mark.parametrize("n, seed", [(2, 70), (3, 71)])
+def test_parametric_products_agree_with_substitution(n, seed):
+    alg = FreeFieldAlgebra(variables(n), MAX_WEIGHT)
+    k = ParamScalar.var("k")
+    for a, m, b, peel_seed in random_pairs(alg, seed, 12):
+        ka, kb = a.scale(k), b.scale(k * k - 2)
+        table = nproduct(ka, m, kb)
+        peeled = nproduct(ka, m, kb, rng=random.Random(peel_seed))
+        for value in (0, 1, 2, -3):
+            expected = nproduct(a.scale(value), m, b.scale(value * value - 2))
+            assert substitute(table, value) == expected
+            assert substitute(peeled, value) == expected

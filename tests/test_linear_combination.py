@@ -167,8 +167,11 @@ def test_constructors_accept_exact_scalars_only(kind):
 
 def test_public_constructors_drop_zeros_and_coerce_ints():
     k = (("k", 1),)
-    s = ParamScalar({(): 0, k: 2})
-    assert s.terms == {k: Fraction(2)} and type(s.terms[k]) is Fraction
+    # an integral value is stored as int, any other as Fraction
+    s = ParamScalar({(): 0, k: Fraction(4, 2), (("c", 1),): Fraction(1, 2)})
+    assert s.terms == {k: 2, (("c", 1),): Fraction(1, 2)}
+    assert type(s.terms[k]) is int and type(s.terms[(("c", 1),)]) is Fraction
+    assert type(ParamScalar.of(3).terms[()]) is int
     f = LaurentElement(V, {(1, 0): 0, (0, 1): 2})
     assert f.terms == {(0, 1): ParamScalar.of(2)} and type(f.terms[(0, 1)]) is ParamScalar
     zero = LaurentElement(V)

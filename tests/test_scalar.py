@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vertexalg.errors import InvalidInput, NonlinearCondition, NonScalarDivisor
+from vertexalg.laurent import LaurentElement
 from vertexalg.scalar import ONE, ZERO, ParamScalar, solve_linear_system
 
 
@@ -59,6 +60,38 @@ def test_negative_powers():
     for base in (ZERO, k, k + 1):
         with pytest.raises(InvalidInput):
             _ = base ** -1
+
+
+def test_division_and_negative_powers_stay_exact():
+    # on ints, 2 / 3 and 2 ** -1 would be floats
+    assert ParamScalar.of(2) / 3 == Fraction(2, 3)
+    assert ParamScalar.of(2) ** -1 == Fraction(1, 2)
+    for value in (ParamScalar.of(2) / 3, ParamScalar.of(2) ** -1):
+        assert type(value.terms[()]) is Fraction
+    f = LaurentElement.monomial(("y1", "y2"), (1, 0), 2) ** -1
+    assert f.terms == {(-1, 0): ParamScalar.of(Fraction(1, 2))}
+    assert type(f.terms[(-1, 0)].terms[()]) is Fraction
+
+
+def test_no_float_is_ever_stored_random():
+    rng = random.Random(23)
+
+    def operand():
+        if rng.random() < 0.5:
+            return ParamScalar.of(rng.randint(-4, 4))
+        return random_scalar(rng)
+
+    for _ in range(500):
+        a, b = operand(), operand()
+        rational = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+        divisor = rng.choice([rng.randint(1, 5), Fraction(rng.randint(1, 5), 3)])
+        results = [a + b, a + rational, rational - a, a - b, a * b, a * rational,
+                   rational * a, a / divisor, a / -divisor, a / ParamScalar.of(divisor),
+                   a ** rng.randint(0, 3), (a * b).substitute({"k": rational})]
+        if a.is_constant() and a:
+            results.append(a ** rng.randint(-3, -1))
+        for c in results:
+            assert all(type(v) in (int, Fraction) for v in c.terms.values())
 
 
 def test_ring_axioms_random():

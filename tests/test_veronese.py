@@ -134,6 +134,26 @@ def test_relation_defect_specialized():
     assert omega_membership(d.form_part, m)
 
 
+def test_relation_defect_closed_form():
+    # (E12, E22): ((N-1-2r) - k) y1^r y2^(N-1-r) dy1 - 2(N-1-r) y1^(r+1) y2^(N-2-r) dy2
+    # (E11, E21): 2r y1^(r-1) y2^(N-r) dy1 + ((N-1-2r) + k) y1^r y2^(N-1-r) dy2
+    k = ParamScalar.var("k")
+    for N in range(2, 25):
+        m = build_model(2, N)
+        for r in range(N):
+            shift = ParamScalar.of(N - 1 - 2 * r)
+            closed = {
+                ("E12", "E22"): {1: mono(r, N - 1 - r, shift - k),
+                                 2: mono(r + 1, N - 2 - r, -2 * (N - 1 - r))},
+                ("E11", "E21"): {1: mono(r - 1, N - r, 2 * r),
+                                 2: mono(r, N - 1 - r, shift + k)},
+            }
+            for pair, components in closed.items():
+                d = relation_defect(m, r, pair, k)
+                assert not d.field_part
+                assert d.form_part == OneForm(V, components), (N, r, pair)
+
+
 def test_relation_defect_all_instances_at_charge():
     for N in (2, 3):
         m = build_model(2, N)
