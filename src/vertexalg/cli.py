@@ -45,6 +45,7 @@ from .expr import (
     ParseError,
     Power,
     Translate,
+    identifiers,
     is_identifier,
     parse_expr,
 )
@@ -208,11 +209,11 @@ def _require_gluing(node, params) -> GluingForm:
     return out
 
 
-def _section_from_expr(text: str, params, n_vars: int = 2,
+def _section_from_expr(node, params, n_vars: int = 2,
                        chart: str = "U1") -> WeightOneElement:
     variables = tuple(f"y{i}" for i in range(1, n_vars + 1))
     alg = fock_algebra(variables)
-    elem = eval_fock(parse_expr(text), alg, params)
+    elem = eval_fock(node, alg, params)
     return extract(elem, chart)
 
 
@@ -255,7 +256,7 @@ def _cmd_nprod(args, params) -> Report:
     weight = _arg(args, "weight", 3, 0)
     variables = tuple(f"y{i}" for i in range(1, n_vars + 1))
     alg = fock_algebra(variables, weight)
-    value = eval_fock(parse_expr(args.expr), alg, params)
+    value = eval_fock(args.expr, alg, params)
     return Report("nprod", "pass", {"value": str(value)})
 
 
@@ -276,13 +277,13 @@ def _cmd_classify(args, params) -> Report:
 
 
 def _cmd_glue_check(args, params) -> Report:
-    omega = _require_gluing(parse_expr(args.omega), params)
+    omega = _require_gluing(args.omega, params)
     ok = conformal_glue_check(omega)
     return Report("glue-check", "pass" if ok else "fail", {"omega": repr(omega)})
 
 
 def _cmd_extend(args, params) -> Report:
-    omega = _require_gluing(parse_expr(args.omega), params)
+    omega = _require_gluing(args.omega, params)
     section = _section_from_expr(args.expr, params, chart=args.chart)
     out = extend_section(section, omega)
     if out is None:
@@ -370,6 +371,22 @@ def _read_config(path: str) -> dict[str, str]:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
+
+
+def _parse_expressions(args) -> set[str]:
+    """Parse the subcommand's expression flags in place; return the names
+    its inputs read: the identifiers of those expressions, plus k for the
+    two-variable morphism."""
+    read = set()
+    for flag in ("expr", "omega"):
+        text = getattr(args, flag, None)
+        if text is not None:
+            tree = parse_expr(text)
+            setattr(args, flag, tree)
+            read |= identifiers(tree)
+    if args.command == "morphism" and args.n in (None, 2):
+        read.add("k")
+    return read
 
 
 def _parse_params(pairs) -> dict[str, Fraction]:
@@ -465,6 +482,10 @@ def main(argv=None) -> int:
                         raise UsageError(f"config {key} needs an integer, "
                                          f"got {config[key]!r}") from exc
         params = _parse_params(args.param)
+        unread = sorted(params.keys() - _parse_expressions(args))
+        if unread:
+            raise UsageError(f"--param {', '.join(unread)} is read by no input "
+                             f"of {args.command}")
         start = time.monotonic()
         report = COMMANDS[args.command][0](args, params)
         report.timing = time.monotonic() - start

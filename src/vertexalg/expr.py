@@ -83,6 +83,14 @@ _TOKEN = re.compile(rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>{_IDENT})"
                     r"|(?P<dot>\.\()|(?P<sym>[-+*^()\[\],]))")
 
 
+def identifiers(node: Node) -> set[str]:
+    """Every identifier name occurring in the tree."""
+    if isinstance(node, Ident):
+        return {node.name}
+    return set().union(*(identifiers(child) for child in vars(node).values()
+                         if isinstance(child, Node)))
+
+
 def is_identifier(text: str) -> bool:
     """Whether text reads as one identifier of the expression language."""
     return re.fullmatch(_IDENT, text) is not None

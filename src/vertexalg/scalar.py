@@ -326,7 +326,7 @@ class LinearSolution:
 
 
 def _affine_split(eq: ParamScalar,
-                  unknowns: list[str]) -> tuple[dict[int, Fraction], ParamScalar]:
+                  unknowns: list[str]) -> tuple[dict[int, RationalLike], ParamScalar]:
     """Write eq as  const + sum coeffs[i] * unknowns[i];  exact, or raise.
 
     The coefficients come back sparse, keyed by unknown index.  The constant
@@ -334,8 +334,8 @@ def _affine_split(eq: ParamScalar,
     themselves must enter with rational coefficients.
     """
     index = {name: i for i, name in enumerate(unknowns)}
-    coeffs: dict[int, Fraction] = {}
-    const: dict[Monomial, Fraction] = {}
+    coeffs: dict[int, RationalLike] = {}
+    const: dict[Monomial, RationalLike] = {}
     for mono, c in eq._terms.items():
         touched = [(name, e) for name, e in mono if name in index]
         if not touched:
@@ -355,10 +355,11 @@ class Echelon:
     pivot, nothing to its left and 0 in every other pivot column.  `rhs` holds
     the matching right-hand sides.  `residuals` are the nonzero right-hand
     sides of the rows that reduced to zero; the system is consistent exactly
-    when they all vanish.
+    when they all vanish.  Every stored value is an int or a Fraction: integer
+    input stays int wherever no pivot other than 1 or -1 divides it.
     """
 
-    rows: dict[int, dict[int, Fraction]]
+    rows: dict[int, dict[int, RationalLike]]
     rhs: dict[int, ParamScalar]
     residuals: list[ParamScalar]
 
@@ -366,14 +367,14 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def nullspace(self, ncols: int) -> list[dict[int, Fraction]]:
+    def nullspace(self, ncols: int) -> list[dict[int, RationalLike]]:
         """Sparse nullspace basis over columns 0..ncols-1: one vector per
         free column, in column order, with 1 at that column."""
         basis = []
         for free in range(ncols):
             if free in self.rows:
                 continue
-            vec = {free: Fraction(1)}
+            vec = {free: 1}
             for col, row in self.rows.items():
                 x = row.get(free)
                 if x:
@@ -382,7 +383,8 @@ class Echelon:
         return basis
 
 
-def _subtract(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+def _subtract(row: dict[int, RationalLike], f: RationalLike,
+              other: dict[int, RationalLike]) -> None:
     """row -= f * other, in place, dropping entries that cancel."""
     f = -f
     for c, x in other.items():
@@ -399,14 +401,19 @@ def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
     which is then cleared from the earlier pivot rows.  A pivot thus stays the
     leftmost entry of its row, so the result is the reduced row echelon form,
     which the row space and the column order determine uniquely.
+
+    Entries are ints or Fractions and are kept as given.  A new pivot row is
+    left alone when its pivot is 1, negated when it is -1, and otherwise
+    multiplied by Fraction(1) / pivot, so integer rows with unit pivots are
+    eliminated on ints and no value is ever a float.
     """
     rows = list(rows)
     rhs = [ZERO] * len(rows) if rhs is None else list(rhs)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, RationalLike]] = {}
     pivot_rhs: dict[int, ParamScalar] = {}
     residuals: list[ParamScalar] = []
     for entries, b in zip(rows, rhs, strict=True):
-        row = {c: Fraction(x) for c, x in entries.items() if x}
+        row = {c: x for c, x in entries.items() if x}
         for col in [c for c in row if c in pivots]:
             f = row[col]
             _subtract(row, f, pivots[col])
@@ -417,10 +424,15 @@ def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
                 residuals.append(b)
             continue
         col = min(row)
-        inv = 1 / row[col]
-        row = {c: x * inv for c, x in row.items()}
-        if b:
-            b = b * inv
+        p = row[col]
+        if p == -1:
+            row = {c: -x for c, x in row.items()}
+            b = -b
+        elif p != 1:
+            inv = Fraction(1) / p
+            row = {c: x * inv for c, x in row.items()}
+            if b:
+                b = b * inv
         for pcol, prow in pivots.items():
             f = prow.get(col)
             if f:
@@ -439,7 +451,9 @@ def solve_linear_system(
 ) -> LinearSolution:
     """Classify and solve an affine-linear system in the given parameters.
 
-    Exact elimination over Fraction (row_reduce).  Returns a unique
+    Exact elimination by row_reduce, on the ints and Fractions of the
+    coefficients as they stand: a pivot other than 1 or -1 divides through
+    Fraction, never through float division.  Returns a unique
     assignment, or flags the system underdetermined / inconsistent.
     """
     rows, rhs = [], []

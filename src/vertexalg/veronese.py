@@ -37,7 +37,14 @@ from .errors import InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
 from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
-from .scalar import ZERO, ParamScalar, accumulate, row_reduce, solve_linear_system
+from .scalar import (
+    ZERO,
+    ParamScalar,
+    RationalLike,
+    accumulate,
+    row_reduce,
+    solve_linear_system,
+)
 
 ExpVec = tuple[int, ...]
 Columns = dict[tuple[str, ExpVec], int]  # (generator, monomial) -> unknown
@@ -125,7 +132,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
     n, N = model.n, model.N
     target = {(i, exp): c for i, g in omega.terms.items() for exp, c in g.terms.items()}
     blocks = {tuple(e + (k == i - 1) for k, e in enumerate(exp)) for i, exp in target}
-    rows: dict[tuple[int, ExpVec], dict[int, Fraction]] = {c: {} for c in target}
+    rows: dict[tuple[int, ExpVec], dict[int, int]] = {c: {} for c in target}
     if degree >= N and (degree - N) % N == 0:
         j = 0
         for m in exponent_vectors(degree - N, n):
@@ -137,7 +144,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
                 for i, gi in enumerate(gexp, 1):
                     if gi:
                         exp = block[:i - 1] + (block[i - 1] - 1,) + block[i:]
-                        rows.setdefault((i, exp), {})[j] = Fraction(gi)
+                        rows.setdefault((i, exp), {})[j] = gi
                 j += 1
     return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
 
@@ -295,7 +302,13 @@ def _derivation_rows(model: VeroneseModel, monos: list[ExpVec], columns: Columns
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     """Basis of the degree-d derivations of the model ring, computed by an
     exact nullspace solve on generator-image coefficients, plus a report on
-    whether invariant multiples of the linear coordinate fields span it."""
+    whether invariant multiples of the linear coordinate fields span it.
+
+    Two independent checks guard the result.  Each basis vector is rebuilt as
+    generator images in the Laurent ring and must preserve every relation
+    there (`_verify_derivation`).  Each coordinate-field multiple must lie in
+    the nullspace: its product with the relation rows, taken through a
+    column -> rows index, must vanish."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
@@ -305,19 +318,29 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     columns = _columns(model, monos)
     rows = _derivation_rows(model, monos, columns)
     null = row_reduce(rows).nullspace(len(columns))
+    keys = list(columns)  # column -> (generator, monomial)
     gens = {g: model.generator_element(g) for g in model.generators}
     basis = []
     for vec in null:
-        images = {g: LaurentElement(model.variables, {m: vec[columns[g, m]] for m in monos
-                                                      if columns[g, m] in vec})
-                  for g in gens}
+        terms: dict[str, dict[ExpVec, RationalLike]] = {g: {} for g in gens}
+        for col, x in vec.items():
+            g, m = keys[col]
+            terms[g][m] = x
+        images = {g: LaurentElement(model.variables, t) for g, t in terms.items()}
         _verify_derivation(model, images, gens)
         basis.append(images)
+    by_column: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for col, x in row.items():
+            by_column.setdefault(col, []).append((i, x))
     gl_vecs = _gl_multiple_vectors(model, degree, columns)
     for vec in gl_vecs:
-        for row in rows:
-            if sum(x * vec[c] for c, x in row.items() if c in vec):
-                raise VertexAlgError("coordinate-field image violates a relation")
+        image: dict[int, int] = {}
+        for col, y in vec.items():
+            for i, x in by_column.get(col, ()):
+                accumulate(image, i, x * y)
+        if image:
+            raise VertexAlgError("coordinate-field image violates a relation")
     generates = row_reduce(gl_vecs).rank == len(null)
     return DerivationReport(degree, len(null), monos, basis, generates)
 
@@ -329,7 +352,7 @@ def _gl_multiple_vectors(model: VeroneseModel, degree: int, columns: Columns):
     for m in exponent_vectors(degree, n):
         for a in range(n):
             for b in range(n):
-                vec: dict[int, Fraction] = {}
+                vec: dict[int, int] = {}
                 for gname, gexp in model.generators.items():
                     if gexp[b] == 0:
                         continue
@@ -339,7 +362,7 @@ def _gl_multiple_vectors(model: VeroneseModel, degree: int, columns: Columns):
                     col = columns.get((gname, tuple(x + y for x, y in zip(out, m))))
                     if col is None:
                         raise VertexAlgError("image monomial escaped the graded slice")
-                    vec[col] = Fraction(gexp[b])
+                    vec[col] = gexp[b]
                 if vec:
                     vecs.append(vec)
     return vecs

@@ -80,6 +80,14 @@ def test_glue_check_and_extend(capsys):
     assert code == 1
 
 
+def test_param_read_by_an_expression(capsys):
+    code, out, _ = run(capsys, "nprod", "k*y1", "--param", "k=2", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["payload"]["value"] == "2*y1"
+    code, _, _ = run(capsys, "extend", "y2*d1", "--omega", "k*w[1,1]", "--param", "k=2")
+    assert code == 0
+
+
 def test_extend_from_u2(capsys):
     # a section regular on U2 is extended to U1 by the "2->1" transition
     code, out, _ = run(capsys, "extend", "y1*d2", "--omega", "w[1,1]", "--chart", "U2",
@@ -169,6 +177,10 @@ def test_config_file(tmp_path, capsys):
     ["morphism", "--n", "2", "--param", "2k=3"],
     ["morphism", "--n", "2", "--param", "k=4", "--param", "k=5"],
     ["morphism", "--n", "2", "--param", "k=4", "--param", " k =4"],
+    ["quantize", "--N", "3", "--param", "k=5"],
+    ["morphism", "--n", "2", "--param", "c=5"],
+    ["morphism", "--n", "3", "--param", "k=5"],
+    ["derivations", "--N", "2", "--param", "k=1"],
     ["quantize", "--N", "2", "--config", "/nonexistent/vertexalg.cfg"],
     ["nprod", "1/0"],
     ["virasoro", "--weight", "2"],

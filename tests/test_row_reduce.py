@@ -1,5 +1,6 @@
 """row_reduce re-checked against an independent oracle: sympy's exact
-rref, nullspace and linear solver, on seeded random sparse rational systems."""
+rref, nullspace and linear solver, on seeded random sparse rational systems
+and on the integer systems that row_reduce eliminates on ints."""
 
 import random
 from fractions import Fraction
@@ -121,3 +122,68 @@ def test_parametric_rhs_conditions_match_sympy():
         ours = [_to_sympy(x) for x in ech.residuals]
         assert all(x != 0 for x in ours)
         assert _k_solutions(ours) == _k_solutions(oracle)
+
+
+def _int_rows(rng: random.Random, nrows: int, ncols: int):
+    """Integer rows with entries in -3..3: the leading entry mostly 1 or -1,
+    sometimes 2 or -3; some zero rows and some duplicated rows."""
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            lead = rng.randrange(ncols)
+            row = {lead: rng.choice((1, -1, 1, -1, 1, -1, 2, -3))}
+            for c in range(lead + 1, ncols):
+                if rng.random() < 0.4:
+                    row[c] = rng.randint(-3, 3)
+            rows.append(row)
+    return rows
+
+
+def _stored_values(ech, ncols):
+    """Every rational row_reduce stores or derives: the echelon rows, the
+    nullspace and the coefficients of the right-hand sides and residuals."""
+    for row in (*ech.rows.values(), *ech.nullspace(ncols)):
+        yield from row.values()
+    for b in (*ech.rhs.values(), *ech.residuals):
+        yield from b.terms.values()
+
+
+def test_integer_rows_match_sympy_and_their_fraction_form():
+    rng = random.Random(7)
+    k = ParamScalar.var("k")
+    ints = 0
+    for nrows, ncols in _shapes():
+        rows = _int_rows(rng, nrows, ncols)
+        rhs = [ParamScalar.of(rng.randint(-3, 3)) + k * rng.randint(-2, 2) for _ in rows]
+        ech = row_reduce(rows, rhs)
+        mat = _dense(rows, ncols)
+        rref, pivots = mat.rref()
+        assert ech.rank == mat.rank() == len(pivots)
+        assert tuple(ech.rows) == pivots
+        assert _dense(list(ech.rows.values()), ncols) == rref[:len(pivots), :]
+        # both bases put 1 at one free column and 0 at the others
+        assert [_dense([v], ncols).T for v in ech.nullspace(ncols)] == mat.nullspace()
+        as_fractions = row_reduce([{c: Fraction(x) for c, x in row.items()} for row in rows],
+                                  rhs)
+        assert as_fractions.rows == ech.rows
+        assert as_fractions.rhs == ech.rhs
+        assert as_fractions.residuals == ech.residuals
+        for x in _stored_values(ech, ncols):
+            assert type(x) in (int, Fraction), x
+            ints += type(x) is int
+    assert ints
+
+
+def test_unit_pivots_keep_ints():
+    ech = row_reduce([{0: -1, 1: 2}, {1: 1, 2: 3}], [ParamScalar.of(2), ParamScalar.of(1)])
+    assert ech.rows == {0: {0: 1, 2: 6}, 1: {1: 1, 2: 3}}
+    assert ech.rhs == {0: ParamScalar.of(0), 1: ParamScalar.of(1)}
+    assert all(type(x) is int for x in _stored_values(ech, 3))
+    halved = row_reduce([{0: 2, 1: 1}])
+    assert halved.rows == {0: {0: 1, 1: Fraction(1, 2)}}
+    assert all(type(x) is Fraction for x in halved.rows[0].values())

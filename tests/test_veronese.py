@@ -7,6 +7,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+from vertexalg import veronese
 from vertexalg.errors import InvalidInput, VertexAlgError
 from vertexalg.geometry import GluingForm
 from vertexalg.laurent import (
@@ -17,7 +18,7 @@ from vertexalg.laurent import (
     homogeneous_degree,
     zn_weight,
 )
-from vertexalg.scalar import ZERO, ParamScalar, row_reduce
+from vertexalg.scalar import ZERO, Echelon, ParamScalar, row_reduce
 from vertexalg.veronese import (
     build_model,
     classify_admissible,
@@ -239,10 +240,41 @@ def test_derivations_positive_degree():
     # the invariant multiples of y_a d/dy_b span the degree-d derivations,
     # whose dimension is 2d + 4
     for N, d in ((2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 3),
-                 (2, 12), (3, 6), (4, 4), (6, 6)):
+                 (2, 12), (3, 6), (4, 4), (6, 6), (4, 8), (5, 10), (12, 12)):
         rep = derivations(build_model(2, N, max(d, 2 * N + 2)), d)
         assert rep.gl_generates, (N, d)
         assert rep.dimension == 2 * d + 4, (N, d)
+
+
+def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
+    # one pivot coefficient of one basis vector off by one leaves the
+    # nullspace, which the Laurent-ring check must notice
+    nullspace = Echelon.nullspace
+
+    def perturbed(self, ncols):
+        basis = nullspace(self, ncols)
+        vec = next(v for v in basis if len(v) > 1)
+        col = next(c for c in vec if c in self.rows)
+        vec[col] += 1
+        return basis
+
+    monkeypatch.setattr(Echelon, "nullspace", perturbed)
+    with pytest.raises(VertexAlgError, match="computed derivation does not preserve the relations"):
+        derivations(build_model(2, 3), 3)
+
+
+def test_derivation_checks_catch_a_wrong_coordinate_field(monkeypatch):
+    gl_vectors = veronese._gl_multiple_vectors
+
+    def perturbed(*args):
+        vecs = gl_vectors(*args)
+        col = next(iter(vecs[0]))
+        vecs[0][col] += 1
+        return vecs
+
+    monkeypatch.setattr(veronese, "_gl_multiple_vectors", perturbed)
+    with pytest.raises(VertexAlgError, match="coordinate-field image violates a relation"):
+        derivations(build_model(2, 3), 3)
 
 
 def test_relations_connect_equal_products():
