@@ -6,7 +6,8 @@ the Fock creation symbols they embed as.  The _(0) and _(1) products are
 evaluated by closed-form rules; the rules are checked once per variable list
 against the free-field engine on a battery of symbolic monomials, and any
 disagreement is a hard error, so the engine stays the single source of
-truth.
+truth.  Each distinct sample section of that battery is built and embedded
+once; every sample still runs both products in the engine.
 """
 
 from __future__ import annotations
@@ -249,27 +250,29 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
     # a private algebra: its table of one-off products is freed on return
     alg = FreeFieldAlgebra(variables, 3)
     k = ParamScalar.var("k")
-    samples = []
-    for i in range(1, min(n, 2) + 1):
-        for j in range(1, min(n, 2) + 1):
-            for ea in exps[:5]:
-                for eb in exps:
-                    fa = LaurentElement.monomial(variables, ea)
-                    fb = LaurentElement.monomial(variables, eb, k)
-                    samples.append((WeightOneElement.field("c", variables, i, fa),
-                                    WeightOneElement.field("c", variables, j, fb)))
+    indices = range(1, min(n, 2) + 1)
+
+    def frame(i, e, c=1):
+        return WeightOneElement.field("c", variables, i, LaurentElement.monomial(variables, e, c))
+
+    # each distinct section is built and embedded once, then sampled in pairs
+    fields = {(i, e): frame(i, e) for i in indices for e in exps[:6]}
+    k_fields = {(j, e): frame(j, e, k) for j in indices for e in exps}
+    forms = {(l, e): WeightOneElement.form(
+                 "c", OneForm(variables, {l: LaurentElement.monomial(variables, e, k)}))
+             for l in indices for e in exps[:6]}
+    embedded = {v: embed(v, alg)
+                for v in (*fields.values(), *k_fields.values(), *forms.values())}
+    samples = [(fields[i, ea], k_fields[j, eb])
+               for i in indices for j in indices for ea in exps[:5] for eb in exps]
     # mixed field/form pairs
-    for i in range(1, min(n, 2) + 1):
-        for l in range(1, min(n, 2) + 1):
+    for i in indices:
+        for l in indices:
             for e in exps[:6]:
-                f = LaurentElement.monomial(variables, e)
-                om = WeightOneElement.form(
-                    "c", OneForm(variables, {l: LaurentElement.monomial(variables, e, k)}))
-                fld = WeightOneElement.field("c", variables, i, f)
-                samples.append((fld, om))
-                samples.append((om, fld))
+                samples.append((fields[i, e], forms[l, e]))
+                samples.append((forms[l, e], fields[i, e]))
     for u, v in samples:
-        eu, ev = embed(u, alg), embed(v, alg)
+        eu, ev = embedded[u], embedded[v]
         want1 = nproduct(eu, 1, ev)
         got1 = alg.from_laurent(_vprod1(u, v))
         if want1 != got1:

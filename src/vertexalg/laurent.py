@@ -10,6 +10,9 @@ their coordinate formulas.
 
 Coordinate indices are 1-based throughout (y1, y2, ...).
 
+Elements are immutable, so a LaurentElement keeps each partial derivative
+once computed (`derive`); a result built from it by `_new` starts with none.
+
 Grading: the internal degree of a monomial y^e is sum(e); dy_j adds +1 and
 d/dy_i adds -1.  Each class of components declares this shift for its keys
 as `degree_shift`, and `degrees` is the one function that applies the rule.
@@ -101,20 +104,36 @@ class LaurentElement(LinearCombination):
         return self.scale(other)
 
     def __pow__(self, n: int) -> "LaurentElement":
-        if n < 0:
-            if len(self._terms) != 1:
-                raise InvalidInput("negative power of zero or of a non-monomial")
-            ((exp, c),) = self._terms.items()
-            return self._new({tuple(e * n for e in exp): c ** n})
+        """self ** n.  Zero or a one-term element takes one step for any n,
+        negative too: exponents times n, coefficient to the n.  A sum of
+        terms is multiplied out n times."""
+        if n < 0 and len(self._terms) != 1:
+            raise InvalidInput("negative power of zero or of a non-monomial")
+        if n == 0:
+            return LaurentElement.constant(self.variables, 1)
+        if len(self._terms) <= 1:
+            return self._new({tuple(e * n for e in exp): c ** n
+                              for exp, c in self._terms.items()})
         out = LaurentElement.constant(self.variables, 1)
         for _ in range(n):
             out = out * self
         return out
 
     def derive(self, i: int) -> "LaurentElement":
-        """Partial derivative d/dy_i, including negative exponents."""
-        return self._new({exp[:i - 1] + (exp[i - 1] - 1,) + exp[i:]: c * exp[i - 1]
-                          for exp, c in self._terms.items() if exp[i - 1]})
+        """Partial derivative d/dy_i, including negative exponents.
+
+        The element is immutable, so each partial is computed once and kept on
+        it, in the `_partials` slot, created here on first use."""
+        try:
+            partials = self._partials
+        except AttributeError:
+            partials = self._partials = {}
+        out = partials.get(i)
+        if out is None:
+            out = partials[i] = self._new(
+                {exp[:i - 1] + (exp[i - 1] - 1,) + exp[i:]: c * exp[i - 1]
+                 for exp, c in self._terms.items() if exp[i - 1]})
+        return out
 
     # -- printing ------------------------------------------------------
 

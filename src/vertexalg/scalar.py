@@ -51,10 +51,12 @@ class LinearCombination:
     context (what both operands must share, e.g. the variable list) in its own
     __slots__; a result copies the context of its left operand.  Operands must
     agree on `variables`; a subclass adds to `_check` and widens `_coerce`.
-    Instances are immutable and hashable.
+    Instances are immutable and hashable.  Two slots hold values derived
+    from the terms alone, filled on first use and never copied by `_new`:
+    `_hash`, and `_partials`, the partial derivatives a LaurentElement keeps.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_partials")
 
     def __init__(self, terms: dict):
         """Adopt terms already in canonical form (a public constructor's last step)."""
@@ -250,11 +252,18 @@ class ParamScalar(LinearCombination):
         return self.scale(Fraction(1) / other.constant_value())
 
     def __pow__(self, n: int) -> "ParamScalar":
+        """self ** n; zero or a single monomial c*k^a takes one step,
+        c^n * k^(a*n), whatever n."""
         if n < 0:
             if self.is_zero() or not self.is_constant():
                 raise InvalidInput(f"negative power of {self}, which is not "
                                    "a nonzero constant")
             return ParamScalar.of(Fraction(self.constant_value()) ** n)
+        if n == 0:
+            return ParamScalar.one()
+        if len(self._terms) <= 1:
+            return self._new({tuple((name, e * n) for name, e in mono): c ** n
+                              for mono, c in self._terms.items()})
         out = ParamScalar.one()
         for _ in range(n):
             out = out * self

@@ -31,6 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebroid import WeightOneElement, embed, extract, fock_algebra
 from .errors import InvalidInput, VertexAlgError
@@ -177,6 +178,14 @@ def gl2_chart_images(k) -> dict[str, WeightOneElement]:
 RELATION_PAIRS = (("E12", "E22"), ("E11", "E21"))
 
 
+@functools.cache
+def _embedded_chart_images(k: ParamScalar) -> MappingProxyType:
+    """The gl_2 chart images at multiple k, embedded in the shared algebra;
+    built once per value of k and kept as long as that algebra."""
+    alg = fock_algebra(V2, 3)
+    return MappingProxyType({name: embed(v, alg) for name, v in gl2_chart_images(k).items()})
+
+
 def relation_defect(model: VeroneseModel, r: int,
                     pair: tuple[str, str] = ("E12", "E22"),
                     k=None) -> WeightOneElement:
@@ -185,7 +194,8 @@ def relation_defect(model: VeroneseModel, r: int,
     Evaluates (y1^r y2^(N-r))_(-1) applied to the first section minus
     (y1^(r+1) y2^(N-r-1))_(-1) applied to the second in the free-field
     engine; the vector-field parts must cancel exactly, so the value is a
-    pure one-form whose membership is the quantization condition.
+    pure one-form whose membership is the quantization condition.  The chart
+    images are embedded once per value of k and reused by every (pair, r).
     """
     if model.n != 2:
         raise InvalidInput("relation defects are defined for the two-variable model")
@@ -195,13 +205,12 @@ def relation_defect(model: VeroneseModel, r: int,
         raise InvalidInput(f"pair must be one of {RELATION_PAIRS}")
     if k is None:
         k = ParamScalar.var("k")
-    images = gl2_chart_images(k)
+    images = _embedded_chart_images(ParamScalar.of(k))
     alg = fock_algebra(V2, 3)
     N = model.N
     m1 = alg.from_laurent(LaurentElement.monomial(V2, (r, N - r)))
     m2 = alg.from_laurent(LaurentElement.monomial(V2, (r + 1, N - r - 1)))
-    out = nproduct(m1, -1, embed(images[pair[0]], alg)) \
-        - nproduct(m2, -1, embed(images[pair[1]], alg))
+    out = nproduct(m1, -1, images[pair[0]]) - nproduct(m2, -1, images[pair[1]])
     defect = extract(out, "U1")
     if defect.field_part:
         raise VertexAlgError(

@@ -255,3 +255,49 @@ def test_rule_oracle_divergence_names_the_difference(monkeypatch):
                        match=r"_\(0\) .*oracle minus rule is -1\*T1\(y1\)$"):
         algebroid._validate_rules(V)
     assert V not in algebroid._validated
+
+
+def counting_engine(monkeypatch):
+    """Count the engine products _validate_rules runs, by product index."""
+    calls = []
+    engine = algebroid.nproduct
+
+    def counted(a, n, b):
+        calls.append(n)
+        return engine(a, n, b)
+
+    monkeypatch.setattr(algebroid, "_validated", set())
+    monkeypatch.setattr(algebroid, "nproduct", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variables", [V, ("y1", "y2", "y3")])
+def test_oracle_check_runs_both_products_on_every_sample(monkeypatch, variables):
+    # 180 field/field and 48 mixed field/form samples, each through _(1) then _(0)
+    calls = counting_engine(monkeypatch)
+    algebroid._validate_rules(variables)
+    assert calls == [1, 0] * 228
+    assert variables in algebroid._validated
+
+
+def test_oracle_check_reaches_the_last_sample(monkeypatch):
+    # the last sample is the mixed pair (k y2^2 dy2, y2^2 frame_2)
+    k = ParamScalar.var("k")
+    last = (WeightOneElement.form("c", OneForm(V, {2: mono(0, 2, k)})),
+            WeightOneElement.field("c", V, 2, mono(0, 2)))
+    rule0 = algebroid._vprod0
+    one = LaurentElement.constant(V, 1)
+
+    def perturbed(u, v):
+        out = rule0(u, v)
+        if (u, v) == last:
+            out = out + WeightOneElement.form(u.chart, OneForm(V, {1: one}))
+        return out
+
+    calls = counting_engine(monkeypatch)
+    monkeypatch.setattr(algebroid, "_vprod0", perturbed)
+    with pytest.raises(RuleOracleDivergence,
+                       match=r"_\(0\) .*oracle minus rule is -1\*T1\(y1\)$"):
+        algebroid._validate_rules(V)
+    assert calls == [1, 0] * 228
+    assert V not in algebroid._validated

@@ -138,6 +138,13 @@ def test_nprod(capsys):
     code, out, _ = run(capsys, "nprod", "y1 .(0) d1", "--format", "machine")
     assert code == 0
     assert json.loads(out)["payload"]["value"] == "-1*1"
+    # a one-term power takes one step, however large
+    for expr, value in (("y1^99999999999999999999", "y1^99999999999999999999"),
+                        ("(-y1*y2^-2)^100000000000", "y1^100000000000*y2^-200000000000"),
+                        ("(y1-y1)^99999999999999999999", "0")):
+        code, out, _ = run(capsys, "nprod", expr, "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["payload"]["value"] == value
 
 
 def test_usage_errors(capsys):

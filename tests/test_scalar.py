@@ -62,6 +62,22 @@ def test_negative_powers():
             _ = base ** -1
 
 
+def test_monomial_powers_take_one_step():
+    rng = random.Random(1304)
+    k, c = ParamScalar.var("k"), ParamScalar.var("c")
+    bases = [ZERO, ONE, ParamScalar.of(Fraction(-2, 3)), k, k * k * c * Fraction(3, 2),
+             k + 1] + [random_scalar(rng) for _ in range(10)]
+    for base in bases:
+        out = ONE
+        for n in range(6):
+            assert base ** n == out, (base, n)
+            out = out * base
+    # c*k^a to a huge n is c^n * k^(a*n), at once
+    huge = 10 ** 20
+    assert (-k * k * c) ** huge == ParamScalar({(("c", huge), ("k", 2 * huge)): 1})
+    assert ZERO ** huge == ZERO and ZERO ** 0 == ONE
+
+
 def test_division_and_negative_powers_stay_exact():
     # on ints, 2 / 3 and 2 ** -1 would be floats
     assert ParamScalar.of(2) / 3 == Fraction(2, 3)

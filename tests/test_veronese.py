@@ -8,6 +8,7 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from vertexalg import veronese
+from vertexalg.algebroid import WeightOneElement
 from vertexalg.errors import InvalidInput, VertexAlgError
 from vertexalg.geometry import GluingForm
 from vertexalg.laurent import (
@@ -153,6 +154,28 @@ def test_relation_defect_closed_form():
                 d = relation_defect(m, r, pair, k)
                 assert not d.field_part
                 assert d.form_part == OneForm(V, components), (N, r, pair)
+
+
+def test_relation_defect_chart_cache_is_keyed_by_value():
+    # calls at different k interleave; 3 and ParamScalar.of(3) share an entry
+    def at(form: OneForm, value) -> OneForm:
+        return OneForm(V, {j: LaurentElement(V, {e: c.substitute({"k": value})
+                                                 for e, c in g.terms.items()})
+                           for j, g in form.terms.items()})
+
+    veronese._embedded_chart_images.cache_clear()
+    k = ParamScalar.var("k")
+    values = (3, k, Fraction(7, 2), ParamScalar.of(3), 3)
+    for N in range(2, 6):
+        m = build_model(2, N)
+        for pair in veronese.RELATION_PAIRS:
+            for r in range(N):
+                symbolic = relation_defect(m, r, pair, k).form_part
+                for value in values:
+                    got = relation_defect(m, r, pair, value)
+                    assert got == WeightOneElement.form("U1", at(symbolic, value)), \
+                        (N, pair, r, value)
+    assert veronese._embedded_chart_images.cache_info().currsize == 3
 
 
 def test_relation_defect_all_instances_at_charge():
