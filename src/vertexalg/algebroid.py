@@ -28,7 +28,7 @@ from .laurent import (
     iota_one,
     lie_derivative,
 )
-from .scalar import ONE, LinearCombination, ParamScalar, accumulate, solve_linear_system
+from .scalar import ONE, ZERO, LinearCombination, ParamScalar, accumulate, solve_linear_system
 
 
 class WeightOneElement(LinearCombination):
@@ -58,6 +58,14 @@ class WeightOneElement(LinearCombination):
                 raise VariableMismatch("form part over wrong variable list")
             terms.update({("y", j): g for j, g in form_part.terms.items()})
         super().__init__(terms)
+
+    def _new(self, terms: dict) -> "WeightOneElement":
+        out = object.__new__(type(self))
+        out._terms = terms
+        out._hash = None
+        out.chart = self.chart
+        out.variables = self.variables
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -378,7 +386,8 @@ def gl_bracket_table(n: int) -> dict[tuple[str, str], dict[str, ParamScalar]]:
 
 def gl_pairing_table(n: int):
     """(a, b) = k1 tr(a0 b0) + k2 tr(a) tr(b) / n, a0 the traceless part;
-    with t = tr(a) tr(b) / n that is k1 (tr(ab) - t) + k2 t."""
+    with t = tr(a) tr(b) / n that is k1 (tr(ab) - t) + k2 t.  Every pair has
+    an entry; the zero entries share ZERO."""
     k1, k2 = (("k1", 1),), (("k2", 1),)
     table = {}
     for a in range(1, n + 1):
@@ -388,7 +397,7 @@ def gl_pairing_table(n: int):
                     tr_prod = int(b == c and a == d)
                     trace = Fraction(int(a == b and c == d), n)
                     table[(f"E{a}{b}", f"E{c}{d}")] = ParamScalar(
-                        {k1: tr_prod - trace, k2: trace})
+                        {k1: tr_prod - trace, k2: trace}) if tr_prod or trace else ZERO
     return table
 
 
@@ -400,8 +409,10 @@ def morphism_check(basis: list[str],
 
     Checks rho(a)_(0)rho(b) = rho([a,b]) exactly (field and form parts) and
     rho(a)_(1)rho(b) = (a,b).  Parameters occurring in the pairing table and
-    not in the images are solved for; everything is re-verified at the solved
-    values.
+    not in the images are solved for; every pair's equation is re-verified at
+    the solved values.  Both products of every pair are computed; equal
+    equations of different pairs are solved and substituted once, and each
+    pair whose equation fails is still reported, in pair order.
     """
     unknowns = sorted(set().union(*(val.parameters() for val in pairing.values()))
                       .difference(*(im.parameters() for im in images.values())))
@@ -418,13 +429,16 @@ def morphism_check(basis: list[str],
             equations.append(((a, b), p.constant_term() - pairing[(a, b)]))
     levels = None
     if unknowns:
-        sol = solve_linear_system([eq for _, eq in equations], unknowns)
+        # equal equations span the same rows: solve and re-check each once
+        distinct = list(dict.fromkeys(eq for _, eq in equations))
+        sol = solve_linear_system(distinct, unknowns)
         if sol.status != "unique":
             failures.append((("pairing", "solve"), 1, f"level solve {sol.status}"))
         else:
             levels = (sol.assignment.get("k1"), sol.assignment.get("k2"))
+            defects = {eq for eq in distinct if eq.substitute(sol.assignment)}
             for pair, eq in equations:
-                if not eq.substitute(sol.assignment).is_zero():
+                if eq in defects:
                     failures.append((pair, 1, "pairing defect at solved levels"))
     else:
         for (a, b), val in computed1.items():

@@ -449,11 +449,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> _ArgumentParser:
-    """The parser of every subcommand, built once per process."""
+def build_parser(command: str | None = None) -> _ArgumentParser:
+    """The parser of one subcommand, or of every subcommand when command is
+    None (for the top-level help and the unknown-subcommand error); each is
+    built once per process."""
     parser = _ArgumentParser(prog="vertexalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in COMMANDS.items():
+    for name in COMMANDS if command is None else (command,):
+        _, required, optional = COMMANDS[name]
         # no abbreviations: --degree must not pass for --degree-bound
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in required + optional:
@@ -469,8 +472,11 @@ def build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a process builds only the parser of the subcommand it runs
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         if args.config:
             config = _read_config(args.config)
             # a config key fills a flag only where the subcommand declares it

@@ -355,6 +355,13 @@ class FreeFieldElement(LinearCombination):
             accumulate(clean, key, coeff)
         super().__init__(clean)
 
+    def _new(self, terms: Terms) -> "FreeFieldElement":
+        out = object.__new__(type(self))
+        out._terms = terms
+        out._hash = None
+        out.algebra = self.algebra
+        return out
+
     @property
     def variables(self) -> tuple[str, ...]:
         return self.algebra.variables

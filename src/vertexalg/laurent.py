@@ -12,6 +12,7 @@ Coordinate indices are 1-based throughout (y1, y2, ...).
 
 Elements are immutable, so a LaurentElement keeps each partial derivative
 once computed (`derive`); a result built from it by `_new` starts with none.
+The three classes share one `_new`, which stores the variable list.
 
 Grading: the internal degree of a monomial y^e is sum(e); dy_j adds +1 and
 d/dy_i adds -1.  Each class of components declares this shift for its keys
@@ -41,10 +42,20 @@ def exponent_vectors(total: int, n: int) -> Iterator[ExpVec]:
             yield (first,) + rest
 
 
+def _new_over_variables(self, terms: dict):
+    """`_new` of a class whose context is its variable list."""
+    out = object.__new__(type(self))
+    out._terms = terms
+    out._hash = None
+    out.variables = self.variables
+    return out
+
+
 class LaurentElement(LinearCombination):
     """Laurent polynomial in named coordinates with ParamScalar coefficients."""
 
     __slots__ = ("variables",)
+    _new = _new_over_variables
 
     def __init__(self, variables: tuple[str, ...], terms: Mapping[ExpVec, CoeffLike] | None = None):
         self.variables = tuple(variables)
@@ -180,6 +191,7 @@ class OneForm(LinearCombination):
     """Sum g_j dy_j, components keyed by 1-based coordinate index."""
 
     __slots__ = ("variables",)
+    _new = _new_over_variables
     degree_shift = staticmethod(lambda j: 1)
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
@@ -194,6 +206,7 @@ class VectorField(LinearCombination):
     """Sum f_i d/dy_i, components keyed by 1-based coordinate index."""
 
     __slots__ = ("variables",)
+    _new = _new_over_variables
     degree_shift = staticmethod(lambda i: -1)
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):

@@ -10,7 +10,10 @@ constructor checks what it is given, coerces every scalar through
 `ParamScalar.of` and drops zeros, and every sum goes through `accumulate`,
 which drops a key whose value cancels.
 Arithmetic results are built by `LinearCombination._new` from terms that are
-already canonical, so they are never coerced or checked again.
+already canonical, so they are never coerced or checked again.  `_new` makes
+one object per result and stores its context (the variable list, the chart,
+the algebra) directly: a class with context overrides `_new` to set those
+slots, and a result never inherits the `_partials` of its operand.
 
 A ParamScalar is a polynomial in formal parameters (k, gluing coefficients
 c_ab, ...) with rational coefficients; all other modules use these as their
@@ -49,11 +52,13 @@ class LinearCombination:
 
     Values are rationals or combinations themselves.  A subclass lists its
     context (what both operands must share, e.g. the variable list) in its own
-    __slots__; a result copies the context of its left operand.  Operands must
-    agree on `variables`; a subclass adds to `_check` and widens `_coerce`.
-    Instances are immutable and hashable.  Two slots hold values derived
-    from the terms alone, filled on first use and never copied by `_new`:
-    `_hash`, and `_partials`, the partial derivatives a LaurentElement keeps.
+    __slots__ and overrides `_new` to store that context, taken from the left
+    operand, on the result; a class without context (ParamScalar, GluingForm)
+    uses `_new` as it is.  Operands must agree on `variables`; a subclass adds
+    to `_check` and widens `_coerce`.  Instances are immutable and hashable.
+    Two slots hold values derived from the terms alone, filled on first use
+    and never set by `_new`: `_hash`, and `_partials`, the partial derivatives
+    a LaurentElement keeps.
     """
 
     __slots__ = ("_terms", "_hash", "_partials")
@@ -64,12 +69,11 @@ class LinearCombination:
         self._hash = None
 
     def _new(self, terms: dict):
-        """A result in self's context from canonical terms: nothing is checked."""
+        """A result of self's type from canonical terms: nothing is checked.
+        A subclass with context overrides this to store its context too."""
         out = object.__new__(type(self))
         out._terms = terms
         out._hash = None
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name))
         return out
 
     # -- queries -----------------------------------------------------
@@ -123,7 +127,11 @@ class LinearCombination:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        out = dict(self._terms)
+        for key, value in other._terms.items():
+            accumulate(out, key, -value)
+        return self._new(out)
 
     def __rsub__(self, other):
         other = self._coerce(other)

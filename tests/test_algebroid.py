@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from vertexalg import algebroid
 from vertexalg.algebroid import (
@@ -20,8 +21,8 @@ from vertexalg.algebroid import (
     vprod,
 )
 from vertexalg.errors import ChartMismatch, RuleOracleDivergence
-from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket
-from vertexalg.scalar import ParamScalar
+from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket, degrees
+from vertexalg.scalar import ZERO, ParamScalar, solve_linear_system
 
 V = ("y1", "y2")
 C = "overlap"
@@ -238,6 +239,131 @@ def test_morphism_failure_reported():
     rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2), images)
     assert rep.status == "fail"
     assert rep.failures
+
+
+def _per_pair_morphism_check(basis, brackets, pairing, images):
+    """morphism_check as it was before equal equations were merged: every
+    pair's equation goes to the solve and is substituted on its own."""
+    unknowns = sorted(set().union(*(val.parameters() for val in pairing.values()))
+                      .difference(*(im.parameters() for im in images.values())))
+    failures, equations, computed1 = [], [], {}
+    for a in basis:
+        for b in basis:
+            p = vprod(images[a], 1, images[b])
+            if p and degrees(p) != {0}:
+                failures.append(((a, b), 1, f"non-scalar pairing {p}"))
+                continue
+            computed1[(a, b)] = p.constant_term()
+            equations.append(((a, b), p.constant_term() - pairing[(a, b)]))
+    levels = None
+    if unknowns:
+        sol = algebroid.solve_linear_system([eq for _, eq in equations], unknowns)
+        if sol.status != "unique":
+            failures.append((("pairing", "solve"), 1, f"level solve {sol.status}"))
+        else:
+            levels = (sol.assignment.get("k1"), sol.assignment.get("k2"))
+            for pair, eq in equations:
+                if not eq.substitute(sol.assignment).is_zero():
+                    failures.append((pair, 1, "pairing defect at solved levels"))
+    else:
+        for (a, b), val in computed1.items():
+            if val != pairing[(a, b)]:
+                failures.append(((a, b), 1, f"pairing {val} != {pairing[(a, b)]}"))
+    for a in basis:
+        for b in basis:
+            got = vprod(images[a], 0, images[b])
+            want = WeightOneElement(got.chart, got.variables)
+            for gen, coeff in brackets[(a, b)].items():
+                want = want + images[gen].scale(coeff)
+            if got != want:
+                failures.append(((a, b), 0, f"bracket defect {(got - want)!r}"))
+    return algebroid.MorphismReport("pass" if not failures else "fail", levels, failures)
+
+
+def _gln_images(n):
+    variables = tuple(f"y{i}" for i in range(1, n + 1))
+    return {f"E{a}{b}": WeightOneElement.field(
+                "affine", variables, b, LaurentElement.coordinate(variables, a))
+            for a in range(1, n + 1) for b in range(1, n + 1)}
+
+
+def _morphism_cases():
+    k = ParamScalar.var("k")
+    for value in (k, ParamScalar.of(3), ParamScalar.of(Fraction(7, 3))):
+        yield 2, gl2_images(value)
+    extra = gl2_images(k)
+    extra["E12"] = extra["E12"] + frm({1: mono(1, 0)})
+    yield 2, extra
+    doubled = gl2_images(k)
+    doubled["E21"] = doubled["E21"].scale(2)
+    yield 2, doubled
+    yield 3, _gln_images(3)
+    yield 4, _gln_images(4)
+
+
+def _sympy(x: ParamScalar):
+    return sum((sympy.Rational(c) * sympy.Mul(*(sympy.Symbol(name) ** e for name, e in mono))
+                for mono, c in x.terms.items()), sympy.Integer(0))
+
+
+def _same_reports(cases):
+    for n, images in cases:
+        args = (gl_basis(n), gl_bracket_table(n), gl_pairing_table(n), images)
+        got, want = morphism_check(*args), _per_pair_morphism_check(*args)
+        assert (got.status, got.levels, got.failures) == \
+            (want.status, want.levels, want.failures)
+        yield got
+
+
+def test_morphism_check_matches_the_per_pair_solve():
+    reports = list(_same_reports(_morphism_cases()))
+    assert [r.status for r in reports] == ["pass"] * 3 + ["fail"] * 2 + ["pass"] * 2
+
+
+def test_morphism_check_reports_every_pair_of_a_failing_equation(monkeypatch):
+    # a solver off by one in k1 makes every equation with a k1 term fail at
+    # the solved levels; each such pair is reported, in pair order, as before:
+    # k1 enters 2n^2 - n pairs (6, 15, 28), two of gl_2's drop out as
+    # non-scalar with the extra form term, and the doubled image solves nothing
+    def skewed(equations, unknowns):
+        sol = solve_linear_system(equations, unknowns)
+        if sol.status == "unique":
+            sol.assignment["k1"] = sol.assignment["k1"] + 1
+        return sol
+
+    monkeypatch.setattr(algebroid, "solve_linear_system", skewed)
+    reports = list(_same_reports(_morphism_cases()))
+    defects = [[pair for pair, n, msg in r.failures
+                if msg == "pairing defect at solved levels"] for r in reports]
+    assert [len(d) for d in defects] == [6, 6, 6, 4, 0, 15, 28]
+
+
+def test_solved_levels_satisfy_every_pair_equation():
+    # sympy substitutes the levels into all n^4 equations, none merged
+    for n, images in _morphism_cases():
+        pairing = gl_pairing_table(n)
+        rep = morphism_check(gl_basis(n), gl_bracket_table(n), pairing, images)
+        if rep.levels is None:
+            continue
+        levels = dict(zip(sympy.symbols("k1 k2"), map(_sympy, rep.levels)))
+        for a, b in itertools.product(gl_basis(n), repeat=2):
+            p = vprod(images[a], 1, images[b])
+            if degrees(p) - {0}:  # reported as non-scalar, not an equation
+                assert ((a, b), 1, f"non-scalar pairing {p}") in rep.failures
+                continue
+            residue = _sympy(p.constant_term() - pairing[(a, b)]).subs(levels)
+            if rep.status == "pass":
+                assert sympy.expand(residue) == 0, (a, b)
+            elif sympy.expand(residue) != 0:
+                assert ((a, b), 1, "pairing defect at solved levels") in rep.failures
+
+
+def test_gl_pairing_table_zero_entries_share_zero():
+    for n, zeros in ((2, 10), (3, 66), (4, 228)):
+        table = gl_pairing_table(n)
+        assert len(table) == n ** 4
+        assert sum(value is ZERO for value in table.values()) == zeros
+        assert all(value for value in table.values() if value is not ZERO)
 
 
 def test_rule_oracle_divergence_names_the_difference(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -292,10 +293,30 @@ def test_help_lists_only_own_flags(capsys, command):
 
 
 def test_parser_is_built_once(capsys):
+    # once per subcommand: a process builds only the parser it runs
+    cli.build_parser.cache_clear()
     run(capsys, "quantize", "--N", "2")
+    run(capsys, "quantize", "--N", "3")
     run(capsys, "morphism", "--n", "2")
-    assert cli.build_parser() is cli.build_parser()
-    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser("quantize") is cli.build_parser("quantize")
+    assert cli.build_parser.cache_info().misses == 2
+    (sub,) = [a for a in cli.build_parser("quantize")._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["quantize"]
+
+
+def test_unknown_first_word_gets_the_full_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    names = ",".join(cli.COMMANDS)
+    assert len(cli.COMMANDS) == 11 and "{" + names + "}" in capsys.readouterr().out
+    for argv in (["no-such-command"], ["no-such-command", "--N", "2"], []):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        if argv:
+            choices = ", ".join(f"'{name}'" for name in cli.COMMANDS)
+            assert f"invalid choice: 'no-such-command' (choose from {choices})" in err
 
 
 def test_config_fills_only_declared_flags(tmp_path, capsys):

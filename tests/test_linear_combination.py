@@ -14,7 +14,12 @@ import pytest
 
 from vertexalg import cli
 from vertexalg.algebroid import WeightOneElement
-from vertexalg.errors import InhomogeneousInput, InvalidInput, VariableMismatch
+from vertexalg.errors import (
+    ChartMismatch,
+    InhomogeneousInput,
+    InvalidInput,
+    VariableMismatch,
+)
 from vertexalg.freefield import FreeFieldAlgebra
 from vertexalg.geometry import GluingForm
 from vertexalg.laurent import LaurentElement, OneForm, VectorField
@@ -208,6 +213,62 @@ def test_mismatched_operands_raise(kind):
         with pytest.raises(VariableMismatch):
             a - b
         assert a != b
+
+
+def _fresh_context(kind, a):
+    """A second element of a's kind whose context equals a's but is a
+    different object, so a result shows whose context it kept."""
+    if kind == "FreeFieldElement":
+        return FreeFieldAlgebra(tuple(a.variables), 3).element(a.terms)
+    if kind == "WeightOneElement":
+        return WeightOneElement("".join(a.chart), tuple(list(a.variables)),
+                                a.field_part, a.form_part)
+    if kind in ("ParamScalar", "GluingForm"):
+        return KINDS[kind][1](a)
+    return type(a)(tuple(list(a.variables)), a.terms)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_results_keep_the_left_context_and_no_partials(kind):
+    for seed in SEEDS:
+        a, b, _ = _draws(kind, seed)
+        b = _fresh_context(kind, b)
+        context = type(a).__slots__
+        assert not any(getattr(b, name) is getattr(a, name) for name in context)
+        a._partials = {1: a}  # derived data of a, never of a result
+        hash(a)
+        results = [a + b, a - b, -a, a.scale(2), a.scale(Fraction(-1, 3)), a - a]
+        if kind in ("ParamScalar", "LaurentElement"):
+            results.append(a * b)
+        for x in results:
+            assert type(x) is type(a)
+            assert all(getattr(x, name) is getattr(a, name) for name in context)
+            assert not hasattr(x, "_partials") and x._hash is None
+            assert _canonical(x)
+        assert a - b == a + (-b) and hash(a - b) == hash(a + (-b))
+
+
+# kind -> (element, an operand it may not be added to, the error either way)
+MISMATCHES = {
+    "LaurentElement": lambda: (LaurentElement.coordinate(V, 1),
+                               LaurentElement.coordinate(OTHER, 1), VariableMismatch),
+    "WeightOneElement": lambda: (
+        WeightOneElement.field("U1", V, 1, LaurentElement.coordinate(V, 1)),
+        WeightOneElement.field("U2", V, 1, LaurentElement.coordinate(V, 1)),
+        ChartMismatch),
+    "FreeFieldElement": lambda: (ALGEBRAS[V].coordinate(1), ALGEBRAS[V].frame(1),
+                                 InhomogeneousInput),
+}
+
+
+@pytest.mark.parametrize("kind", MISMATCHES)
+def test_difference_raises_as_the_sum_does(kind):
+    a, b, error = MISMATCHES[kind]()
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(error):
+            x + y
+        with pytest.raises(error):
+            x - y
 
 
 def test_fock_sum_of_different_weights_raises():
