@@ -13,8 +13,8 @@ once; every sample still runs both products in the engine.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
@@ -357,11 +357,10 @@ def classical_defect(u: WeightOneElement, n: int, v: WeightOneElement):
 # -- morphism checking ---------------------------------------------------------
 
 
-@dataclass
-class MorphismReport:
+class MorphismReport(NamedTuple):
     status: str  # "pass" | "fail"
-    levels: tuple[ParamScalar, ParamScalar] | None = None
-    failures: list = field(default_factory=list)
+    levels: tuple[ParamScalar, ParamScalar] | None
+    failures: list
 
 
 def gl_basis(n: int) -> list[str]:

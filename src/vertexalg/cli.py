@@ -17,7 +17,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebroid import (
@@ -72,12 +71,12 @@ from .veronese import (
 PASSING = {"pass", "unique", "non-quantizable", "member"}
 
 
-@dataclass
 class Report:
-    command: str
-    status: str
-    payload: dict = field(default_factory=dict)
-    timing: float = 0.0
+    def __init__(self, command: str, status: str, payload: dict):
+        self.command = command
+        self.status = status
+        self.payload = payload
+        self.timing = 0.0
 
     def render(self, fmt: str) -> str:
         if fmt == "machine":
@@ -355,7 +354,13 @@ def _cmd_virasoro(args, params) -> Report:
                   {name: bool(ok) for name, ok in checks.items()})
 
 
-def _read_config(path: str) -> dict[str, str]:
+# the keys a --config file may set, each to an integer
+CONFIG_KEYS = ("degree_bound", "weight", "trials")
+
+
+def _read_config(path: str) -> dict[str, int]:
+    """The `key = value` lines of a config file (`#` starts a comment): each
+    key one of CONFIG_KEYS, given once, with an integer value."""
     out = {}
     try:
         handle = open(path)
@@ -368,8 +373,17 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise UsageError(f"bad config line: {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"config key {key!r} is not one of "
+                                 f"{', '.join(CONFIG_KEYS)}")
+            if key in out:
+                raise UsageError(f"config key {key} is given twice")
+            try:
+                out[key] = int(value)
+            except ValueError as exc:
+                raise UsageError(f"config {key} needs an integer, "
+                                 f"got {value!r}") from exc
     return out
 
 
@@ -478,15 +492,11 @@ def main(argv=None) -> int:
         command = argv[0] if argv and argv[0] in COMMANDS else None
         args = build_parser(command).parse_args(argv)
         if args.config:
-            config = _read_config(args.config)
             # a config key fills a flag only where the subcommand declares it
-            for key in ("degree_bound", "weight", "trials"):
-                if key in config and getattr(args, key, 0) is None:
-                    try:
-                        setattr(args, key, int(config[key]))
-                    except ValueError as exc:
-                        raise UsageError(f"config {key} needs an integer, "
-                                         f"got {config[key]!r}") from exc
+            # and the command line leaves it unset
+            for key, value in _read_config(args.config).items():
+                if getattr(args, key, 0) is None:
+                    setattr(args, key, value)
         params = _parse_params(args.param)
         unread = sorted(params.keys() - _parse_expressions(args))
         if unread:
@@ -501,6 +511,11 @@ def main(argv=None) -> int:
         return 2
     except VertexAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the Fock engine recurses once per unit of an exponent
+        print("error: the input is too deep for the recursive engine "
+              f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 1
     print(report.render(args.format))
     return 0 if report.status in PASSING else 1

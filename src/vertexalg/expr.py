@@ -18,7 +18,6 @@ tokens it expected there.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -30,50 +29,74 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class _Node:
+    """A syntax-tree node: positional fields named by __slots__, immutable,
+    hashable, and equal only to a node of the same class with equal fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} "
+                            f"arguments, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.fields() == other.fields()
+
+    def __hash__(self):
+        return hash(self.fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def __reduce__(self):
+        return type(self), self.fields()
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
+class Num(_Node):
+    __slots__ = ("value",)  # Fraction
 
 
-@dataclass(frozen=True)
-class Translate:
-    arg: "Node"
+class Ident(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Gluing:
-    a: int
-    b: int
+class Translate(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*"
-    left: "Node"
-    right: "Node"
+class Gluing(_Node):
+    __slots__ = ("a", "b")  # ints
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")  # op is "+", "-" or "*"
 
 
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
+class Neg(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class NProd:
-    left: "Node"
-    n: int
-    right: "Node"
+class Power(_Node):
+    __slots__ = ("base", "exponent")  # exponent: int
+
+
+class NProd(_Node):
+    __slots__ = ("left", "n", "right")  # n: int
 
 
 Node = Num | Ident | Translate | Gluing | BinOp | Neg | Power | NProd
@@ -87,8 +110,8 @@ def identifiers(node: Node) -> set[str]:
     """Every identifier name occurring in the tree."""
     if isinstance(node, Ident):
         return {node.name}
-    return set().union(*(identifiers(child) for child in vars(node).values()
-                         if isinstance(child, Node)))
+    return set().union(*(identifiers(child) for child in node.fields()
+                         if isinstance(child, _Node)))
 
 
 def is_identifier(text: str) -> bool:

@@ -25,9 +25,8 @@ Fraction, so arithmetic stays exact while integer work runs on plain ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import InvalidInput, NonlinearCondition, NonScalarDivisor, VariableMismatch
 
@@ -330,8 +329,7 @@ ZERO = ParamScalar.zero()
 ONE = ParamScalar.one()
 
 
-@dataclass
-class LinearSolution:
+class LinearSolution(NamedTuple):
     """Outcome of an exact affine-linear solve in the formal parameters.
 
     Assignment values are ParamScalars: they may involve the parameters that
@@ -364,8 +362,7 @@ def _affine_split(eq: ParamScalar,
     return coeffs, eq._new(const)
 
 
-@dataclass
-class Echelon:
+class Echelon(NamedTuple):
     """Reduced row echelon form of a sparse rational system  A x = b.
 
     `rows` maps each pivot column, in increasing order, to its row: 1 at the

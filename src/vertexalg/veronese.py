@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .algebroid import WeightOneElement, embed, extract, fock_algebra
 from .errors import InvalidInput, VertexAlgError
@@ -51,13 +51,14 @@ ExpVec = tuple[int, ...]
 Columns = dict[tuple[str, ExpVec], int]  # (generator, monomial) -> unknown
 
 
-@dataclass
 class VeroneseModel:
-    n: int
-    N: int
-    degree_bound: int
-    variables: tuple[str, ...]
-    generators: dict[str, ExpVec]
+    def __init__(self, n: int, N: int, degree_bound: int,
+                 variables: tuple[str, ...], generators: dict[str, ExpVec]):
+        self.n = n
+        self.N = N
+        self.degree_bound = degree_bound
+        self.variables = variables
+        self.generators = generators
 
     def generator_element(self, name: str) -> LaurentElement:
         return LaurentElement.monomial(self.variables, self.generators[name])
@@ -83,8 +84,7 @@ class VeroneseModel:
         return relations
 
 
-@dataclass
-class ChargeResult:
+class ChargeResult(NamedTuple):
     status: str  # "unique" | "unconstrained" | "no_solution"
     charge: Fraction | None
     admissible_gluing: GluingForm | None
@@ -273,8 +273,7 @@ def solve_charge(model: VeroneseModel) -> ChargeResult:
 # -- graded derivations --------------------------------------------------------
 
 
-@dataclass
-class DerivationReport:
+class DerivationReport(NamedTuple):
     degree: int
     dimension: int
     monomials: list[ExpVec]

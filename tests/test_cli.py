@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +329,43 @@ def test_config_fills_only_declared_flags(tmp_path, capsys):
     code, _, err = run(capsys, "axioms", "--seed", "1", "--config", str(cfg))
     assert code == 2
     assert "--trials must be at least 1" in err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("degre_bound = 9\n", "degre_bound"),
+    ("weight = 4\n# again\nweight = 5\n", "weight"),
+    ("trials = 3/2\n", "trials"),
+    ("degree_bound = 6\nseed = 1\n", "seed"),
+])
+def test_config_rejects_unknown_repeated_and_non_integer_keys(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    # quantize takes degree_bound only; the others are still checked
+    code, out, err = run(capsys, "quantize", "--N", "3", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: config") and key in err
+
+
+def test_too_deep_input_is_an_engine_error(capsys):
+    # the Fock recursion goes once per unit of an exponent
+    code, out, err = run(capsys, "nprod", "y1^1000 * y2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the input is too deep for the recursive engine")
+    assert "Traceback" not in err
+    # the engine still works afterwards
+    assert run(capsys, "nprod", "y1^3 * y2")[0] == 0
+
+
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    # the modules that importing the CLI adds to those of a bare interpreter
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    script = ("import sys; before = set(sys.modules); import vertexalg.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "vertexalg.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 # -- property: any argv of the grammar ends in exit 0, 1 or 2 -----------------

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from vertexalg.expr import (
     ParseError,
     Power,
     Translate,
+    identifiers,
     parse_expr,
 )
 
@@ -68,3 +70,34 @@ def test_parse_errors():
         parse_expr("w[1]")
     with pytest.raises(ParseError):
         parse_expr("y1 y2")
+
+
+def test_nodes_are_frozen_hashable_and_type_strict():
+    y1 = Ident("y1")
+    # equal fields in different node classes do not make equal nodes
+    assert Neg(y1) != Translate(y1)
+    assert Neg(y1) == Neg(Ident("y1"))
+    assert BinOp("+", y1, y1) != BinOp("-", y1, y1)
+    assert Gluing(1, 2) != (1, 2)
+    with pytest.raises(AttributeError):
+        y1.name = "y2"
+    with pytest.raises(AttributeError):
+        del y1.name
+    assert y1.name == "y1"
+    tree = parse_expr("y1^2*y2^-1 - 3/2")
+    assert hash(tree) == hash(parse_expr(" y1 ^ 2 * y2 ^ -1 - 3/2"))
+    assert len({Neg(y1), Neg(Ident("y1")), Translate(y1)}) == 2
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    with pytest.raises(TypeError):
+        Power(y1)
+    assert identifiers(parse_expr("k*T(y1^2) .(0) w[1,1] - c")) == {"k", "y1", "c"}
+
+
+def test_node_repr():
+    assert repr(Num(Fraction(3, 2))) == "Num(value=Fraction(3, 2))"
+    assert repr(parse_expr("y1^2*y2^-1 - 3/2")) == (
+        "BinOp(op='-', left=BinOp(op='*', left=Power(base=Ident(name='y1'), exponent=2), "
+        "right=Power(base=Ident(name='y2'), exponent=-1)), right=Num(value=Fraction(3, 2)))")
+    assert repr(parse_expr("T(k*y1) .(-1) w[1,2]")) == (
+        "NProd(left=Translate(arg=BinOp(op='*', left=Ident(name='k'), right=Ident(name='y1'))), "
+        "n=-1, right=Gluing(a=1, b=2))")

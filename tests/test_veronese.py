@@ -156,6 +156,52 @@ def test_relation_defect_closed_form():
                 assert d.form_part == OneForm(V, components), (N, r, pair)
 
 
+def _sympy(x: ParamScalar):
+    return sum((sympy.Rational(c) * sympy.Mul(*(sympy.Symbol(name) ** e for name, e in mono))
+                for mono, c in x.terms.items()), sympy.Integer(0))
+
+
+def test_charge_from_the_block_algebra():
+    # A closed-form defect (above) has degree N, so its multiplier has degree
+    # 0 and its multidegree block holds one span column: d(x_g) for the
+    # generator x_g of the same exponent, g1 y1^(g1-1) y2^g2 dy1 +
+    # g2 y1^g1 y2^(g2-1) dy2.  On the generic r the defect has both terms, and
+    # it is in the span exactly when its 2x2 minor against d(x_g) vanishes.
+    N, r, k = sympy.symbols("N r k")
+    # pair: ((dy1, dy2) coefficients, exponent of x_g, minor, minor at k = N - 1)
+    blocks = {
+        ("E12", "E22"): ((N - 1 - 2 * r - k, -2 * (N - 1 - r)), (r + 1, N - 1 - r),
+                         (N - 1 - r) * (N + 1 - k), 2 * (N - 1 - r)),
+        ("E11", "E21"): ((2 * r, N - 1 - 2 * r + k), (r, N - r),
+                         r * (N + 1 - k), 2 * r),
+    }
+    for (a, b), (g1, g2), minor, at_n_minus_1 in blocks.values():
+        det = a * g2 - b * g1
+        assert sympy.factor(det) == sympy.factor(minor)
+        assert len(sympy.factor_list(det)[1]) == 2
+        assert sympy.expand(det.subs(k, N - 1) - at_n_minus_1) == 0
+    # elimination with the first row of the defect as pivot row leaves the
+    # second row's residual: -minor/g1 when dy1 comes first, minor/g2 when dy2
+    # does; it vanishes exactly at k = N + 1
+    for Nv in range(2, 13):
+        model = build_model(2, Nv)
+        for pair, (_, gexp, minor, _) in blocks.items():
+            generic = range(Nv - 1) if pair == ("E12", "E22") else range(1, Nv)
+            for rv in range(Nv):
+                defect = relation_defect(model, rv, pair).form_part
+                got = membership_residuals(defect, model)
+                if rv not in generic:
+                    assert len(defect.terms) == 1 and got == [], (Nv, pair, rv)
+                    continue
+                assert sorted(defect.terms) == [1, 2] and len(got) == 1
+                values = {N: Nv, r: rv}
+                pivot = next(iter(defect.terms))
+                predicted = minor.subs(values) / gexp[pivot - 1].subs(values)
+                if pivot == 1:
+                    predicted = -predicted
+                assert sympy.expand(_sympy(got[0]) - predicted) == 0, (Nv, pair, rv)
+
+
 def test_relation_defect_chart_cache_is_keyed_by_value():
     # calls at different k interleave; 3 and ParamScalar.of(3) share an entry
     def at(form: OneForm, value) -> OneForm:
