@@ -18,16 +18,7 @@ from typing import NamedTuple
 
 from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
-from .laurent import (
-    LaurentElement,
-    OneForm,
-    VectorField,
-    bracket as vf_bracket,
-    de_rham,
-    degrees,
-    iota_one,
-    lie_derivative,
-)
+from .laurent import LaurentElement, OneForm, de_rham, degrees
 from .scalar import ONE, ZERO, LinearCombination, ParamScalar, accumulate, solve_linear_system
 
 
@@ -316,42 +307,6 @@ def oracle_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
     if n == 1:
         return alg.to_laurent(res)
     return extract(res, u.chart)
-
-
-# -- symbols and the classical comparison ------------------------------------
-
-
-def symbol(v: WeightOneElement) -> tuple[VectorField, OneForm]:
-    """Projection to the classical Courant algebroid: vector field plus form."""
-    return VectorField(v.variables, dict(v.field_part)), v.form_part
-
-
-def classical_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
-    """The Courant (quasiclassical) product of the symbols."""
-    tau_u, om_u = symbol(u)
-    tau_v, om_v = symbol(v)
-    variables = u.variables
-    if n == 1:
-        return iota_one(tau_u, om_v) + iota_one(tau_v, om_u)
-    if n == 0:
-        br = vf_bracket(tau_u, tau_v)
-        form = lie_derivative(tau_u, om_v) - lie_derivative(tau_v, om_u) \
-            + de_rham(iota_one(tau_v, om_u))
-        return WeightOneElement(u.chart, variables, br.terms, form)
-    raise InvalidInput("only n in {0, 1}")
-
-
-def classical_defect(u: WeightOneElement, n: int, v: WeightOneElement):
-    """Quantum minus classical product; must sit one filtration step down."""
-    if n == 1:
-        return vprod(u, 1, v) - classical_vprod(u, 1, v)
-    defect = vprod(u, 0, v) - classical_vprod(u, 0, v)
-    if defect.field_part:
-        raise RuleOracleDivergence(
-            f"weight-0 defect {defect!r} has a vector-field component; "
-            "filtration violated"
-        )
-    return defect
 
 
 # -- morphism checking ---------------------------------------------------------

@@ -126,6 +126,22 @@ def _name(name: str, n_vars: int, params: dict[str, Fraction]):
     return ParamScalar.of(params[name]) if name in params else ParamScalar.var(name)
 
 
+def _eval_sum(node, evaluate):
+    """Evaluate a '+'/'-' chain term by term.  The parser builds a long sum as
+    a left-leaning BinOp chain, so it is walked in a loop, not recursively."""
+    terms = []
+    while isinstance(node, BinOp) and node.op != "*":
+        terms.append((node.op, node.right))
+        node = node.left
+    out = evaluate(node)
+    for op, term in reversed(terms):
+        value = evaluate(term)
+        if type(value) is not type(out):
+            raise UsageError("cannot add a scalar and a gluing form")
+        out = out + value if op == "+" else out - value
+    return out
+
+
 def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     """Evaluate an expression tree inside the free-field algebra."""
     if isinstance(node, Num):
@@ -142,14 +158,11 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
         raise UsageError("gluing symbols w[a,b] only make sense in --omega")
     if isinstance(node, Neg):
         return -eval_fock(node.arg, alg, params)
+    if isinstance(node, BinOp) and node.op != "*":
+        return _eval_sum(node, lambda term: eval_fock(term, alg, params))
     if isinstance(node, BinOp):
-        left = eval_fock(node.left, alg, params)
-        right = eval_fock(node.right, alg, params)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return nproduct(left, -1, right)
+        return nproduct(eval_fock(node.left, alg, params), -1,
+                        eval_fock(node.right, alg, params))
     if isinstance(node, Power):
         base = eval_fock(node.base, alg, params)
         if not base.weight:  # weight 0 or the zero element: a chart function
@@ -180,20 +193,18 @@ def eval_gluing(node, params: dict[str, Fraction]):
         return GluingForm.basis(node.a, node.b)
     if isinstance(node, Neg):
         return -eval_gluing(node.arg, params)
+    if isinstance(node, BinOp) and node.op != "*":
+        return _eval_sum(node, lambda term: eval_gluing(term, params))
     if isinstance(node, BinOp):
         left = eval_gluing(node.left, params)
         right = eval_gluing(node.right, params)
-        if node.op == "*":
-            if isinstance(left, ParamScalar) and isinstance(right, GluingForm):
-                return right.scale(left)
-            if isinstance(left, GluingForm) and isinstance(right, ParamScalar):
-                return left.scale(right)
-            if isinstance(left, ParamScalar) and isinstance(right, ParamScalar):
-                return left * right
-            raise UsageError("cannot multiply two gluing forms")
-        if type(left) is not type(right):
-            raise UsageError("cannot add a scalar and a gluing form")
-        return left + right if node.op == "+" else left - right
+        if isinstance(left, ParamScalar) and isinstance(right, GluingForm):
+            return right.scale(left)
+        if isinstance(left, GluingForm) and isinstance(right, ParamScalar):
+            return left.scale(right)
+        if isinstance(left, ParamScalar) and isinstance(right, ParamScalar):
+            return left * right
+        raise UsageError("cannot multiply two gluing forms")
     if isinstance(node, Power):
         base = eval_gluing(node.base, params)
         if isinstance(base, ParamScalar):

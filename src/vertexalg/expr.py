@@ -13,6 +13,10 @@ Rationals are written p or p/q; identifiers cover coordinates (y1, y2, ...),
 frame fields (d1, d2, ...), and free parameters (k, c, ...).  The parser is
 whitespace-insensitive and reports errors with a position and the set of
 tokens it expected there.
+
+Brackets '(' and 'T(' nest at most 100 deep (`_MAX_NESTING`); deeper input
+is a ParseError, since the parser recurses once per level.  A chain of '+' and
+'-' builds a left-leaning BinOp chain of any length; walk it in a loop.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ class NProd(_Node):
 
 Node = Num | Ident | Translate | Gluing | BinOp | Neg | Power | NProd
 
+_MAX_NESTING = 100
 _IDENT = r"[A-Za-z_]\w*"
 _TOKEN = re.compile(rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>{_IDENT})"
                     r"|(?P<dot>\.\()|(?P<sym>[-+*^()\[\],]))")
@@ -108,10 +113,13 @@ _TOKEN = re.compile(rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<ident>{_IDENT})"
 
 def identifiers(node: Node) -> set[str]:
     """Every identifier name occurring in the tree."""
-    if isinstance(node, Ident):
-        return {node.name}
-    return set().union(*(identifiers(child) for child in node.fields()
-                         if isinstance(child, _Node)))
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Ident):
+            names.add(node.name)
+        stack.extend(child for child in node.fields() if isinstance(child, _Node))
+    return names
 
 
 def is_identifier(text: str) -> bool:
@@ -147,6 +155,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -228,10 +237,7 @@ class _Parser:
         if tok[0] == "ident":
             self.i += 1
             if tok[1] == "T" and self.peek()[0] == "(":
-                self.take("(")
-                inner = self.expr()
-                self.take(")")
-                return Translate(inner)
+                return Translate(self.bracketed())
             if tok[1] == "w" and self.peek()[0] == "[":
                 self.take("[")
                 a = self.signed_int()
@@ -241,12 +247,20 @@ class _Parser:
                 return Gluing(a, b)
             return Ident(tok[1])
         if tok[0] == "(":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return inner
+            return self.bracketed()
         raise ParseError(f"unexpected {tok[1] or 'end of input'!r}", tok[2],
                          {"number", "identifier", "T(", "w[", "("})
+
+    def bracketed(self) -> Node:
+        """'(' expr ')', at most _MAX_NESTING levels deep."""
+        tok = self.take("(")
+        if self.nesting == _MAX_NESTING:
+            raise ParseError(f"brackets nest deeper than {_MAX_NESTING}", tok[2], set())
+        self.nesting += 1
+        inner = self.expr()
+        self.take(")")
+        self.nesting -= 1
+        return inner
 
 
 def parse_expr(text: str) -> Node:

@@ -1,18 +1,15 @@
-"""Laurent polynomial chart rings with the classical calculus of their
-functions, one-forms and vector fields.
+"""Laurent polynomial chart rings and their one-forms.
 
 Elements are sparse maps from integer exponent vectors (negative exponents
-allowed: chart localization) to ParamScalar coefficients.  One-forms and
-vector fields are sparse maps from coordinate indices to ring elements.  All
-of them are LinearCombinations (see `scalar`), and the classical Courant
-operations (Lie bracket, Lie derivative, contraction) are implemented by
-their coordinate formulas.
+allowed: chart localization) to ParamScalar coefficients.  One-forms are
+sparse maps from coordinate indices to ring elements.  Both are
+LinearCombinations (see `scalar`); `de_rham` is the differential between them.
 
 Coordinate indices are 1-based throughout (y1, y2, ...).
 
 Elements are immutable, so a LaurentElement keeps each partial derivative
 once computed (`derive`); a result built from it by `_new` starts with none.
-The three classes share one `_new`, which stores the variable list.
+The two classes share one `_new`, which stores the variable list.
 
 Grading: the internal degree of a monomial y^e is sum(e); dy_j adds +1 and
 d/dy_i adds -1.  Each class of components declares this shift for its keys
@@ -169,24 +166,6 @@ class LaurentElement(LinearCombination):
         return " + ".join(parts)
 
 
-def _components(variables: tuple[str, ...], components: Mapping | None) -> dict:
-    """The nonzero components, each checked to be a ring element over variables."""
-    clean = {}
-    for key, val in (components or {}).items():
-        if not val:
-            continue
-        if val.variables != variables:
-            raise VariableMismatch("component over wrong variable list")
-        clean[key] = val
-    return clean
-
-
-def _show(form, symbol) -> str:
-    if not form._terms:
-        return "0"
-    return " + ".join(f"({v})*{symbol(key)}" for key, v in sorted(form._terms.items()))
-
-
 class OneForm(LinearCombination):
     """Sum g_j dy_j, components keyed by 1-based coordinate index."""
 
@@ -196,25 +175,19 @@ class OneForm(LinearCombination):
 
     def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
         self.variables = tuple(variables)
-        super().__init__(_components(self.variables, components))
+        clean = {}
+        for j, g in (components or {}).items():
+            if g:
+                if g.variables != self.variables:
+                    raise VariableMismatch("component over wrong variable list")
+                clean[j] = g
+        super().__init__(clean)
 
     def __repr__(self):
-        return _show(self, lambda j: f"d{self.variables[j - 1]}")
-
-
-class VectorField(LinearCombination):
-    """Sum f_i d/dy_i, components keyed by 1-based coordinate index."""
-
-    __slots__ = ("variables",)
-    _new = _new_over_variables
-    degree_shift = staticmethod(lambda i: -1)
-
-    def __init__(self, variables: tuple[str, ...], components: Mapping | None = None):
-        self.variables = tuple(variables)
-        super().__init__(_components(self.variables, components))
-
-    def __repr__(self):
-        return _show(self, lambda i: f"D{self.variables[i - 1]}")
+        if not self._terms:
+            return "0"
+        return " + ".join(f"({g})*d{self.variables[j - 1]}"
+                          for j, g in sorted(self._terms.items()))
 
 
 # -- exterior calculus ---------------------------------------------------
@@ -226,55 +199,12 @@ def de_rham(f: LaurentElement) -> OneForm:
     return OneForm(f.variables, {j: f.derive(j) for j in range(1, n + 1)})
 
 
-def apply_field(tau: VectorField, f: LaurentElement) -> LaurentElement:
-    out = LaurentElement(f.variables)
-    for i, comp in tau.terms.items():
-        out = out + comp * f.derive(i)
-    return out
-
-
-def bracket(tau: VectorField, xi: VectorField) -> VectorField:
-    """Lie bracket of vector fields."""
-    tau._check(xi)
-    comps: dict[int, LaurentElement] = {}
-    for j, g in xi.terms.items():
-        accumulate(comps, j, apply_field(tau, g))
-    for j, f in tau.terms.items():
-        accumulate(comps, j, -apply_field(xi, f))
-    return VectorField(tau.variables, comps)
-
-
-def iota_one(tau: VectorField, omega: OneForm) -> LaurentElement:
-    """Contraction of a vector field with a one-form."""
-    tau._check(omega)
-    out = LaurentElement(tau.variables)
-    for i, f in tau.terms.items():
-        g = omega.get(i)
-        if g is not None:
-            out = out + f * g
-    return out
-
-
-def lie_derivative(tau: VectorField, omega: OneForm) -> OneForm:
-    """Lie derivative of a one-form: (L_tau w)_j = sum_i tau_i d_i w_j + w_i d_j tau_i."""
-    tau._check(omega)
-    comps: dict[int, LaurentElement] = {}
-    for j, g in omega.terms.items():
-        accumulate(comps, j, apply_field(tau, g))
-    for i, f in tau.terms.items():
-        g = omega.get(i)
-        if g is not None:
-            for j, df in de_rham(f).terms.items():
-                accumulate(comps, j, g * df)
-    return OneForm(tau.variables, comps)
-
-
 # -- grading --------------------------------------------------------------
 
 
 def degrees(obj) -> set[int]:
-    """The internal degrees of the monomials of a function, or of a form,
-    vector field or section (whose class declares `degree_shift`)."""
+    """The internal degrees of the monomials of a function, or of a one-form
+    or weight-one section (whose class declares `degree_shift`)."""
     if isinstance(obj, LaurentElement):
         return {sum(exp) for exp in obj._terms}
     shift = obj.degree_shift
@@ -288,15 +218,3 @@ def homogeneous_degree(obj) -> int | None:
     if len(degs) > 1:
         raise InhomogeneousInput(f"input has mixed internal degrees {sorted(degs)}")
     return next(iter(degs), None)
-
-
-def zn_weight(obj, N: int):
-    """Common residue mod N of all internal degrees, or "inhomogeneous"."""
-    if N < 1:
-        raise InvalidInput("N must be positive")
-    residues = {d % N for d in degrees(obj)}
-    if not residues:
-        return 0
-    if len(residues) > 1:
-        return "inhomogeneous"
-    return residues.pop()

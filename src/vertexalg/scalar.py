@@ -2,13 +2,12 @@
 
 Every exact object of the package is a LinearCombination: a sparse map
 {key: value} that never stores a zero value.  ParamScalar (here), the Laurent
-elements, one-forms and vector fields of `laurent`, the weight-one sections
-of `algebroid`, the gluing forms of `geometry` and the Fock elements of
-`freefield` share its sum, difference, negation, scaling, equality and
-hashing.  Canonical form is enforced in two places only: each public
-constructor checks what it is given, coerces every scalar through
-`ParamScalar.of` and drops zeros, and every sum goes through `accumulate`,
-which drops a key whose value cancels.
+elements and one-forms of `laurent`, the weight-one sections of `algebroid`,
+the gluing forms of `geometry` and the Fock elements of `freefield` share its
+sum, difference, negation, scaling, equality and hashing.  Canonical form
+is enforced in two places only: each public constructor checks what it is
+given, coerces every scalar through `ParamScalar.of` and drops zeros, and
+every sum goes through `accumulate`, which drops a key whose value cancels.
 Arithmetic results are built by `LinearCombination._new` from terms that are
 already canonical, so they are never coerced or checked again.  `_new` makes
 one object per result and stores its context (the variable list, the chart,

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from classical import bracket
 from vertexalg import algebroid
 from vertexalg.algebroid import (
     WeightOneElement,
-    classical_defect,
     embed,
     extract,
     fock_algebra,
@@ -17,11 +17,10 @@ from vertexalg.algebroid import (
     gl_pairing_table,
     morphism_check,
     oracle_vprod,
-    symbol,
     vprod,
 )
 from vertexalg.errors import ChartMismatch, RuleOracleDivergence
-from vertexalg.laurent import LaurentElement, OneForm, VectorField, bracket, degrees
+from vertexalg.laurent import LaurentElement, OneForm, degrees
 from vertexalg.scalar import ZERO, ParamScalar, solve_linear_system
 
 V = ("y1", "y2")
@@ -91,23 +90,6 @@ def test_chart_mismatch():
         u + other
     assert u != other and u.terms == other.terms
     assert u == fld(1, mono(1, 0)) and hash(u) == hash(fld(1, mono(1, 0)))
-
-
-def test_symbol():
-    k = ParamScalar.var("k")
-    v = fld(1, mono(0, 1)) + frm({2: mono(-1, 0, -1).scale(k)})
-    tau, om = symbol(v)
-    assert tau == VectorField(V, {1: mono(0, 1)})
-    assert om == OneForm(V, {2: mono(-1, 0, -1).scale(k)})
-
-
-def test_classical_defect_filtration():
-    d = classical_defect(fld(2, mono(1, 0)), 1, fld(1, mono(0, 1)))
-    assert d == LaurentElement.constant(V, -1)
-    d0 = classical_defect(fld(1, LaurentElement.constant(V, 1)), 0, fld(2, mono(1, 0)))
-    assert d0.is_zero()
-    d0 = classical_defect(fld(1, mono(2, 1)), 0, fld(2, mono(1, 2)))
-    assert not d0.field_part
 
 
 def test_embed_extract_roundtrip():
@@ -180,10 +162,7 @@ def test_symbol_intertwines_bracket_random():
     for _ in range(100):
         u = random_element(rng)
         v = random_element(rng)
-        tau_u, _ = symbol(u)
-        tau_v, _ = symbol(v)
-        tau_out, _ = symbol(vprod(u, 0, v))
-        assert tau_out == bracket(tau_u, tau_v)
+        assert vprod(u, 0, v).field_part == bracket(u.field_part, v.field_part)
 
 
 def gl2_images(k):

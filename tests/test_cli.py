@@ -356,6 +356,19 @@ def test_too_deep_input_is_an_engine_error(capsys):
     assert run(capsys, "nprod", "y1^3 * y2")[0] == 0
 
 
+def test_deep_brackets_are_a_usage_error_and_long_sums_evaluate(capsys):
+    deep = "(" * 1000 + "y1" + ")" * 1000
+    code, out, err = run(capsys, "nprod", deep)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: brackets nest deeper than")
+    # a flat sum is walked in a loop, however long
+    code, out, _ = run(capsys, "nprod", "+".join(["y1"] * 2000), "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["value"] == "2000*y1"
+    code, out, _ = run(capsys, "glue-check", "--omega", "+".join(["w[1,1]"] * 2000),
+                       "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["omega"] == "(2000)*w[1,1]"
+
+
 def test_startup_loads_neither_dataclasses_nor_inspect():
     # the modules that importing the CLI adds to those of a bare interpreter
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

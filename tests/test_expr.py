@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vertexalg import expr
 from vertexalg.expr import (
     BinOp,
     Gluing,
@@ -70,6 +71,16 @@ def test_parse_errors():
         parse_expr("w[1]")
     with pytest.raises(ParseError):
         parse_expr("y1 y2")
+
+
+def test_bracket_nesting_limit():
+    # '(' and 'T(' share one depth count; one level past the limit is an error
+    limit = expr._MAX_NESTING
+    for opening in ("(" * limit, "T(" * limit, "(T(" * (limit // 2)):
+        text = opening + "y1" + ")" * len(opening.replace("T", ""))
+        parse_expr(text)
+        with pytest.raises(ParseError, match=f"nest deeper than {limit}"):
+            parse_expr("(" + text + ")")
 
 
 def test_nodes_are_frozen_hashable_and_type_strict():

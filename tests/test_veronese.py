@@ -15,9 +15,9 @@ from vertexalg.laurent import (
     LaurentElement,
     OneForm,
     de_rham,
+    degrees,
     exponent_vectors,
     homogeneous_degree,
-    zn_weight,
 )
 from vertexalg.scalar import ZERO, Echelon, ParamScalar, row_reduce
 from vertexalg.veronese import (
@@ -232,8 +232,7 @@ def test_relation_defect_all_instances_at_charge():
                 d = relation_defect(m, r, pair, N + 1)
                 assert not d.field_part
                 assert omega_membership(d.form_part, m), (N, pair, r)
-                wt = zn_weight(d.form_part, N)
-                assert wt in (0, "inhomogeneous") or d.form_part.is_zero()
+                assert degrees(d.form_part) == {N}, (N, pair, r)
 
 
 def test_relation_defect_rejects_bad_input():
@@ -386,7 +385,7 @@ def test_higher_witness():
         witness, verdict = higher_witness(m)
         assert verdict == "non-quantizable"
         assert not witness.field_part
-        assert zn_weight(witness.form_part, N) == 0
+        assert degrees(witness.form_part) == {N}
         assert not omega_membership(witness.form_part, m)
 
 
