@@ -13,13 +13,15 @@ once; every sample still runs both products in the engine.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
 from .laurent import LaurentElement, OneForm, de_rham, degrees
-from .scalar import ONE, ZERO, LinearCombination, ParamScalar, accumulate, solve_linear_system
+from .scalar import LinearCombination, ParamScalar, accumulate, solve_linear_system
 
 
 class WeightOneElement(LinearCombination):
@@ -319,92 +321,63 @@ class MorphismReport(NamedTuple):
 
 
 def gl_basis(n: int) -> list[str]:
-    return [f"E{a}{b}" for a in range(1, n + 1) for b in range(1, n + 1)]
+    """The names of the currents E_ab in (a, b) order: E{a}{b} up to n = 9,
+    E{a},{b} from n = 10 on, where the short names would collide."""
+    sep = "," if n > 9 else ""
+    return [f"E{a}{sep}{b}" for a in range(1, n + 1) for b in range(1, n + 1)]
 
 
-def gl_bracket_table(n: int) -> dict[tuple[str, str], dict[str, ParamScalar]]:
-    """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb."""
-    table = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                for d in range(1, n + 1):
-                    out: dict[str, ParamScalar] = {}
-                    if b == c:
-                        accumulate(out, f"E{a}{d}", ONE)
-                    if d == a:
-                        accumulate(out, f"E{c}{b}", -ONE)
-                    table[(f"E{a}{b}", f"E{c}{d}")] = out
-    return table
+def morphism_check(images: dict[str, WeightOneElement]) -> MorphismReport:
+    """Verify a gl_n-to-algebroid morphism and solve for its levels (k1, k2).
 
-
-def gl_pairing_table(n: int):
-    """(a, b) = k1 tr(a0 b0) + k2 tr(a) tr(b) / n, a0 the traceless part;
-    with t = tr(a) tr(b) / n that is k1 (tr(ab) - t) + k2 t.  Every pair has
-    an entry; the zero entries share ZERO."""
-    k1, k2 = (("k1", 1),), (("k2", 1),)
-    table = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                for d in range(1, n + 1):
-                    tr_prod = int(b == c and a == d)
-                    trace = Fraction(int(a == b and c == d), n)
-                    table[(f"E{a}{b}", f"E{c}{d}")] = ParamScalar(
-                        {k1: tr_prod - trace, k2: trace}) if tr_prod or trace else ZERO
-    return table
-
-
-def morphism_check(basis: list[str],
-                   brackets: dict[tuple[str, str], dict[str, ParamScalar]],
-                   pairing: dict[tuple[str, str], ParamScalar],
-                   images: dict[str, "WeightOneElement"]) -> MorphismReport:
-    """Verify a Lie-algebra-to-algebroid morphism and solve for the levels.
-
-    Checks rho(a)_(0)rho(b) = rho([a,b]) exactly (field and form parts) and
-    rho(a)_(1)rho(b) = (a,b).  Parameters occurring in the pairing table and
-    not in the images are solved for; every pair's equation is re-verified at
-    the solved values.  Both products of every pair are computed; equal
-    equations of different pairs are solved and substituted once, and each
-    pair whose equation fails is still reported, in pair order.
+    images maps each name of gl_basis(n) to the image of that current.
+    Checks rho(a)_(0)rho(b) = rho([a,b]) exactly (field and form parts), with
+    [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, and rho(a)_(1)rho(b) =
+    k1 (tr(ab) - t) + k2 t, with t = tr(a) tr(b) / n; every pair's equation
+    is re-verified at the solved levels.  Both products of every pair are
+    computed; equal equations of different pairs are solved and substituted
+    once, and each pair whose equation fails is still reported, in pair order.
     """
-    unknowns = sorted(set().union(*(val.parameters() for val in pairing.values()))
-                      .difference(*(im.parameters() for im in images.values())))
+    n = math.isqrt(len(images))
+    names = gl_basis(n)
+    if set(images) != set(names):
+        raise InvalidInput(f"the images must be keyed by gl_basis({n})")
+    index = range(1, n + 1)
+    name = dict(zip(itertools.product(index, repeat=2), names))
+    pairs = list(itertools.product(index, repeat=4))
     failures = []
     equations = []
-    computed1 = {}
-    for a in basis:
-        for b in basis:
-            p = vprod(images[a], 1, images[b])
-            if p and degrees(p) != {0}:
-                failures.append(((a, b), 1, f"non-scalar pairing {p}"))
-                continue
-            computed1[(a, b)] = p.constant_term()
-            equations.append(((a, b), p.constant_term() - pairing[(a, b)]))
+    for a, b, c, d in pairs:
+        pair = (name[a, b], name[c, d])
+        p = vprod(images[pair[0]], 1, images[pair[1]])
+        if p and degrees(p) != {0}:
+            failures.append((pair, 1, f"non-scalar pairing {p}"))
+            continue
+        tr_prod = int(b == c and a == d)
+        trace = Fraction(int(a == b and c == d), n)
+        pairing = ParamScalar({(("k1", 1),): tr_prod - trace, (("k2", 1),): trace})
+        equations.append((pair, p.constant_term() - pairing))
     levels = None
-    if unknowns:
-        # equal equations span the same rows: solve and re-check each once
-        distinct = list(dict.fromkeys(eq for _, eq in equations))
-        sol = solve_linear_system(distinct, unknowns)
-        if sol.status != "unique":
-            failures.append((("pairing", "solve"), 1, f"level solve {sol.status}"))
-        else:
-            levels = (sol.assignment.get("k1"), sol.assignment.get("k2"))
-            defects = {eq for eq in distinct if eq.substitute(sol.assignment)}
-            for pair, eq in equations:
-                if eq in defects:
-                    failures.append((pair, 1, "pairing defect at solved levels"))
+    # equal equations span the same rows: solve and re-check each once
+    distinct = list(dict.fromkeys(eq for _, eq in equations))
+    sol = solve_linear_system(distinct, ["k1", "k2"])
+    if sol.status != "unique":
+        failures.append((("pairing", "solve"), 1, f"level solve {sol.status}"))
     else:
-        for (a, b), val in computed1.items():
-            if val != pairing[(a, b)]:
-                failures.append(((a, b), 1, f"pairing {val} != {pairing[(a, b)]}"))
-    for a in basis:
-        for b in basis:
-            got = vprod(images[a], 0, images[b])
-            want = WeightOneElement(got.chart, got.variables)
-            for gen, coeff in brackets[(a, b)].items():
-                want = want + images[gen].scale(coeff)
-            if got != want:
-                failures.append(((a, b), 0, f"bracket defect {(got - want)!r}"))
+        levels = (sol.assignment.get("k1"), sol.assignment.get("k2"))
+        defects = {eq for eq in distinct if eq.substitute(sol.assignment)}
+        for pair, eq in equations:
+            if eq in defects:
+                failures.append((pair, 1, "pairing defect at solved levels"))
+    for a, b, c, d in pairs:
+        pair = (name[a, b], name[c, d])
+        got = vprod(images[pair[0]], 0, images[pair[1]])
+        want = WeightOneElement(got.chart, got.variables)
+        if b == c:
+            want = want + images[name[a, d]]
+        if d == a:
+            want = want - images[name[c, b]]
+        if got != want:
+            failures.append((pair, 0, f"bracket defect {(got - want)!r}"))
     status = "pass" if not failures else "fail"
     return MorphismReport(status, levels, failures)

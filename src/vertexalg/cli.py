@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import random
 import sys
 import time
@@ -24,8 +25,6 @@ from .algebroid import (
     extract,
     fock_algebra,
     gl_basis,
-    gl_bracket_table,
-    gl_pairing_table,
     morphism_check,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .errors import (
     WeightBoundExceeded,
 )
 from .expr import (
-    BinOp,
     Gluing,
     Ident,
     Neg,
@@ -43,6 +41,8 @@ from .expr import (
     Num,
     ParseError,
     Power,
+    Product,
+    Sum,
     Translate,
     identifiers,
     is_identifier,
@@ -126,22 +126,6 @@ def _name(name: str, n_vars: int, params: dict[str, Fraction]):
     return ParamScalar.of(params[name]) if name in params else ParamScalar.var(name)
 
 
-def _eval_sum(node, evaluate):
-    """Evaluate a '+'/'-' chain term by term.  The parser builds a long sum as
-    a left-leaning BinOp chain, so it is walked in a loop, not recursively."""
-    terms = []
-    while isinstance(node, BinOp) and node.op != "*":
-        terms.append((node.op, node.right))
-        node = node.left
-    out = evaluate(node)
-    for op, term in reversed(terms):
-        value = evaluate(term)
-        if type(value) is not type(out):
-            raise UsageError("cannot add a scalar and a gluing form")
-        out = out + value if op == "+" else out - value
-    return out
-
-
 def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     """Evaluate an expression tree inside the free-field algebra."""
     if isinstance(node, Num):
@@ -158,11 +142,13 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
         raise UsageError("gluing symbols w[a,b] only make sense in --omega")
     if isinstance(node, Neg):
         return -eval_fock(node.arg, alg, params)
-    if isinstance(node, BinOp) and node.op != "*":
-        return _eval_sum(node, lambda term: eval_fock(term, alg, params))
-    if isinstance(node, BinOp):
-        return nproduct(eval_fock(node.left, alg, params), -1,
-                        eval_fock(node.right, alg, params))
+    # a chain is folded left to right in a loop, however long
+    if isinstance(node, Sum):
+        return functools.reduce(operator.add,
+                                (eval_fock(term, alg, params) for term in node.terms))
+    if isinstance(node, Product):
+        return functools.reduce(lambda left, right: nproduct(left, -1, right),
+                                (eval_fock(factor, alg, params) for factor in node.factors))
     if isinstance(node, Power):
         base = eval_fock(node.base, alg, params)
         if not base.weight:  # weight 0 or the zero element: a chart function
@@ -179,6 +165,22 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     raise UsageError(f"cannot evaluate node {node!r}")
 
 
+def _add_gluing(left, right):
+    if type(left) is not type(right):
+        raise UsageError("cannot add a scalar and a gluing form")
+    return left + right
+
+
+def _multiply_gluing(left, right):
+    if isinstance(left, ParamScalar) and isinstance(right, GluingForm):
+        return right.scale(left)
+    if isinstance(left, GluingForm) and isinstance(right, ParamScalar):
+        return left.scale(right)
+    if isinstance(left, ParamScalar) and isinstance(right, ParamScalar):
+        return left * right
+    raise UsageError("cannot multiply two gluing forms")
+
+
 def eval_gluing(node, params: dict[str, Fraction]):
     """Evaluate an expression tree to a gluing form or a scalar."""
     if isinstance(node, Num):
@@ -193,18 +195,12 @@ def eval_gluing(node, params: dict[str, Fraction]):
         return GluingForm.basis(node.a, node.b)
     if isinstance(node, Neg):
         return -eval_gluing(node.arg, params)
-    if isinstance(node, BinOp) and node.op != "*":
-        return _eval_sum(node, lambda term: eval_gluing(term, params))
-    if isinstance(node, BinOp):
-        left = eval_gluing(node.left, params)
-        right = eval_gluing(node.right, params)
-        if isinstance(left, ParamScalar) and isinstance(right, GluingForm):
-            return right.scale(left)
-        if isinstance(left, GluingForm) and isinstance(right, ParamScalar):
-            return left.scale(right)
-        if isinstance(left, ParamScalar) and isinstance(right, ParamScalar):
-            return left * right
-        raise UsageError("cannot multiply two gluing forms")
+    if isinstance(node, Sum):
+        return functools.reduce(_add_gluing,
+                                (eval_gluing(term, params) for term in node.terms))
+    if isinstance(node, Product):
+        return functools.reduce(_multiply_gluing,
+                                (eval_gluing(factor, params) for factor in node.factors))
     if isinstance(node, Power):
         base = eval_gluing(node.base, params)
         if isinstance(base, ParamScalar):
@@ -310,13 +306,11 @@ def _cmd_morphism(args, params) -> Report:
         images = gl2_chart_images(k)
     else:
         variables = tuple(f"y{i}" for i in range(1, n + 1))
-        images = {}
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                images[f"E{a}{b}"] = WeightOneElement.field(
-                    "U1", variables, b, LaurentElement.coordinate(variables, a))
-    rep = morphism_check(gl_basis(n), gl_bracket_table(n), gl_pairing_table(n),
-                         images)
+        currents = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+        images = {name: WeightOneElement.field(
+                      "U1", variables, b, LaurentElement.coordinate(variables, a))
+                  for name, (a, b) in zip(gl_basis(n), currents)}
+    rep = morphism_check(images)
     payload = {"levels": None if rep.levels is None else
                [str(x) for x in rep.levels],
                "failures": [str(f) for f in rep.failures]}
@@ -532,9 +526,5 @@ def main(argv=None) -> int:
     return 0 if report.status in PASSING else 1
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

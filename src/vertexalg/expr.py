@@ -14,9 +14,11 @@ frame fields (d1, d2, ...), and free parameters (k, c, ...).  The parser is
 whitespace-insensitive and reports errors with a position and the set of
 tokens it expected there.
 
-Brackets '(' and 'T(' nest at most 100 deep (`_MAX_NESTING`); deeper input
-is a ParseError, since the parser recurses once per level.  A chain of '+' and
-'-' builds a left-leaning BinOp chain of any length; walk it in a loop.
+A chain of '+' and '-' parses to one Sum of its terms, each subtracted term
+(and a leading '-') wrapped in Neg, and a chain of '*' to one Product of its
+factors, so a chain of any length is one node; a single term or factor is
+itself.  Brackets '(' and 'T(' nest at most 100 deep (`_MAX_NESTING`); deeper
+input is a ParseError, since the parser recurses once per level.
 """
 
 from __future__ import annotations
@@ -87,8 +89,12 @@ class Gluing(_Node):
     __slots__ = ("a", "b")  # ints
 
 
-class BinOp(_Node):
-    __slots__ = ("op", "left", "right")  # op is "+", "-" or "*"
+class Sum(_Node):
+    __slots__ = ("terms",)  # a tuple of two or more nodes
+
+
+class Product(_Node):
+    __slots__ = ("factors",)  # a tuple of two or more nodes
 
 
 class Neg(_Node):
@@ -103,7 +109,7 @@ class NProd(_Node):
     __slots__ = ("left", "n", "right")  # n: int
 
 
-Node = Num | Ident | Translate | Gluing | BinOp | Neg | Power | NProd
+Node = Num | Ident | Translate | Gluing | Sum | Product | Neg | Power | NProd
 
 _MAX_NESTING = 100
 _IDENT = r"[A-Za-z_]\w*"
@@ -118,7 +124,10 @@ def identifiers(node: Node) -> set[str]:
         node = stack.pop()
         if isinstance(node, Ident):
             names.add(node.name)
-        stack.extend(child for child in node.fields() if isinstance(child, _Node))
+        elif isinstance(node, tuple):
+            stack.extend(node)
+        elif isinstance(node, _Node):
+            stack.extend(node.fields())
     return names
 
 
@@ -176,25 +185,23 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.i += 1
-            node = self.term()
-            if tok[0] == "-":
-                node = Neg(node)
-        else:
-            node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])[0]
-            node = BinOp(op, node, self.term())
-        return node
+        terms = []
+        sign = "+"
+        if self.peek()[0] in ("+", "-"):
+            sign = self.take(self.peek()[0])[0]
+        while True:
+            term = self.term()
+            terms.append(Neg(term) if sign == "-" else term)
+            if self.peek()[0] not in ("+", "-"):
+                return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            sign = self.take(self.peek()[0])[0]
 
     def term(self) -> Node:
-        node = self.factor()
+        factors = [self.factor()]
         while self.peek()[0] == "*":
             self.take("*")
-            node = BinOp("*", node, self.factor())
-        return node
+            factors.append(self.factor())
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def factor(self) -> Node:
         node = self.atom()

@@ -461,23 +461,23 @@ def translate_power(a: FreeFieldElement, j: int) -> FreeFieldElement:
     return out.scale(Fraction(1, math.factorial(j)))
 
 
-def axiom_defect(kind: str, *args, rng=None) -> FreeFieldElement:
+def axiom_defect(kind: str, *args) -> FreeFieldElement:
     """LHS minus RHS of a named axiom instance; zero means the axiom holds."""
     if kind == "vacuum":
         (a,) = args
         vac = a.algebra.vacuum()
-        return nproduct(a, -1, vac, rng) - a
+        return nproduct(a, -1, vac) - a
     if kind == "translation":
         a, n, b = args
-        return nproduct(translate(a), n, b, rng) + nproduct(a, n - 1, b, rng).scale(n)
+        return nproduct(translate(a), n, b) + nproduct(a, n - 1, b).scale(n)
     if kind == "skew":
         a, n, b = args
-        lhs = nproduct(a, n, b, rng)
+        lhs = nproduct(a, n, b)
         alg = a.algebra
         rhs = alg.zero()
         j = 0
         while b.weight + a.weight - (n + j) - 1 >= 0:
-            term = nproduct(b, n + j, a, rng)
+            term = nproduct(b, n + j, a)
             if not term.is_zero():
                 rhs = rhs + translate_power(term, j).scale((-1) ** (n + 1 + j))
             j += 1
@@ -485,34 +485,32 @@ def axiom_defect(kind: str, *args, rng=None) -> FreeFieldElement:
     if kind == "jacobi":
         a, m, b, n, c = args
         alg = a.algebra
-        lhs = nproduct(a, m, nproduct(b, n, c, rng), rng) - nproduct(
-            b, n, nproduct(a, m, c, rng), rng
-        )
+        lhs = nproduct(a, m, nproduct(b, n, c)) - nproduct(b, n, nproduct(a, m, c))
         rhs = alg.zero()
         j = 0
         while a.weight + b.weight - j - 1 >= 0:
             coeff = _binom(m, j)
             if coeff:
-                inner = nproduct(a, j, b, rng)
+                inner = nproduct(a, j, b)
                 if not inner.is_zero():
-                    rhs = rhs + nproduct(inner, m + n - j, c, rng).scale(coeff)
+                    rhs = rhs + nproduct(inner, m + n - j, c).scale(coeff)
             j += 1
         return lhs - rhs
     if kind == "quasi_assoc":
         a, b, c, n = args
         alg = a.algebra
-        lhs = nproduct(nproduct(a, -1, b, rng), n, c, rng)
+        lhs = nproduct(nproduct(a, -1, b), n, c)
         rhs = alg.zero()
         j = 0
         while b.weight + c.weight - (n + j) - 1 >= 0:
-            inner = nproduct(b, n + j, c, rng)
+            inner = nproduct(b, n + j, c)
             if not inner.is_zero():
-                rhs = rhs + nproduct(a, -1 - j, inner, rng)
+                rhs = rhs + nproduct(a, -1 - j, inner)
             j += 1
         for j in range(1, a.weight + c.weight + 1):
-            inner = nproduct(a, -1 + j, c, rng)
+            inner = nproduct(a, -1 + j, c)
             if not inner.is_zero():
-                rhs = rhs + nproduct(b, n - j, inner, rng)
+                rhs = rhs + nproduct(b, n - j, inner)
         return lhs - rhs
     raise InvalidInput(f"unknown axiom kind {kind!r}")
 

@@ -133,7 +133,7 @@ def invariant_sections(degree: int, N: int) -> list[WeightOneElement]:
             for exp in exponent_vectors(degree + 1, 2) for i in (1, 2)]
 
 
-def conformal_glue_check(omega: GluingForm, max_weight: int = 3) -> bool:
+def conformal_glue_check(omega: GluingForm) -> bool:
     """The conformal element survives the twisted gluing.
 
     Embeds L = sum_j T(y_j) applied to frame j on the overlap, rebuilds it
@@ -141,7 +141,7 @@ def conformal_glue_check(omega: GluingForm, max_weight: int = 3) -> bool:
     exactly.
     """
     variables = omega.variables
-    alg = fock_algebra(variables, max_weight)
+    alg = fock_algebra(variables)
     one = LaurentElement.constant(variables, 1)
     rebuilt = alg.zero()
     for j in range(1, len(variables) + 1):

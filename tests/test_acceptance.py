@@ -8,9 +8,6 @@ from vertexalg.algebroid import (
     WeightOneElement,
     embed,
     fock_algebra,
-    gl_basis,
-    gl_bracket_table,
-    gl_pairing_table,
     morphism_check,
     oracle_vprod,
     vprod,
@@ -67,12 +64,10 @@ def test_criterion_2_admissible_gluing():
 
 def test_criterion_3_gl2_levels():
     k = ParamScalar.var("k")
-    rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2),
-                         gl2_chart_images(k))
+    rep = morphism_check(gl2_chart_images(k))
     ok = rep.status == "pass" and rep.levels == (-k - 1, k - 1)
     for N in (2, 3):
-        rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2),
-                             gl2_chart_images(ParamScalar.of(N + 1)))
+        rep = morphism_check(gl2_chart_images(ParamScalar.of(N + 1)))
         ok = ok and rep.status == "pass"
         ok = ok and rep.levels == (ParamScalar.of(-N - 2), ParamScalar.of(N))
     report(3, "gl_2 morphism levels (-k-1, k-1) and (-N-2, N)", ok)
@@ -85,8 +80,7 @@ def test_criterion_4_gln_levels():
         images = {f"E{a}{b}": WeightOneElement.field(
             "affine", variables, b, LaurentElement.coordinate(variables, a))
             for a in range(1, n + 1) for b in range(1, n + 1)}
-        rep = morphism_check(gl_basis(n), gl_bracket_table(n),
-                             gl_pairing_table(n), images)
+        rep = morphism_check(images)
         ok = ok and rep.status == "pass"
         ok = ok and rep.levels == (ParamScalar.of(-1), ParamScalar.of(-1))
     report(4, "tautological gl_n levels (-1, -1)", ok)

@@ -13,15 +13,13 @@ from vertexalg.algebroid import (
     extract,
     fock_algebra,
     gl_basis,
-    gl_bracket_table,
-    gl_pairing_table,
     morphism_check,
     oracle_vprod,
     vprod,
 )
-from vertexalg.errors import ChartMismatch, RuleOracleDivergence
+from vertexalg.errors import ChartMismatch, InvalidInput, RuleOracleDivergence
 from vertexalg.laurent import LaurentElement, OneForm, degrees
-from vertexalg.scalar import ZERO, ParamScalar, solve_linear_system
+from vertexalg.scalar import ONE, ParamScalar, accumulate, solve_linear_system
 
 V = ("y1", "y2")
 C = "overlap"
@@ -136,10 +134,37 @@ def test_oracle_equivalence_more_variables(n):
             assert vprod(u, 0, v) == oracle_vprod(u, 0, v)
 
 
+def _gl_bracket_table(n):
+    """[E_ab, E_cd] = delta_bc E_ad - delta_da E_cb, as {generator: coefficient}."""
+    name = dict(zip(itertools.product(range(1, n + 1), repeat=2), gl_basis(n)))
+    table = {}
+    for a, b, c, d in itertools.product(range(1, n + 1), repeat=4):
+        out = {}
+        if b == c:
+            accumulate(out, name[a, d], ONE)
+        if d == a:
+            accumulate(out, name[c, b], -ONE)
+        table[name[a, b], name[c, d]] = out
+    return table
+
+
+def _gl_pairing_table(n):
+    """(a, b) = k1 tr(a0 b0) + k2 tr(a) tr(b) / n, a0 the traceless part;
+    with t = tr(a) tr(b) / n that is k1 (tr(ab) - t) + k2 t."""
+    name = dict(zip(itertools.product(range(1, n + 1), repeat=2), gl_basis(n)))
+    table = {}
+    for a, b, c, d in itertools.product(range(1, n + 1), repeat=4):
+        tr_prod = int(b == c and a == d)
+        trace = Fraction(int(a == b and c == d), n)
+        table[name[a, b], name[c, d]] = ParamScalar(
+            {(("k1", 1),): tr_prod - trace, (("k2", 1),): trace})
+    return table
+
+
 def test_gl_pairing_table_matches_the_product_formula():
     k1, k2 = ParamScalar.var("k1"), ParamScalar.var("k2")
     for n in range(2, 6):
-        table = gl_pairing_table(n)
+        table = _gl_pairing_table(n)
         assert len(table) == n ** 4
         for a, b, c, d in itertools.product(range(1, n + 1), repeat=4):
             tr_prod = Fraction(1 if (b == c and a == d) else 0)
@@ -175,16 +200,14 @@ def gl2_images(k):
 
 def test_gl2_morphism_formal_levels():
     k = ParamScalar.var("k")
-    rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2),
-                         gl2_images(k))
+    rep = morphism_check(gl2_images(k))
     assert rep.status == "pass", rep.failures
     assert rep.levels == (-k - 1, k - 1)
 
 
 def test_gl2_morphism_specialized_levels():
     for N in (2, 3):
-        rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2),
-                             gl2_images(ParamScalar.of(N + 1)))
+        rep = morphism_check(gl2_images(ParamScalar.of(N + 1)))
         assert rep.status == "pass", rep.failures
         assert rep.levels == (ParamScalar.of(-N - 2), ParamScalar.of(N))
 
@@ -199,10 +222,26 @@ def test_gln_tautological_levels():
                 exp[a - 1] = 1
                 images[f"E{a}{b}"] = WeightOneElement.field(
                     "affine", variables, b, LaurentElement.monomial(variables, exp))
-        rep = morphism_check(gl_basis(n), gl_bracket_table(n), gl_pairing_table(n),
-                             images)
+        rep = morphism_check(images)
         assert rep.status == "pass", rep.failures
         assert rep.levels == (ParamScalar.of(-1), ParamScalar.of(-1))
+
+
+def test_gl_basis_names_are_distinct():
+    for n in range(2, 13):
+        names = gl_basis(n)
+        assert len(set(names)) == n * n
+        pairs = itertools.product(range(1, n + 1), repeat=2)
+        assert names == [f"E{a}{b}" if n <= 9 else f"E{a},{b}" for a, b in pairs]
+
+
+def test_morphism_check_needs_the_gl_basis_keys():
+    images = gl2_images(ParamScalar.var("k"))
+    images["E1,2"] = images.pop("E12")
+    with pytest.raises(InvalidInput, match=r"gl_basis\(2\)"):
+        morphism_check(images)
+    with pytest.raises(InvalidInput):
+        morphism_check({name: images["E11"] for name in ("E11", "E12", "E21")})
 
 
 def test_identity_current_pairing():
@@ -215,7 +254,7 @@ def test_morphism_failure_reported():
     k = ParamScalar.var("k")
     images = gl2_images(k)
     images["E12"] = images["E12"] + frm({1: mono(1, 0)})
-    rep = morphism_check(gl_basis(2), gl_bracket_table(2), gl_pairing_table(2), images)
+    rep = morphism_check(images)
     assert rep.status == "fail"
     assert rep.failures
 
@@ -287,8 +326,9 @@ def _sympy(x: ParamScalar):
 
 def _same_reports(cases):
     for n, images in cases:
-        args = (gl_basis(n), gl_bracket_table(n), gl_pairing_table(n), images)
-        got, want = morphism_check(*args), _per_pair_morphism_check(*args)
+        got = morphism_check(images)
+        want = _per_pair_morphism_check(gl_basis(n), _gl_bracket_table(n),
+                                        _gl_pairing_table(n), images)
         assert (got.status, got.levels, got.failures) == \
             (want.status, want.levels, want.failures)
         yield got
@@ -320,8 +360,8 @@ def test_morphism_check_reports_every_pair_of_a_failing_equation(monkeypatch):
 def test_solved_levels_satisfy_every_pair_equation():
     # sympy substitutes the levels into all n^4 equations, none merged
     for n, images in _morphism_cases():
-        pairing = gl_pairing_table(n)
-        rep = morphism_check(gl_basis(n), gl_bracket_table(n), pairing, images)
+        pairing = _gl_pairing_table(n)
+        rep = morphism_check(images)
         if rep.levels is None:
             continue
         levels = dict(zip(sympy.symbols("k1 k2"), map(_sympy, rep.levels)))
@@ -335,14 +375,6 @@ def test_solved_levels_satisfy_every_pair_equation():
                 assert sympy.expand(residue) == 0, (a, b)
             elif sympy.expand(residue) != 0:
                 assert ((a, b), 1, "pairing defect at solved levels") in rep.failures
-
-
-def test_gl_pairing_table_zero_entries_share_zero():
-    for n, zeros in ((2, 10), (3, 66), (4, 228)):
-        table = gl_pairing_table(n)
-        assert len(table) == n ** 4
-        assert sum(value is ZERO for value in table.values()) == zeros
-        assert all(value for value in table.values() if value is not ZERO)
 
 
 def test_rule_oracle_divergence_names_the_difference(monkeypatch):

@@ -73,6 +73,11 @@ def test_morphism_levels(capsys):
     code, out, _ = run(capsys, "morphism", "--n", "3", "--format", "machine")
     assert code == 0
     assert json.loads(out)["payload"]["levels"] == ["-1", "-1"]
+    # the currents are named E{a},{b} from n = 10 on: as E{a}{b}, E1,11 and
+    # E11,1 would share the name E111
+    code, out, _ = run(capsys, "morphism", "--n", "11", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["payload"] == {"failures": [], "levels": ["-1", "-1"]}
 
 
 def test_glue_check_and_extend(capsys):
@@ -367,6 +372,24 @@ def test_deep_brackets_are_a_usage_error_and_long_sums_evaluate(capsys):
     code, out, _ = run(capsys, "glue-check", "--omega", "+".join(["w[1,1]"] * 2000),
                        "--format", "machine")
     assert code == 0 and json.loads(out)["payload"]["omega"] == "(2000)*w[1,1]"
+
+
+def test_long_products_evaluate(capsys):
+    # a '*' chain is one node, folded in a loop
+    code, out, _ = run(capsys, "nprod", "*".join(["k"] * 1500), "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["value"] == "k^1500*1"
+    omega = "*".join(["2"] * 1999 + ["w[1,1]"])
+    code, out, _ = run(capsys, "glue-check", "--omega", omega, "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["omega"] == f"({2 ** 1999})*w[1,1]"
+    code, out, _ = run(capsys, "nprod", "*".join(["y1"] * 3) + "-" + "*".join(["2"] * 500),
+                       "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["value"] == f"-{2 ** 500}*1 + y1^3"
+    # the type errors of a gluing form are kept
+    code, _, err = run(capsys, "glue-check", "--omega", "w[1,1] + " + "*".join(["2"] * 600))
+    assert code == 2 and "cannot add a scalar and a gluing form" in err
+    code, _, err = run(capsys, "glue-check", "--omega", "2*w[1,1]*" + "*".join(["3"] * 600)
+                       + "*w[2,1]")
+    assert code == 2 and "cannot multiply two gluing forms" in err
 
 
 def test_startup_loads_neither_dataclasses_nor_inspect():

@@ -5,7 +5,6 @@ import pytest
 
 from vertexalg import expr
 from vertexalg.expr import (
-    BinOp,
     Gluing,
     Ident,
     Neg,
@@ -13,6 +12,8 @@ from vertexalg.expr import (
     Num,
     ParseError,
     Power,
+    Product,
+    Sum,
     Translate,
     identifiers,
     parse_expr,
@@ -21,17 +22,15 @@ from vertexalg.expr import (
 
 def test_monomial():
     tree = parse_expr("y1^2*y2^-1")
-    assert tree == BinOp("*", Power(Ident("y1"), 2), Power(Ident("y2"), -1))
+    assert tree == Product((Power(Ident("y1"), 2), Power(Ident("y2"), -1)))
 
 
 def test_section_expression():
     tree = parse_expr("y2*d1 - k*T(y2)*y1^-1")
-    assert tree == BinOp(
-        "-",
-        BinOp("*", Ident("y2"), Ident("d1")),
-        BinOp("*", BinOp("*", Ident("k"), Translate(Ident("y2"))),
-              Power(Ident("y1"), -1)),
-    )
+    assert tree == Sum((
+        Product((Ident("y2"), Ident("d1"))),
+        Neg(Product((Ident("k"), Translate(Ident("y2")), Power(Ident("y1"), -1)))),
+    ))
 
 
 def test_nprod_node():
@@ -44,8 +43,8 @@ def test_nprod_node():
 def test_gluing_and_rational():
     assert parse_expr("w[1,2]") == Gluing(1, 2)
     assert parse_expr("3/2") == Num(Fraction(3, 2))
-    assert parse_expr("-w[1,1] + 2*w[2,1]") == BinOp(
-        "+", Neg(Gluing(1, 1)), BinOp("*", Num(Fraction(2)), Gluing(2, 1)))
+    assert parse_expr("-w[1,1] + 2*w[2,1]") == Sum(
+        (Neg(Gluing(1, 1)), Product((Num(Fraction(2)), Gluing(2, 1)))))
 
 
 def test_whitespace_invariance():
@@ -55,8 +54,7 @@ def test_whitespace_invariance():
 
 
 def test_parenthesized():
-    assert parse_expr("(y1 + y2)^2") == Power(
-        BinOp("+", Ident("y1"), Ident("y2")), 2)
+    assert parse_expr("(y1 + y2)^2") == Power(Sum((Ident("y1"), Ident("y2"))), 2)
 
 
 def test_parse_errors():
@@ -88,7 +86,8 @@ def test_nodes_are_frozen_hashable_and_type_strict():
     # equal fields in different node classes do not make equal nodes
     assert Neg(y1) != Translate(y1)
     assert Neg(y1) == Neg(Ident("y1"))
-    assert BinOp("+", y1, y1) != BinOp("-", y1, y1)
+    assert Sum((y1, y1)) != Product((y1, y1))
+    assert Sum((y1, y1)) != Sum((y1, Neg(y1)))
     assert Gluing(1, 2) != (1, 2)
     with pytest.raises(AttributeError):
         y1.name = "y2"
@@ -107,8 +106,23 @@ def test_nodes_are_frozen_hashable_and_type_strict():
 def test_node_repr():
     assert repr(Num(Fraction(3, 2))) == "Num(value=Fraction(3, 2))"
     assert repr(parse_expr("y1^2*y2^-1 - 3/2")) == (
-        "BinOp(op='-', left=BinOp(op='*', left=Power(base=Ident(name='y1'), exponent=2), "
-        "right=Power(base=Ident(name='y2'), exponent=-1)), right=Num(value=Fraction(3, 2)))")
+        "Sum(terms=(Product(factors=(Power(base=Ident(name='y1'), exponent=2), "
+        "Power(base=Ident(name='y2'), exponent=-1))), Neg(arg=Num(value=Fraction(3, 2)))))")
     assert repr(parse_expr("T(k*y1) .(-1) w[1,2]")) == (
-        "NProd(left=Translate(arg=BinOp(op='*', left=Ident(name='k'), right=Ident(name='y1'))), "
+        "NProd(left=Translate(arg=Product(factors=(Ident(name='k'), Ident(name='y1')))), "
         "n=-1, right=Gluing(a=1, b=2))")
+
+
+def test_long_chains_are_one_node():
+    # a chain of any length is one Sum or Product node, so comparing and
+    # hashing two parses does not recurse along the chain
+    text = "+".join(["y1"] * 2000)
+    a, b = parse_expr(text), parse_expr(" + ".join(["y1"] * 2000))
+    c = parse_expr("  " + "+ ".join(["y1 "] * 2000))
+    assert a == b == c == Sum((Ident("y1"),) * 2000)
+    assert hash(a) == hash(b) == hash(c)
+    assert parse_expr("y1 - y2 - 3") == Sum(
+        (Ident("y1"), Neg(Ident("y2")), Neg(Num(Fraction(3)))))
+    assert parse_expr("-y1") == Neg(Ident("y1"))
+    assert parse_expr("*".join(["k"] * 1500)) == Product((Ident("k"),) * 1500)
+    assert identifiers(parse_expr("*".join(["k"] * 1499 + ["y1 + c"]))) == {"k", "y1", "c"}
