@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
-from .laurent import LaurentElement, OneForm, de_rham, degrees
+from .laurent import LaurentElement, OneForm, de_rham, degrees, mul_into
 from .scalar import LinearCombination, ParamScalar, accumulate, solve_linear_system
 
 
@@ -168,11 +168,6 @@ def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:
 
 def _vprod1(u: WeightOneElement, v: WeightOneElement) -> LaurentElement:
     terms: dict = {}
-
-    def add(h: LaurentElement) -> None:
-        for exp, c in h._terms.items():
-            accumulate(terms, exp, c)
-
     for (cu, i), f in u._terms.items():
         for (cv, j), g in v._terms.items():
             if cu == cv == "d":
@@ -180,55 +175,65 @@ def _vprod1(u: WeightOneElement, v: WeightOneElement) -> LaurentElement:
                 # drops its terms before any product is formed
                 gj, fi, gi, fj = g.derive(j), f.derive(i), g.derive(i), f.derive(j)
                 if gj:
-                    add(-(f * gj.derive(i)))
+                    mul_into(terms, f, gj.derive(i), True)
                 if fi:
-                    add(-(g * fi.derive(j)))
+                    mul_into(terms, g, fi.derive(j), True)
                 if gi and fj:
-                    add(-(gi * fj))
+                    mul_into(terms, gi, fj, True)
             elif cu != cv and i == j:  # a frame component against a form component
-                add(f * g)
+                mul_into(terms, f, g)
     return LaurentElement(u.variables)._new(terms)
 
 
 def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
-    terms: dict = {}
+    # each product term goes straight into the exponent dict of its key
+    parts: dict = {}
+    n = len(u.variables)
 
-    def add_form(omega: OneForm) -> None:
-        for l, g in omega._terms.items():
-            accumulate(terms, ("y", l), g)
+    def add(key, f: LaurentElement, g: LaurentElement, negate: bool = False) -> None:
+        mul_into(parts.setdefault(key, {}), f, g, negate)
+
+    def add_form(f: LaurentElement, g: LaurentElement, negate: bool = False) -> None:
+        # the one-form d(f) times g
+        for l in range(1, n + 1):
+            fl = f.derive(l)
+            if fl:
+                add(("y", l), fl, g, negate)
 
     for (cu, i), f in u._terms.items():
         for (cv, j), g in v._terms.items():
             if cu == cv == "d":
                 gi, fi, fj = g.derive(i), f.derive(i), f.derive(j)
                 if gi:
-                    accumulate(terms, ("d", j), f * gi)
+                    add(("d", j), f, gi)
                 if fj:
-                    accumulate(terms, ("d", i), -(g * fj))
+                    add(("d", i), g, fj, True)
                 # -(dg f_ij + d(f_j) g_i + d(f_ij) g), each skipped when a
                 # factor is zero
                 fij = fi.derive(j) if fi else None
                 if fij:
-                    add_form(-(de_rham(g).scale(fij) + de_rham(fij).scale(g)))
+                    add_form(g, fij, True)
+                    add_form(fij, g, True)
                 if fj and gi:
-                    add_form(-de_rham(fj).scale(gi))
+                    add_form(fj, gi, True)
             elif cu == "d":
                 # the field of u on the form of v: its Lie derivative,
                 # f d_i(g) dy_j + g d(f) when j == i
                 gi = g.derive(i)
                 if gi:
-                    accumulate(terms, ("y", j), f * gi)
+                    add(("y", j), f, gi)
                 if j == i:
-                    add_form(de_rham(f).scale(g))
+                    add_form(f, g)
             elif cv == "d":
                 # the form of u against the field of v: -iota_v d(u),
                 # -g d_j(f) dy_i + g d(f) when j == i
                 fj = f.derive(j)
                 if fj:
-                    accumulate(terms, ("y", i), -(g * fj))
+                    add(("y", i), g, fj, True)
                 if j == i:
-                    add_form(de_rham(f).scale(g))
-    return u._new(terms)
+                    add_form(f, g)
+    zero = LaurentElement(u.variables)
+    return u._new({key: zero._new(exps) for key, exps in parts.items() if exps})
 
 
 # one-time oracle check of the closed forms, per variable list
@@ -347,15 +352,17 @@ def morphism_check(images: dict[str, WeightOneElement]) -> MorphismReport:
     pairs = list(itertools.product(index, repeat=4))
     failures = []
     equations = []
+    # the pairing takes four values, set by tr(ab) and by whether t != 0
+    pairings = {(tr_prod, bool(t)): ParamScalar({(("k1", 1),): tr_prod - t,
+                                                 (("k2", 1),): t})
+                for tr_prod in (0, 1) for t in (Fraction(0), Fraction(1, n))}
     for a, b, c, d in pairs:
         pair = (name[a, b], name[c, d])
         p = vprod(images[pair[0]], 1, images[pair[1]])
         if p and degrees(p) != {0}:
             failures.append((pair, 1, f"non-scalar pairing {p}"))
             continue
-        tr_prod = int(b == c and a == d)
-        trace = Fraction(int(a == b and c == d), n)
-        pairing = ParamScalar({(("k1", 1),): tr_prod - trace, (("k2", 1),): trace})
+        pairing = pairings[b == c and a == d, a == b and c == d]
         equations.append((pair, p.constant_term() - pairing))
     levels = None
     # equal equations span the same rows: solve and re-check each once
@@ -372,12 +379,13 @@ def morphism_check(images: dict[str, WeightOneElement]) -> MorphismReport:
     for a, b, c, d in pairs:
         pair = (name[a, b], name[c, d])
         got = vprod(images[pair[0]], 0, images[pair[1]])
-        want = WeightOneElement(got.chart, got.variables)
+        # the bracket image, None for zero, which is never built
         if b == c:
-            want = want + images[name[a, d]]
-        if d == a:
-            want = want - images[name[c, b]]
-        if got != want:
-            failures.append((pair, 0, f"bracket defect {(got - want)!r}"))
+            want = images[name[a, d]] - images[name[c, b]] if d == a else images[name[a, d]]
+        else:
+            want = -images[name[c, b]] if d == a else None
+        defect = got if want is None else got - want if got != want else None
+        if defect:
+            failures.append((pair, 0, f"bracket defect {defect!r}"))
     status = "pass" if not failures else "fail"
     return MorphismReport(status, levels, failures)

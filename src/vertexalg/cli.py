@@ -149,6 +149,11 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     if isinstance(node, Product):
         return functools.reduce(lambda left, right: nproduct(left, -1, right),
                                 (eval_fock(factor, alg, params) for factor in node.factors))
+    if isinstance(node, NProd):
+        out = eval_fock(node.operands[0], alg, params)
+        for n, operand in zip(node.modes, node.operands[1:]):
+            out = nproduct(out, n, eval_fock(operand, alg, params))
+        return out
     if isinstance(node, Power):
         base = eval_fock(node.base, alg, params)
         if not base.weight:  # weight 0 or the zero element: a chart function
@@ -159,9 +164,6 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
         for _ in range(node.exponent):
             out = nproduct(out, -1, base)
         return out
-    if isinstance(node, NProd):
-        return nproduct(eval_fock(node.left, alg, params), node.n,
-                        eval_fock(node.right, alg, params))
     raise UsageError(f"cannot evaluate node {node!r}")
 
 

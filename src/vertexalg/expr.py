@@ -15,10 +15,12 @@ whitespace-insensitive and reports errors with a position and the set of
 tokens it expected there.
 
 A chain of '+' and '-' parses to one Sum of its terms, each subtracted term
-(and a leading '-') wrapped in Neg, and a chain of '*' to one Product of its
-factors, so a chain of any length is one node; a single term or factor is
-itself.  Brackets '(' and 'T(' nest at most 100 deep (`_MAX_NESTING`); deeper
-input is a ParseError, since the parser recurses once per level.
+(and a leading '-') wrapped in Neg, a chain of '*' to one Product of its
+factors, and a chain of '.(n)' products to one NProd of its operands and
+modes, read left to right; so a chain of any length is one node, and a
+single term, factor or operand is itself.  Brackets '(' and 'T(' nest at
+most 100 deep (`_MAX_NESTING`); deeper input is a ParseError, since the
+parser recurses once per level.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class Power(_Node):
 
 
 class NProd(_Node):
-    __slots__ = ("left", "n", "right")  # n: int
+    __slots__ = ("operands", "modes")  # two or more nodes; one int mode fewer
 
 
 Node = Num | Ident | Translate | Gluing | Sum | Product | Neg | Power | NProd
@@ -211,13 +213,13 @@ class _Parser:
         return node
 
     def atom(self) -> Node:
-        node = self.primary()
+        operands, modes = [self.primary()], []
         while self.peek()[0] == ".(":
             self.take(".(")
-            n = self.signed_int()
+            modes.append(self.signed_int())
             self.take(")")
-            node = NProd(node, n, self.primary())
-        return node
+            operands.append(self.primary())
+        return NProd(tuple(operands), tuple(modes)) if modes else operands[0]
 
     def signed_int(self) -> int:
         sign = 1

@@ -25,6 +25,21 @@ share between entries.  Stored results are immutable and never handed out,
 and the table has no size limit: it lives as long as its algebra.  A product
 with an rng peels words in a random order and neither reads nor writes the
 table, so comparing peel orders still checks the recursion itself.
+
+Without an rng each word is peeled by one fixed plan, made once per word and
+kept on the algebra as plain data (no closure, so no reference cycle keeps
+an algebra alive); so is each word's weight.
+
+The zero rule: a nonnegative mode of a word vanishes on a state when nothing
+contracts, i.e. no coordinate of the word (a nonzero exponent or a y symbol)
+meets a frame symbol of the same variable in the state, and no frame symbol
+of the word meets a coordinate of the state (Wick's theorem for these free
+fields).  The table stores such an entry empty without recursing.  Proof by
+induction over the peel: each quasi-associativity term applies either a
+nonnegative mode of the shorter word, or a nonnegative (annihilation) mode
+of the peeled factor, to a state with nothing to contract; both vanish.  For
+an inverse coordinate, each B^k with k >= 1 needs a frame symbol in the
+state, and its k = 0 term A^-1 has no z-power for modes n >= 0.
 """
 
 from __future__ import annotations
@@ -108,6 +123,9 @@ class FreeFieldAlgebra:
         # (alpha, tail, n, basis state) -> word mode on that state, unit
         # coefficient, as a tuple of (key, int coefficient)
         self._products: dict = {}
+        # basis word (alpha, tail) -> its peel plan, and its `_shape`
+        self._plans: dict = {}
+        self._shapes: dict = {}
 
     # -- element constructors ------------------------------------------
 
@@ -235,10 +253,12 @@ class FreeFieldAlgebra:
     def _peel(self, alpha: ExpVec, tail: tuple[Symbol, ...], rng=None):
         """Split a basis word as c_(-1) applied to a shorter word.
 
-        Returns (mode_fn, c_weight, alpha', tail') where mode_fn(l, terms)
-        applies the l-th mode of the peeled factor c.  Inverse coordinates
-        are peeled only once the symbol tail is empty, where their modes
-        act without contractions against frame symbols of the remainder.
+        Returns the plan (kind, i, m, c_weight, alpha', tail') as plain data:
+        the peeled factor c is the symbol (kind, i, m) for kind 'y' or 'd',
+        the coordinate y_i for 'pos' or its inverse for 'neg', and
+        `_factor_mode` applies its modes.  Inverse coordinates are peeled
+        only once the symbol tail is empty, where their modes act without
+        contractions against frame symbols of the remainder.
         """
         choices = []
         for idx in range(len(tail)):
@@ -254,28 +274,35 @@ class FreeFieldAlgebra:
         kind, val = pick
         if kind == "sym":
             sym = tail[val]
-            cls, i, m = sym
-            rest = tail[:val] + tail[val + 1:]
-
-            def mode_fn(l, terms, cls=cls, i=i, m=m):
-                factor = (-1) ** m * _binom(l, m)
-                if factor == 0:
-                    return {}
-                res = self._gen_mode(cls, i, l - m, terms)
-                return {key: c * factor for key, c in res.items()}
-
-            return mode_fn, _sym_weight(sym), alpha, rest
-        if kind == "pos":
-            i = val
-            new = list(alpha)
-            new[i - 1] -= 1
-            return (lambda l, terms, i=i: self._gen_mode("y", i, l, terms),
-                    0, tuple(new), tail)
-        i = val
+            return (*sym, _sym_weight(sym), alpha, tail[:val] + tail[val + 1:])
         new = list(alpha)
-        new[i - 1] += 1
-        return (lambda l, terms, i=i: self._w_mode(i, l, terms),
-                0, tuple(new), tail)
+        new[val - 1] += -1 if kind == "pos" else 1
+        return kind, val, 0, 0, tuple(new), tail
+
+    def _factor_mode(self, kind: str, i: int, m: int, l: int, terms: Terms) -> Terms:
+        """Apply mode l of a peeled factor, named as in a `_peel` plan."""
+        if kind == "pos":
+            return self._gen_mode("y", i, l, terms)
+        if kind == "neg":
+            return self._w_mode(i, l, terms)
+        factor = (-1) ** m * _binom(l, m)
+        if factor == 0:
+            return {}
+        res = self._gen_mode(kind, i, l - m, terms)
+        return {key: c * factor for key, c in res.items()}
+
+    def _shape(self, key: TermKey) -> tuple[int, int, int]:
+        """The weight of a basis word, and bit masks of the variables whose
+        coordinate (a nonzero exponent or a y symbol) and whose frame field
+        (a d symbol) occur in it; computed once per word."""
+        shape = self._shapes.get(key)
+        if shape is None:
+            alpha, tail = key
+            ys = sum(1 << i for i, e in enumerate(alpha, 1) if e)
+            ys |= sum({1 << i for cls, i, _ in tail if cls == "y"})  # distinct bits
+            ds = sum({1 << i for cls, i, _ in tail if cls == "d"})
+            shape = self._shapes[key] = (_term_weight(key), ys, ds)
+        return shape
 
     def _word_mode(self, alpha: ExpVec, tail: tuple[Symbol, ...], n: int,
                    terms: Terms, rng=None) -> Terms:
@@ -283,35 +310,46 @@ class FreeFieldAlgebra:
 
         The map is linear in terms, so without rng it is assembled from the
         product table: one unit-coefficient result per basis state, computed
-        on first use.  With rng the peel order is random and the table is
-        neither read nor written.
+        on first use, or stored empty at once for a nonnegative mode with
+        nothing to contract.  With rng the peel order is random and the table
+        is neither read nor written.
         """
         if not terms:
             return {}
         if not tail and alpha == self._zero_exp:
             return dict(terms) if n == -1 else {}
-        wt_b = _term_weight(next(iter(terms)))
-        wt_a = sum(_sym_weight(s) for s in tail)
+        wt_b = self._shape(next(iter(terms)))[0]
+        wt_a, ys, ds = self._shape((alpha, tail))
         if wt_a + wt_b - n - 1 < 0:
             return {}
         if rng is not None:
             return self._expand(alpha, tail, n, terms, wt_b, rng)
+        products = self._products
         out: Terms = {}
         for key, coeff in terms.items():
             entry = (alpha, tail, n, key)
-            unit = self._products.get(entry)
+            unit = products.get(entry)
             if unit is None:
-                unit = self._products[entry] = tuple(
-                    self._expand(alpha, tail, n, {key: 1}, wt_b, None).items())
+                _, state_ys, state_ds = self._shape(key)
+                if n >= 0 and not (ys & state_ds or ds & state_ys):
+                    unit = ()  # nothing to contract: the zero rule
+                else:
+                    unit = tuple(self._expand(alpha, tail, n, {key: 1}, wt_b, None).items())
+                products[entry] = unit
             for key2, c in unit:
                 accumulate(out, key2, coeff * c)
         return out
 
     def _expand(self, alpha: ExpVec, tail: tuple[Symbol, ...], n: int,
                 terms: Terms, wt_b: int, rng) -> Terms:
-        """One quasi-associativity step: peel the word and recurse."""
-        mode_fn, wt_c, alpha2, tail2 = self._peel(alpha, tail, rng)
-        wt_rest = sum(_sym_weight(s) for s in tail2)
+        """One quasi-associativity step: peel the word and recurse.  Without
+        rng the word's peel plan is made once and kept."""
+        if rng is not None:
+            plan = self._peel(alpha, tail, rng)
+        elif (plan := self._plans.get((alpha, tail))) is None:
+            plan = self._plans[alpha, tail] = self._peel(alpha, tail)
+        kind, i, m, wt_c, alpha2, tail2 = plan
+        wt_rest = self._shape((alpha2, tail2))[0]
         out: Terms = {}
         # quasi-associativity: (c_(-1) a')_(n) =
         #   sum_{j>=0} c_(-1-j) a'_(n+j)  +  sum_{j>=1} a'_(n-j) c_(-1+j)
@@ -319,11 +357,11 @@ class FreeFieldAlgebra:
         while wt_rest + wt_b - (n + j) - 1 >= 0:
             inner = self._word_mode(alpha2, tail2, n + j, terms, rng)
             if inner:
-                for key, c in mode_fn(-1 - j, inner).items():
+                for key, c in self._factor_mode(kind, i, m, -1 - j, inner).items():
                     accumulate(out, key, c)
             j += 1
         for j in range(1, wt_c + wt_b + 1):
-            inner = mode_fn(-1 + j, terms)
+            inner = self._factor_mode(kind, i, m, -1 + j, terms)
             if inner:
                 for key, c in self._word_mode(alpha2, tail2, n - j, inner, rng).items():
                     accumulate(out, key, c)

@@ -102,11 +102,7 @@ class LaurentElement(LinearCombination):
         if isinstance(other, (int, Fraction, ParamScalar)):
             return self.scale(other)
         self._check(other)
-        out: dict[ExpVec, ParamScalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return self._new(out)
+        return self._new(mul_into({}, self, other))
 
     def __rmul__(self, other) -> "LaurentElement":
         return self.scale(other)
@@ -188,6 +184,17 @@ class OneForm(LinearCombination):
             return "0"
         return " + ".join(f"({g})*d{self.variables[j - 1]}"
                           for j, g in sorted(self._terms.items()))
+
+
+def mul_into(out: dict, f: LaurentElement, g: LaurentElement,
+             negate: bool = False) -> dict:
+    """Add f*g, or -f*g when negate, term by term into the exponent dict out
+    (canonical terms of one variable list); returns out."""
+    for e1, c1 in f._terms.items():
+        for e2, c2 in g._terms.items():
+            c = c1 * c2
+            accumulate(out, tuple(a + b for a, b in zip(e1, e2)), -c if negate else c)
+    return out
 
 
 # -- exterior calculus ---------------------------------------------------

@@ -375,7 +375,7 @@ def test_deep_brackets_are_a_usage_error_and_long_sums_evaluate(capsys):
 
 
 def test_long_products_evaluate(capsys):
-    # a '*' chain is one node, folded in a loop
+    # a '*' chain is one node, folded in a loop, left to right
     code, out, _ = run(capsys, "nprod", "*".join(["k"] * 1500), "--format", "machine")
     assert code == 0 and json.loads(out)["payload"]["value"] == "k^1500*1"
     omega = "*".join(["2"] * 1999 + ["w[1,1]"])
@@ -384,6 +384,11 @@ def test_long_products_evaluate(capsys):
     code, out, _ = run(capsys, "nprod", "*".join(["y1"] * 3) + "-" + "*".join(["2"] * 500),
                        "--format", "machine")
     assert code == 0 and json.loads(out)["payload"]["value"] == f"-{2 ** 500}*1 + y1^3"
+    # so is a '.(n)' chain
+    code, out, _ = run(capsys, "nprod", " .(-1) ".join(["k"] * 1500), "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["value"] == "k^1500*1"
+    code, out, _ = run(capsys, "nprod", "y1 .(-1) y1 .(0) d1", "--format", "machine")
+    assert code == 0 and json.loads(out)["payload"]["value"] == "-2*y1"  # (y1^2)_(0) d1
     # the type errors of a gluing form are kept
     code, _, err = run(capsys, "glue-check", "--omega", "w[1,1] + " + "*".join(["2"] * 600))
     assert code == 2 and "cannot add a scalar and a gluing form" in err

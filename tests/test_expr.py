@@ -35,9 +35,9 @@ def test_section_expression():
 
 def test_nprod_node():
     tree = parse_expr("y1 .(0) d1")
-    assert tree == NProd(Ident("y1"), 0, Ident("d1"))
+    assert tree == NProd((Ident("y1"), Ident("d1")), (0,))
     tree = parse_expr("y1 .(-1) d1 .(1) d2")
-    assert tree == NProd(NProd(Ident("y1"), -1, Ident("d1")), 1, Ident("d2"))
+    assert tree == NProd((Ident("y1"), Ident("d1"), Ident("d2")), (-1, 1))
 
 
 def test_gluing_and_rational():
@@ -109,12 +109,12 @@ def test_node_repr():
         "Sum(terms=(Product(factors=(Power(base=Ident(name='y1'), exponent=2), "
         "Power(base=Ident(name='y2'), exponent=-1))), Neg(arg=Num(value=Fraction(3, 2)))))")
     assert repr(parse_expr("T(k*y1) .(-1) w[1,2]")) == (
-        "NProd(left=Translate(arg=Product(factors=(Ident(name='k'), Ident(name='y1')))), "
-        "n=-1, right=Gluing(a=1, b=2))")
+        "NProd(operands=(Translate(arg=Product(factors=(Ident(name='k'), Ident(name='y1')))), "
+        "Gluing(a=1, b=2)), modes=(-1,))")
 
 
 def test_long_chains_are_one_node():
-    # a chain of any length is one Sum or Product node, so comparing and
+    # a chain of any length is one Sum, Product or NProd node, so comparing and
     # hashing two parses does not recurse along the chain
     text = "+".join(["y1"] * 2000)
     a, b = parse_expr(text), parse_expr(" + ".join(["y1"] * 2000))
@@ -126,3 +126,9 @@ def test_long_chains_are_one_node():
     assert parse_expr("-y1") == Neg(Ident("y1"))
     assert parse_expr("*".join(["k"] * 1500)) == Product((Ident("k"),) * 1500)
     assert identifiers(parse_expr("*".join(["k"] * 1499 + ["y1 + c"]))) == {"k", "y1", "c"}
+    chain = " .(-1) ".join(["k"] * 1499 + ["(y1 + c)"])
+    a, b = parse_expr(chain), parse_expr(chain.replace(" ", ""))
+    assert a == b == NProd((Ident("k"),) * 1499 + (Sum((Ident("y1"), Ident("c"))),),
+                           (-1,) * 1499)
+    assert hash(a) == hash(b)
+    assert identifiers(a) == {"k", "y1", "c"}

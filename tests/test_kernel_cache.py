@@ -4,15 +4,20 @@ With no rng, `_word_mode` reads and fills the algebra's table of
 unit-coefficient results; a fresh algebra (empty table) and a random peel
 order (table bypassed) compute the same product independently.  The table's
 coefficients are plain ints, built from exact integer binomials and
-multinomials, which are checked here against their Fraction forms.
+multinomials, which are checked here against their Fraction forms.  A
+nonnegative mode with nothing to contract is stored empty without recursion;
+the random peel checks that rule.
 """
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from vertexalg import algebroid
 from vertexalg.algebroid import fock_algebra
 from vertexalg.freefield import (
     FreeFieldAlgebra,
@@ -131,3 +136,91 @@ def test_parametric_products_agree_with_substitution(n, seed):
             expected = nproduct(a.scale(value), m, b.scale(value * value - 2))
             assert substitute(table, value) == expected
             assert substitute(peeled, value) == expected
+
+
+def random_word(alg, rng):
+    """A basis word: exponents -2..3 and up to two translated symbols of
+    either class, as the canonical key of the element it spans."""
+    n = alg.n
+    alpha = tuple(rng.randint(-2, 3) for _ in range(n))
+    tail = []
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            tail.append(("y", rng.randint(1, n), rng.randint(1, 2)))
+        else:
+            tail.append(("d", rng.randint(1, n), rng.randint(0, 1)))
+    (key,) = alg.element({(alpha, tuple(tail)): 1}).terms
+    return key
+
+
+def coordinates_and_frames(key):
+    """The variables whose coordinate (a nonzero exponent or a y symbol) and
+    whose frame field (a d symbol) occur in a basis word."""
+    alpha, tail = key
+    coords = {i for i, e in enumerate(alpha, 1) if e} | {i for c, i, _ in tail if c == "y"}
+    return coords, {i for c, i, _ in tail if c == "d"}
+
+
+@pytest.mark.parametrize("n, seed", [(1, 80), (2, 81), (3, 82)])
+def test_nonnegative_modes_with_nothing_to_contract_vanish(n, seed):
+    rng = random.Random(seed)
+    alg = FreeFieldAlgebra(variables(n), MAX_WEIGHT)
+    checked = 0
+    while checked < 40:
+        word, state, m = random_word(alg, rng), random_word(alg, rng), rng.randint(0, 3)
+        word_coords, word_frames = coordinates_and_frames(word)
+        state_coords, state_frames = coordinates_and_frames(state)
+        if word_coords & state_frames or word_frames & state_coords:
+            continue
+        checked += 1
+        peel = random.Random(rng.randint(0, 10 ** 6))
+        assert alg._word_mode(*word, m, {state: 1}, peel) == {}
+        a, b = alg.element({word: 2}), alg.element({state: ParamScalar.var("k")})
+        assert nproduct(a, m, b).is_zero()
+        assert nproduct(a, m, b, rng=peel).is_zero()
+
+
+def validation_algebras(monkeypatch, keep):
+    """Make `_validate_rules` run afresh; keep(alg) of each algebra it makes
+    is listed in the returned list."""
+    made = []
+
+    def make(*args):
+        alg = FreeFieldAlgebra(*args)
+        made.append(keep(alg))
+        return alg
+
+    monkeypatch.setattr(algebroid, "FreeFieldAlgebra", make)
+    monkeypatch.setattr(algebroid, "_validated", set())
+    return made
+
+
+def test_validation_stores_contraction_free_entries_without_recursion(monkeypatch):
+    expanded = set()
+    real_expand = FreeFieldAlgebra._expand
+
+    def expand(self, alpha, tail, n, terms, wt_b, rng):
+        expanded.update((alpha, tail, n, key) for key in terms)
+        return real_expand(self, alpha, tail, n, terms, wt_b, rng)
+
+    monkeypatch.setattr(FreeFieldAlgebra, "_expand", expand)
+    made = validation_algebras(monkeypatch, lambda alg: alg)
+    algebroid._validate_rules(variables(2))
+    (alg,) = made
+    skipped = {entry: unit for entry, unit in alg._products.items() if entry not in expanded}
+    assert skipped
+    assert all(unit == () and entry[2] >= 0 for entry, unit in skipped.items())
+
+
+def test_validation_algebra_is_freed_on_return(monkeypatch):
+    # with the cyclic collector off, only a reference cycle (say, a cached
+    # closure over the algebra) could keep the algebra and its table alive
+    refs = validation_algebras(monkeypatch, weakref.ref)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        algebroid._validate_rules(variables(2))
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(refs) == 1 and refs[0]() is None
