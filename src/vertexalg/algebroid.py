@@ -271,12 +271,14 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
                 for v in (*fields.values(), *k_fields.values(), *forms.values())}
     samples = [(fields[i, ea], k_fields[j, eb])
                for i in indices for j in indices for ea in exps[:5] for eb in exps]
-    # mixed field/form pairs
+    # mixed field/form pairs, in both orders; the form's monomial is not the
+    # field's, so that d(f) g and d(g) f differ
     for i in indices:
         for l in indices:
-            for e in exps[:6]:
-                samples.append((fields[i, e], forms[l, e]))
-                samples.append((forms[l, e], fields[i, e]))
+            for idx, e in enumerate(exps[:6]):
+                field, form = fields[i, e], forms[l, exps[(idx + 1) % 6]]
+                samples.append((field, form))
+                samples.append((form, field))
     for u, v in samples:
         eu, ev = embedded[u], embedded[v]
         want1 = nproduct(eu, 1, ev)

@@ -2,16 +2,18 @@
 
 Subcommands: axioms, nprod, quantize, classify, glue-check, extend, morphism,
 derivations, witness, membership, virasoro; each takes only the flags listed
-for it in COMMANDS, plus --param, --format and --config.  Text reports
-include timing; the machine format is a single JSON document with
-deterministic key order and no timing, so runs with the same seed and flags
-are byte-identical.
+for it in COMMANDS, plus --param, --format and --config.  parse_args reads
+the command line in one pass over COMMANDS and FLAGS, so importing this
+module loads no argument-parsing library.  A flag's value may start with a
+minus (--omega "-w[1,1]"), and so may the expression of nprod and extend.
+Text reports include timing; the machine format is a single JSON document
+with deterministic key order and no timing, so runs with the same seed and
+flags are byte-identical.
 Exit codes: 0 for a passing verdict, 1 for a failing one, 2 for usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import operator
@@ -19,6 +21,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebroid import (
     WeightOneElement,
@@ -433,7 +436,8 @@ def _parse_params(pairs) -> dict[str, Fraction]:
     return params
 
 
-# flag -> argparse keywords
+# flag -> how its value is read: "type" (str when absent), "choices", and
+# "default" (None when absent); --param may repeat and collects a list
 FLAGS = {
     "N": {"type": int},
     "n": {"type": int},
@@ -444,11 +448,16 @@ FLAGS = {
     "degree_bound": {"type": int},
     "omega": {},
     "chart": {"choices": ("U1", "U2"), "default": "U1"},
+    "param": {},
+    "format": {"choices": ("text", "machine"), "default": "text"},
+    "config": {},
 }
 
+# the flags every subcommand takes besides its own
+SHARED = ("param", "format", "config")
+
 # subcommand -> (handler, required flags, optional flags); "expr" is the
-# positional expression; every subcommand also takes --param, --format and
-# --config
+# positional expression
 COMMANDS = {
     "axioms": (_cmd_axioms, (), ("n", "weight", "trials", "seed")),
     "nprod": (_cmd_nprod, ("expr",), ("n", "weight")),
@@ -464,40 +473,107 @@ COMMANDS = {
 }
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
 
 
-@functools.cache
-def build_parser(command: str | None = None) -> _ArgumentParser:
-    """The parser of one subcommand, or of every subcommand when command is
-    None (for the top-level help and the unknown-subcommand error); each is
-    built once per process."""
-    parser = _ArgumentParser(prog="vertexalg", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        _, required, optional = COMMANDS[name]
-        # no abbreviations: --degree must not pass for --degree-bound
-        p = sub.add_parser(name, allow_abbrev=False)
-        for flag in required + optional:
-            if flag == "expr":
-                p.add_argument("expr")
-            else:
-                p.add_argument("--" + flag.replace("_", "-"),
-                               required=flag in required, **FLAGS[flag])
-        p.add_argument("--param", action="append", default=[])
-        p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.add_argument("--config", default=None)
-    return parser
+def _usage(command: str | None) -> str:
+    """The help text of one subcommand, or of the program when command is
+    None."""
+    if command is None:
+        return f"usage: vertexalg [-h] {{{','.join(COMMANDS)}}} ...\n\n{__doc__}"
+    _, required, optional = COMMANDS[command]
+    words = ["usage: vertexalg", command, "[-h]"]
+    for flag in required + optional + SHARED:
+        if flag == "expr":
+            word = "expr"
+        else:
+            choices = FLAGS[flag].get("choices")
+            metavar = "{" + ",".join(choices) + "}" if choices else flag.upper()
+            word = f"{_option(flag)} {metavar}"
+        words.append(word if flag in required else f"[{word}]")
+    return " ".join(words) + "\n\n-h, --help  show this help message and exit"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read a command line against COMMANDS and FLAGS: the subcommand, then
+    its flags as `--flag value` or `--flag=value`, spelled in full, and for
+    nprod and extend the expression, which may follow `--`.  A word counts
+    as an option only when it names one of the subcommand's flags or is
+    -h/--help, so a value may start with a minus; a word that starts with
+    `--` and a letter must name a flag.  A later flag overrides an earlier
+    one, and an unset flag is None unless FLAGS gives a default.  -h/--help
+    prints the usage and raises SystemExit(0); any other refusal is a
+    UsageError."""
+    if argv and argv[0] in ("-h", "--help"):
+        print(_usage(None))
+        raise SystemExit(0)
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        choices = ", ".join(f"'{name}'" for name in COMMANDS)
+        raise UsageError(f"argument command: invalid choice: {command!r} "
+                         f"(choose from {choices})")
+    _, required, optional = COMMANDS[command]
+    flags = {_option(flag): flag for flag in required + optional + SHARED
+             if flag != "expr"}
+    args = SimpleNamespace(command=command,
+                           **{flag: FLAGS[flag].get("default") for flag in flags.values()})
+    args.param = []
+    takes_expr = "expr" in required
+    if takes_expr:
+        args.expr = None
+    positional, unknown = [], []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--" and takes_expr:
+            positional.extend(words)
+            break
+        if word in ("-h", "--help"):
+            print(_usage(command))
+            raise SystemExit(0)
+        option, eq, value = word.partition("=")
+        if option not in flags:
+            # a word shaped like a long flag names one this subcommand lacks
+            (unknown if word[:2] == "--" and word[2:3].isalpha() else positional).append(word)
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or value in ("-h", "--help", "--") \
+                    or value.partition("=")[0] in flags:
+                raise UsageError(f"argument {option}: expected one argument")
+        flag = flags[option]
+        spec = FLAGS[flag]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                raise UsageError(f"argument {option}: invalid "
+                                 f"{spec['type'].__name__} value: {value!r}") from None
+        choices = spec.get("choices")
+        if choices and value not in choices:
+            raise UsageError(f"argument {option}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        if flag == "param":
+            args.param.append(value)
+        else:
+            setattr(args, flag, value)
+    if takes_expr and positional:
+        args.expr = positional.pop(0)
+    missing = [flag if flag == "expr" else _option(flag) for flag in required
+               if getattr(args, flag) is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown or positional:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown + positional)}")
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a process builds only the parser of the subcommand it runs
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        args = build_parser(command).parse_args(argv)
+        args = parse_args(argv)
         if args.config:
             # a config key fills a flag only where the subcommand declares it
             # and the command line leaves it unset

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -418,9 +419,9 @@ def test_oracle_check_runs_both_products_on_every_sample(monkeypatch, variables)
 
 
 def test_oracle_check_reaches_the_last_sample(monkeypatch):
-    # the last sample is the mixed pair (k y2^2 dy2, y2^2 frame_2)
+    # the last sample is the mixed pair (k dy2, y2^2 frame_2)
     k = ParamScalar.var("k")
-    last = (WeightOneElement.form("c", OneForm(V, {2: mono(0, 2, k)})),
+    last = (WeightOneElement.form("c", OneForm(V, {2: mono(0, 0, k)})),
             WeightOneElement.field("c", V, 2, mono(0, 2)))
     rule0 = algebroid._vprod0
     one = LaurentElement.constant(V, 1)
@@ -438,3 +439,18 @@ def test_oracle_check_reaches_the_last_sample(monkeypatch):
         algebroid._validate_rules(V)
     assert calls == [1, 0] * 228
     assert V not in algebroid._validated
+
+
+@pytest.mark.parametrize("variables", [V, ("y1", "y2", "y3"), ("y1", "y2", "y3", "y4")])
+def test_oracle_check_tells_the_operands_of_a_mixed_pair_apart(monkeypatch, variables):
+    # d(g) f for d(f) g where a frame field acts on a form: the swap passes
+    # unseen when the field and the form carry the same monomial
+    source = inspect.getsource(algebroid._vprod0)
+    rule = "if j == i:\n                    add_form(f, g)"
+    assert source.count(rule) == 2
+    namespace = dict(vars(algebroid))
+    exec(source.replace(rule, "if j == i:\n                    add_form(g, f)", 1), namespace)
+    monkeypatch.setattr(algebroid, "_validated", set())
+    monkeypatch.setattr(algebroid, "_vprod0", namespace["_vprod0"])
+    with pytest.raises(RuleOracleDivergence, match=r"^_\(0\) rule/oracle divergence"):
+        algebroid._validate_rules(variables)

@@ -300,17 +300,45 @@ def test_help_lists_only_own_flags(capsys, command):
     assert listed == OWN_FLAGS[command] | {"--param", "--format", "--config", "--help"}
 
 
-def test_parser_is_built_once(capsys):
-    # once per subcommand: a process builds only the parser it runs
-    cli.build_parser.cache_clear()
-    run(capsys, "quantize", "--N", "2")
-    run(capsys, "quantize", "--N", "3")
-    run(capsys, "morphism", "--n", "2")
-    assert cli.build_parser("quantize") is cli.build_parser("quantize")
-    assert cli.build_parser.cache_info().misses == 2
-    (sub,) = [a for a in cli.build_parser("quantize")._actions
-              if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == ["quantize"]
+@pytest.mark.parametrize("argv, message", [
+    (["quantize", "--N"], "argument --N: expected one argument"),
+    (["quantize", "--N", "--format", "text"], "argument --N: expected one argument"),
+    (["quantize", "--N", "x"], "argument --N: invalid int value: 'x'"),
+    (["quantize", "--N=2.5"], "argument --N: invalid int value: '2.5'"),
+    (["quantize"], "the following arguments are required: --N"),
+    (["extend", "--chart", "U2"], "the following arguments are required: expr, --omega"),
+    (["extend", "y2*d1", "--omega", "w[1,1]", "--chart", "U3"],
+     "argument --chart: invalid choice: 'U3' (choose from 'U1', 'U2')"),
+    (["quantize", "--N", "3", "--format", "json"],
+     "argument --format: invalid choice: 'json' (choose from 'text', 'machine')"),
+    (["quantize", "--N", "3", "--degree-bou", "9"], "unrecognized arguments: --degree-bou 9"),
+    (["quantize", "--N", "3", "--degree", "9"], "unrecognized arguments: --degree 9"),
+    (["derivations", "--N", "3", "--deg", "2"], "unrecognized arguments: --deg 2"),
+    (["quantize", "--N", "3", "--trials=3"], "unrecognized arguments: --trials=3"),
+    (["nprod", "--weigth", "y1"], "unrecognized arguments: --weigth"),
+    (["nprod", "y1", "y2"], "unrecognized arguments: y2"),
+    # only nprod and extend take words after the options
+    (["quantize", "--N", "3", "--"], "unrecognized arguments: --"),
+])
+def test_parser_refusals_keep_their_wording(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, spelled", [
+    (["nprod", "-2*y1"], ["nprod", "--", "-2*y1"]),
+    (["glue-check", "--omega", "-w[1,1]"], ["glue-check", "--omega=-w[1,1]"]),
+    (["membership", "--N", "3", "--omega", "-T(y1^3)"],
+     ["membership", "--N", "3", "--omega=-T(y1^3)"]),
+    (["extend", "-y2*d1", "--omega", "-w[1,1]"], ["extend", "--omega=-w[1,1]", "--", "-y2*d1"]),
+    (["derivations", "--N", "3", "--degree", "-3"], ["derivations", "--N", "3", "--degree=-3"]),
+])
+def test_values_may_start_with_a_minus(capsys, argv, spelled):
+    # the same run as with --flag=value, or with the expression after --
+    code, out, _ = run(capsys, argv[0], "--format", "machine", *argv[1:])
+    assert code == 0
+    assert run(capsys, spelled[0], "--format", "machine", *spelled[1:]) == (0, out, "")
 
 
 def test_unknown_first_word_gets_the_full_parser(capsys):
@@ -406,7 +434,7 @@ def test_startup_loads_neither_dataclasses_nor_inspect():
     loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                             capture_output=True, text=True).stdout.split()
     assert "vertexalg.cli" in loaded
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(loaded)
 
 
 # -- property: any argv of the grammar ends in exit 0, 1 or 2 -----------------
@@ -477,3 +505,107 @@ def test_any_argv_exits_0_1_or_2(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- property: parse_args reads an argv as argparse would --------------------
+
+
+class _Refused(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Refused(message)
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """argparse's reading of COMMANDS and FLAGS: the reference parse_args is
+    checked against."""
+    parser = _ReferenceParser(prog="vertexalg")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, required, optional) in cli.COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in required + optional + cli.SHARED:
+            if flag == "expr":
+                p.add_argument("expr")
+            elif flag == "param":
+                p.add_argument("--param", action="append", default=[])
+            else:
+                p.add_argument("--" + flag.replace("_", "-"), required=flag in required,
+                               **cli.FLAGS[flag])
+    return parser
+
+
+_REFERENCE = _reference_parser()
+
+# flags, unknown or abbreviated or with a negative value, and their values
+_FOREIGN = [["--bogus", "1"], ["--form", "machine"], ["--par", "k=1"], ["--conf", "x"],
+            ["--degree", "3"], ["--deg", "3"], ["--om", "w[1,1]"], ["--ch", "U2"],
+            ["--tri", "2"], ["--Nn", "2"], ["-N", "2"], ["--trials", "-3"],
+            ["--degree", "-2"], ["--N=", "3"], ["--degree-bound=x", "4"]]
+_REPEATS = {"--format": ["text", "machine"], "--chart": ["U1", "U2"],
+            "--omega": ["w[1,1]", "w[2,1]"], "--param": ["k=1", "c=2"]}
+
+
+@st.composite
+def _edge_argvs(draw):
+    """An argv of the grammar, as it is or with one edge case worked in."""
+    argv = draw(_argvs())
+    flags = [i for i, word in enumerate(argv) if word.startswith("--")]
+    i = draw(st.sampled_from(flags))
+    edge = draw(st.sampled_from([None, "equals", "repeat", "dashdash", "no-value",
+                                 "bad-value", "drop", "foreign", "minus"]))
+    if edge is None:
+        pass
+    elif edge == "equals":
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif edge == "repeat":
+        # the later value must win
+        pool = _REPEATS.get(argv[i]) or [str(v) for v in _INTS[argv[i][2:]]]
+        argv[1:1] = [argv[i], draw(st.sampled_from(pool))]
+    elif edge == "dashdash":
+        # the expression after --; argparse versions differ on a -- that no
+        # positional follows, so the other subcommands keep their argv
+        if argv[0] in ("nprod", "extend"):
+            argv = [argv[0], *argv[2:], "--", argv[1]]
+    elif edge == "no-value":
+        del argv[i + 1]
+    elif edge == "bad-value":
+        # for the drawn flag or the closing --format: no int, and no choice
+        j = draw(st.sampled_from([len(argv) - 1, i + 1]))
+        argv[j] = draw(st.sampled_from(["x", "2.5", "", "json", "u1"]))
+    elif edge == "drop":
+        del argv[i:i + 2]
+    elif edge == "foreign":
+        j = draw(st.sampled_from([1, *flags, len(argv)]))
+        argv[j:j] = draw(st.sampled_from(_FOREIGN))
+    else:
+        # a leading minus on an expression, --omega, --param or the drawn
+        # flag's value; argparse takes a word with it and no space for an option
+        spots = [j + 1 for j in flags if argv[j] in ("--omega", "--param")]
+        if argv[0] in ("nprod", "extend"):
+            spots.append(1)
+        j = draw(st.sampled_from(spots or [i + 1]))
+        argv[j] = "-" + argv[j].replace(" ", "")
+    return argv
+
+
+def _read(parse, argv):
+    """The values an argv sets, or None when it is refused."""
+    try:
+        return vars(parse(argv))
+    except (cli.UsageError, _Refused):
+        return None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_edge_argvs())
+def test_parser_agrees_with_argparse(argv):
+    want, got = _read(_REFERENCE.parse_args, argv), _read(cli.parse_args, argv)
+    if want is not None:
+        assert got == want
+    elif got is not None:
+        # argparse takes a word with a leading minus for an unknown option
+        assert any(isinstance(v, str) and v.startswith("-") and " " not in v
+                   for v in [*got.values(), *got["param"]]), argv
