@@ -6,8 +6,15 @@ the Fock creation symbols they embed as.  The _(0) and _(1) products are
 evaluated by closed-form rules; the rules are checked once per variable list
 against the free-field engine on a battery of symbolic monomials, and any
 disagreement is a hard error, so the engine stays the single source of
-truth.  Each distinct sample section of that battery is built and embedded
-once; every sample still runs both products in the engine.
+truth.  The battery's monomials and components range over the first and
+the last variable, so for n >= 3 its samples reach y_n, not only y1 and y2.
+Each distinct sample section of that battery is built and embedded once;
+every sample still runs both products in the engine.
+
+Components are Laurent elements over scalar coefficients (see `scalar`): a
+constant coefficient is a plain int or Fraction, and only one that holds a
+parameter (k, k1, ...) is a ParamScalar.  So a pairing equation, and a solved
+level, is a number unless a parameter is left in it.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ from typing import NamedTuple
 from .errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VariableMismatch
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct
 from .laurent import LaurentElement, OneForm, de_rham, degrees, mul_into
-from .scalar import LinearCombination, ParamScalar, accumulate, solve_linear_system
+from .scalar import (
+    LinearCombination,
+    ParamScalar,
+    Scalar,
+    accumulate,
+    solve_linear_system,
+    substitute,
+)
 
 
 class WeightOneElement(LinearCombination):
@@ -244,19 +258,21 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
     if variables in _validated:
         return
     n = len(variables)
+    indices = sorted({1, n})  # the first and the last variable
     exps = [(0,) * n]
-    for i in range(min(n, 2)):
+    for i in indices:
         for e in (1, 2, -1):
             vec = [0] * n
-            vec[i] = e
+            vec[i - 1] = e
             exps.append(tuple(vec))
     if n >= 2:
-        exps.append((1, 1) + (0,) * (n - 2))
-        exps.append((-1, 1) + (0,) * (n - 2))
+        for e in (1, -1):
+            vec = [0] * n
+            vec[0], vec[-1] = e, 1
+            exps.append(tuple(vec))
     # a private algebra: its table of one-off products is freed on return
     alg = FreeFieldAlgebra(variables, 3)
     k = ParamScalar.var("k")
-    indices = range(1, min(n, 2) + 1)
 
     def frame(i, e, c=1):
         return WeightOneElement.field("c", variables, i, LaurentElement.monomial(variables, e, c))
@@ -323,7 +339,7 @@ def oracle_vprod(u: WeightOneElement, n: int, v: WeightOneElement):
 
 class MorphismReport(NamedTuple):
     status: str  # "pass" | "fail"
-    levels: tuple[ParamScalar, ParamScalar] | None
+    levels: tuple[Scalar, Scalar] | None
     failures: list
 
 
@@ -374,7 +390,7 @@ def morphism_check(images: dict[str, WeightOneElement]) -> MorphismReport:
         failures.append((("pairing", "solve"), 1, f"level solve {sol.status}"))
     else:
         levels = (sol.assignment.get("k1"), sol.assignment.get("k2"))
-        defects = {eq for eq in distinct if eq.substitute(sol.assignment)}
+        defects = {eq for eq in distinct if substitute(eq, sol.assignment)}
         for pair, eq in equations:
             if eq in defects:
                 failures.append((pair, 1, "pairing defect at solved levels"))

@@ -60,7 +60,7 @@ from .geometry import (
     transition,
 )
 from .laurent import LaurentElement
-from .scalar import ParamScalar
+from .scalar import SCALAR_TYPES, ParamScalar, exact, power
 from .veronese import (
     build_model,
     classify_admissible,
@@ -126,16 +126,16 @@ def _name(name: str, n_vars: int, params: dict[str, Fraction]):
             raise UsageError(f"{name} is out of range: the variables are "
                              f"{', '.join(f'y{j}' for j in range(1, n_vars + 1))}")
         return name[0], i
-    return ParamScalar.of(params[name]) if name in params else ParamScalar.var(name)
+    return exact(params[name]) if name in params else ParamScalar.var(name)
 
 
 def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
     """Evaluate an expression tree inside the free-field algebra."""
     if isinstance(node, Num):
-        return alg.vacuum().scale(ParamScalar.of(node.value))
+        return alg.vacuum().scale(exact(node.value))
     if isinstance(node, Ident):
         value = _name(node.name, len(alg.variables), params)
-        if isinstance(value, ParamScalar):
+        if isinstance(value, SCALAR_TYPES):
             return alg.vacuum().scale(value)
         kind, i = value
         return alg.coordinate(i) if kind == "y" else alg.frame(i)
@@ -171,17 +171,17 @@ def eval_fock(node, alg: FreeFieldAlgebra, params: dict[str, Fraction]):
 
 
 def _add_gluing(left, right):
-    if type(left) is not type(right):
+    if isinstance(left, GluingForm) != isinstance(right, GluingForm):
         raise UsageError("cannot add a scalar and a gluing form")
     return left + right
 
 
 def _multiply_gluing(left, right):
-    if isinstance(left, ParamScalar) and isinstance(right, GluingForm):
+    if isinstance(left, SCALAR_TYPES) and isinstance(right, GluingForm):
         return right.scale(left)
-    if isinstance(left, GluingForm) and isinstance(right, ParamScalar):
+    if isinstance(left, GluingForm) and isinstance(right, SCALAR_TYPES):
         return left.scale(right)
-    if isinstance(left, ParamScalar) and isinstance(right, ParamScalar):
+    if isinstance(left, SCALAR_TYPES) and isinstance(right, SCALAR_TYPES):
         return left * right
     raise UsageError("cannot multiply two gluing forms")
 
@@ -189,10 +189,10 @@ def _multiply_gluing(left, right):
 def eval_gluing(node, params: dict[str, Fraction]):
     """Evaluate an expression tree to a gluing form or a scalar."""
     if isinstance(node, Num):
-        return ParamScalar.of(node.value)
+        return exact(node.value)
     if isinstance(node, Ident):
         value = _name(node.name, len(V2), params)
-        if not isinstance(value, ParamScalar):
+        if not isinstance(value, SCALAR_TYPES):
             raise UsageError(f"{node.name} names a coordinate or frame field; "
                              "a gluing form takes only scalar coefficients")
         return value
@@ -208,8 +208,8 @@ def eval_gluing(node, params: dict[str, Fraction]):
                                 (eval_gluing(factor, params) for factor in node.factors))
     if isinstance(node, Power):
         base = eval_gluing(node.base, params)
-        if isinstance(base, ParamScalar):
-            return base ** node.exponent
+        if isinstance(base, SCALAR_TYPES):
+            return power(base, node.exponent)
     raise UsageError("only scalars and w[a,b] terms are allowed in a gluing form")
 
 
@@ -307,7 +307,7 @@ def _cmd_extend(args, params) -> Report:
 def _cmd_morphism(args, params) -> Report:
     n = _arg(args, "n", 2, 2)
     if n == 2:
-        k = ParamScalar.of(params["k"]) if "k" in params else ParamScalar.var("k")
+        k = exact(params["k"]) if "k" in params else ParamScalar.var("k")
         images = gl2_chart_images(k)
     else:
         variables = tuple(f"y{i}" for i in range(1, n + 1))

@@ -21,10 +21,14 @@ later products scale the stored result by the state's coefficient.  Every
 factor of the recursion (contraction counts, zero-mode exponents, binomials
 and multinomials) is an integer, so a stored result is a tuple of plain int
 coefficients, exact by construction, cheap to multiply and with nothing to
-share between entries.  Stored results are immutable and never handed out,
-and the table has no size limit: it lives as long as its algebra.  A product
-with an rng peels words in a random order and neither reads nor writes the
-table, so comparing peel orders still checks the recursion itself.
+share between entries.  An element's coefficients are scalars (see
+`scalar`): a constant one is a plain int or Fraction, so scaling a stored
+result by it runs on Python numbers, and only a coefficient that holds a
+parameter is a ParamScalar.  Stored results are immutable and never handed
+out, and the table has no size limit: it lives as long as its algebra.  A
+product with an rng peels words in a random order and neither reads nor
+writes the table, so comparing peel orders still checks the recursion
+itself.
 
 Without an rng each word is peeled by one fixed plan, made once per word and
 kept on the algebra as plain data (no closure, so no reference cycle keeps
@@ -55,13 +59,14 @@ from .errors import (
     WeightBoundExceeded,
 )
 from .laurent import LaurentElement
-from .scalar import ONE, LinearCombination, ParamScalar, accumulate
+from .scalar import LinearCombination, Scalar, accumulate, exact
 
 Symbol = tuple[str, int, int]  # (class 'y'|'d', coordinate index, order m)
 ExpVec = tuple[int, ...]
 TermKey = tuple[ExpVec, tuple[Symbol, ...]]
-# coefficients are ParamScalars, or ints inside the product table's expansions
-Terms = dict[TermKey, ParamScalar | int]
+# coefficients are scalars: ints and Fractions, or ParamScalars that hold a
+# parameter; the product table's expansions hold ints only
+Terms = dict[TermKey, Scalar]
 
 
 def _sym_weight(s: Symbol) -> int:
@@ -129,22 +134,22 @@ class FreeFieldAlgebra:
 
     # -- element constructors ------------------------------------------
 
-    def element(self, terms: Mapping[TermKey, ParamScalar]) -> "FreeFieldElement":
+    def element(self, terms: Mapping[TermKey, Scalar]) -> "FreeFieldElement":
         return FreeFieldElement(self, terms)
 
     def zero(self) -> "FreeFieldElement":
         return self.element({})
 
     def vacuum(self) -> "FreeFieldElement":
-        return self.element({(self._zero_exp, ()): ONE})
+        return self.element({(self._zero_exp, ()): 1})
 
     def coordinate(self, i: int) -> "FreeFieldElement":
         exp = list(self._zero_exp)
         exp[i - 1] = 1
-        return self.element({(tuple(exp), ()): ONE})
+        return self.element({(tuple(exp), ()): 1})
 
     def frame(self, i: int) -> "FreeFieldElement":
-        return self.element({(self._zero_exp, (("d", i, 0),)): ONE})
+        return self.element({(self._zero_exp, (("d", i, 0),)): 1})
 
     def from_laurent(self, f: LaurentElement) -> "FreeFieldElement":
         if f.variables != self.variables:
@@ -164,7 +169,7 @@ class FreeFieldAlgebra:
         terms: Terms = {}
         for j in range(1, self.n + 1):
             tail = tuple(sorted([("y", j, 1), ("d", j, 0)], key=_sort_key))
-            terms[(self._zero_exp, tail)] = ONE
+            terms[(self._zero_exp, tail)] = 1
         return self.element(terms)
 
     # -- mode actions of the generating fields ---------------------------
@@ -373,12 +378,12 @@ class FreeFieldElement(LinearCombination):
 
     __slots__ = ("algebra",)
 
-    def __init__(self, algebra: FreeFieldAlgebra, terms: Mapping[TermKey, ParamScalar]):
+    def __init__(self, algebra: FreeFieldAlgebra, terms: Mapping[TermKey, Scalar]):
         self.algebra = algebra
         clean: Terms = {}
         weight = None
         for key, coeff in terms.items():
-            coeff = ParamScalar.of(coeff)
+            coeff = exact(coeff)
             if not coeff:
                 continue
             alpha, tail = key
@@ -576,8 +581,7 @@ def random_element(alg: FreeFieldAlgebra, rng, max_weight: int) -> FreeFieldElem
                     m = rng.randint(0, rem - 1)
                     tail.append(("d", rng.randint(1, n), m))
                     rem -= m + 1
-            coeff = ParamScalar.of(rng.randint(-3, 3))
-            out = out + alg.element({(alpha, tuple(tail)): coeff})
+            out = out + alg.element({(alpha, tuple(tail)): rng.randint(-3, 3)})
         if not out.is_zero():
             return out
 

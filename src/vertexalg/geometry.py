@@ -16,7 +16,7 @@ from .algebroid import WeightOneElement, embed, fock_algebra
 from .errors import InvalidInput, VariableMismatch
 from .freefield import nproduct, translate
 from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
-from .scalar import ONE, LinearCombination, ParamScalar
+from .scalar import LinearCombination, Scalar, exact
 
 V2 = ("y1", "y2")
 
@@ -28,18 +28,18 @@ class GluingForm(LinearCombination):
     __slots__ = ()
     variables = V2
 
-    def __init__(self, terms: Mapping[tuple[int, int], ParamScalar] | None = None):
+    def __init__(self, terms: Mapping[tuple[int, int], Scalar] | None = None):
         clean = {}
         for (a, b), c in (terms or {}).items():
             if a < 1 or b < 1:
                 raise InvalidInput("gluing basis indices must satisfy a, b >= 1")
-            c = ParamScalar.of(c)
+            c = exact(c)
             if c:
                 clean[(a, b)] = c
         super().__init__(clean)
 
     @staticmethod
-    def basis(a: int, b: int, coeff=ONE) -> "GluingForm":
+    def basis(a: int, b: int, coeff: Scalar = 1) -> "GluingForm":
         return GluingForm({(a, b): coeff})
 
     def __repr__(self) -> str:

@@ -1,9 +1,12 @@
 """Laurent polynomial chart rings and their one-forms.
 
 Elements are sparse maps from integer exponent vectors (negative exponents
-allowed: chart localization) to ParamScalar coefficients.  One-forms are
-sparse maps from coordinate indices to ring elements.  Both are
-LinearCombinations (see `scalar`); `de_rham` is the differential between them.
+allowed: chart localization) to scalar coefficients: ints and Fractions, and
+ParamScalars only where a parameter is left (see `scalar`).  A negative power
+of a monomial raises its coefficient through `scalar.power`, so it stays
+exact.  One-forms are sparse maps from coordinate indices to ring elements.
+Both are LinearCombinations (see `scalar`); `de_rham` is the differential
+between them.
 
 Coordinate indices are 1-based throughout (y1, y2, ...).
 
@@ -18,14 +21,12 @@ as `degree_shift`, and `degrees` is the one function that applies the rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InhomogeneousInput, InvalidInput, VariableMismatch
-from .scalar import ONE, ZERO, LinearCombination, ParamScalar, accumulate
+from .scalar import SCALAR_TYPES, LinearCombination, Scalar, accumulate, exact, power
 
 ExpVec = tuple[int, ...]
-CoeffLike = Union[ParamScalar, int, Fraction]
 
 
 def exponent_vectors(total: int, n: int) -> Iterator[ExpVec]:
@@ -49,17 +50,17 @@ def _new_over_variables(self, terms: dict):
 
 
 class LaurentElement(LinearCombination):
-    """Laurent polynomial in named coordinates with ParamScalar coefficients."""
+    """Laurent polynomial in named coordinates with scalar coefficients."""
 
     __slots__ = ("variables",)
     _new = _new_over_variables
 
-    def __init__(self, variables: tuple[str, ...], terms: Mapping[ExpVec, CoeffLike] | None = None):
+    def __init__(self, variables: tuple[str, ...], terms: Mapping[ExpVec, Scalar] | None = None):
         self.variables = tuple(variables)
-        clean: dict[ExpVec, ParamScalar] = {}
+        clean: dict[ExpVec, Scalar] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = ParamScalar.of(coeff)
+                c = exact(coeff)
                 if c:
                     if len(exp) != len(self.variables):
                         raise VariableMismatch("exponent vector length mismatch")
@@ -69,20 +70,20 @@ class LaurentElement(LinearCombination):
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def constant(variables: tuple[str, ...], value: CoeffLike) -> "LaurentElement":
+    def constant(variables: tuple[str, ...], value: Scalar) -> "LaurentElement":
         n = len(variables)
         return LaurentElement(variables, {(0,) * n: value})
 
     @staticmethod
     def monomial(variables: tuple[str, ...], exponents: Iterable[int],
-                 coeff: CoeffLike = 1) -> "LaurentElement":
+                 coeff: Scalar = 1) -> "LaurentElement":
         return LaurentElement(variables, {tuple(exponents): coeff})
 
     @staticmethod
     def coordinate(variables: tuple[str, ...], i: int) -> "LaurentElement":
         exp = [0] * len(variables)
         exp[i - 1] = 1
-        return LaurentElement(variables, {tuple(exp): ONE})
+        return LaurentElement(variables, {tuple(exp): 1})
 
     # -- queries -----------------------------------------------------
 
@@ -92,14 +93,14 @@ class LaurentElement(LinearCombination):
             return None
         return min(exp[i - 1] for exp in self._terms)
 
-    def constant_term(self) -> ParamScalar:
+    def constant_term(self) -> Scalar:
         zero_exp = (0,) * len(self.variables)
-        return self._terms.get(zero_exp, ZERO)
+        return self._terms.get(zero_exp, 0)
 
     # -- products ------------------------------------------------------
 
     def __mul__(self, other) -> "LaurentElement":
-        if isinstance(other, (int, Fraction, ParamScalar)):
+        if isinstance(other, SCALAR_TYPES):
             return self.scale(other)
         self._check(other)
         return self._new(mul_into({}, self, other))
@@ -109,14 +110,14 @@ class LaurentElement(LinearCombination):
 
     def __pow__(self, n: int) -> "LaurentElement":
         """self ** n.  Zero or a one-term element takes one step for any n,
-        negative too: exponents times n, coefficient to the n.  A sum of
-        terms is multiplied out n times."""
+        negative too: exponents times n, coefficient to the n (`power`).  A
+        sum of terms is multiplied out n times."""
         if n < 0 and len(self._terms) != 1:
             raise InvalidInput("negative power of zero or of a non-monomial")
         if n == 0:
             return LaurentElement.constant(self.variables, 1)
         if len(self._terms) <= 1:
-            return self._new({tuple(e * n for e in exp): c ** n
+            return self._new({tuple(e * n for e in exp): power(c, n)
                               for exp, c in self._terms.items()})
         out = LaurentElement.constant(self.variables, 1)
         for _ in range(n):

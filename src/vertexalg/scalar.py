@@ -6,20 +6,25 @@ elements and one-forms of `laurent`, the weight-one sections of `algebroid`,
 the gluing forms of `geometry` and the Fock elements of `freefield` share its
 sum, difference, negation, scaling, equality and hashing.  Canonical form
 is enforced in two places only: each public constructor checks what it is
-given, coerces every scalar through `ParamScalar.of` and drops zeros, and
-every sum goes through `accumulate`, which drops a key whose value cancels.
+given, coerces every scalar through `exact` and drops zeros, and every sum
+goes through `accumulate`, which drops a key whose value cancels.
 Arithmetic results are built by `LinearCombination._new` from terms that are
 already canonical, so they are never coerced or checked again.  `_new` makes
 one object per result and stores its context (the variable list, the chart,
 the algebra) directly: a class with context overrides `_new` to set those
 slots, and a result never inherits the `_partials` of its operand.
 
-A ParamScalar is a polynomial in formal parameters (k, gluing coefficients
-c_ab, ...) with rational coefficients; all other modules use these as their
-coefficient ring.  A coefficient is an int or a Fraction, never a float: a
-public constructor stores an integral value as int and any other as
-Fraction, and the only divisions (`/` and negative powers) go through
-Fraction, so arithmetic stays exact while integer work runs on plain ints.
+A scalar, the coefficient of every other module, has one form per value: an
+int for an integral rational, a Fraction for any other, and a ParamScalar, a
+polynomial in formal parameters (k, gluing coefficients c_ab, ...) with
+rational coefficients, only while it holds a parameter.  `exact` is the one
+coercion of the public constructors, and ParamScalar arithmetic, like its
+constructor, returns the plain number once no parameter is left, so
+`k - k + 1` is 1 and a constant product runs on Python ints.  A coefficient
+is never a float: the only divisions go through Fraction, in
+`ParamScalar.__truediv__`, in `power` (every negative power: of a number, of
+a Laurent monomial, and the CLI's) and in `row_reduce`.  The module helpers
+`power`, `constant_value`, `substitute` and `parameters` accept any scalar.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .errors import InvalidInput, NonlinearCondition, NonScalarDivisor, Variable
 Monomial = tuple[tuple[str, int], ...]
 
 RationalLike = Union[int, Fraction]
+Scalar = Union[int, Fraction, "ParamScalar"]
 
 
 def accumulate(acc: dict, key, value) -> None:
@@ -48,15 +54,15 @@ def accumulate(acc: dict, key, value) -> None:
 class LinearCombination:
     """Canonical sparse map {key: value} with no zero value stored.
 
-    Values are rationals or combinations themselves.  A subclass lists its
+    Values are scalars or combinations themselves.  A subclass lists its
     context (what both operands must share, e.g. the variable list) in its own
     __slots__ and overrides `_new` to store that context, taken from the left
-    operand, on the result; a class without context (ParamScalar, GluingForm)
-    uses `_new` as it is.  Operands must agree on `variables`; a subclass adds
-    to `_check` and widens `_coerce`.  Instances are immutable and hashable.
-    Two slots hold values derived from the terms alone, filled on first use
-    and never set by `_new`: `_hash`, and `_partials`, the partial derivatives
-    a LaurentElement keeps.
+    operand, on the result; a class without context (GluingForm) uses `_new`
+    as it is.  Operands must agree on `variables`; a subclass adds to
+    `_check`.  Instances are immutable and hashable.  Two slots hold values
+    derived from the terms alone, filled on first use and never set by
+    `_new`: `_hash`, and `_partials`, the partial derivatives a
+    LaurentElement keeps.
     """
 
     __slots__ = ("_terms", "_hash", "_partials")
@@ -89,16 +95,12 @@ class LinearCombination:
 
     def parameters(self) -> set[str]:
         """The formal parameters occurring in any value."""
-        return set().union(*(value.parameters() for value in self._terms.values()))
+        return set().union(*(parameters(value) for value in self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        """other as an operand of this type, or NotImplemented."""
-        return other if type(other) is type(self) else NotImplemented
 
     def _check(self, other) -> None:
         """Raise unless other may be added to self."""
@@ -107,8 +109,7 @@ class LinearCombination:
                 f"variable lists differ: {self.variables} vs {other.variables}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         out = dict(self._terms)
@@ -116,14 +117,11 @@ class LinearCombination:
             accumulate(out, key, value)
         return self._new(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._new({key: -value for key, value in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         out = dict(self._terms)
@@ -131,14 +129,8 @@ class LinearCombination:
             accumulate(out, key, -value)
         return self._new(out)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def scale(self, c):
-        """Every value times c: a rational for a ParamScalar, a scalar for the
+        """Every value times c: a number for a ParamScalar, a scalar for the
         other types, or a ring element for a form; vanishing products drop."""
         return self._new({key: p for key, value in self._terms.items()
                           if (p := value * c)})
@@ -146,8 +138,7 @@ class LinearCombination:
     # -- protocol ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not type(self):
             return NotImplemented
         return self.variables == other.variables and self._terms == other._terms
 
@@ -167,77 +158,102 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 class ParamScalar(LinearCombination):
-    """Polynomial in formal parameters over the rationals, canonical form.
+    """Polynomial in formal parameters over the rationals, canonical form,
+    holding at least one parameter.
 
     Keys are parameter monomials (unique, sorted by name), values nonzero
-    ints or Fractions.  Ints and Fractions are accepted wherever a ParamScalar
-    is, and a constant hashes as its rational value, so it also finds a
-    rational dict key.
+    ints or Fractions.  The constructor and every operation return the plain
+    number instead when no parameter is left: 0 for no term and c for the
+    single term {(): c}.  A number operand is used as it is: it scales, or it
+    adds at the () key.  Only + and - can cancel a parameter, because a
+    product of two polynomials that each hold one holds one too.  So a
+    ParamScalar never equals a number, and hashes by its terms alone.
     """
 
     __slots__ = ()
     variables = ()  # a scalar lives over no coordinates
 
-    def __init__(self, terms: Mapping[Monomial, RationalLike] | None = None):
+    def __new__(cls, terms: Mapping[Monomial, RationalLike] | None = None):
         clean = {}
         for mono, coeff in (terms or {}).items():
             if not isinstance(coeff, (int, Fraction)):
                 raise InvalidInput(f"coefficient {coeff!r} is not exact: "
-                                   "use an int, a Fraction or a ParamScalar")
+                                   "use an int or a Fraction")
             if coeff:
                 clean[mono] = int(coeff) if coeff.denominator == 1 else coeff
-        super().__init__(clean)
+        return ParamScalar._new(clean)
 
-    # -- constructors ------------------------------------------------
+    def __init__(self, terms=None):
+        """Nothing left to do: `__new__` built the scalar."""
+
+    def __reduce__(self):
+        return ParamScalar, (self._terms,)
 
     @staticmethod
-    def of(value: "RationalLike | ParamScalar") -> "ParamScalar":
-        """The one coercion of every public constructor: an int, a Fraction
-        or a ParamScalar; anything else, a float or a string, is InvalidInput."""
-        if isinstance(value, ParamScalar):
-            return value
-        return ParamScalar({(): value})
+    def _new(terms: dict) -> Scalar:
+        """The scalar of canonical terms: 0 for none, the number c for the
+        single term {(): c}, else a ParamScalar."""
+        if len(terms) <= 1:
+            if not terms:
+                return 0
+            if () in terms:
+                return terms[()]
+        out = object.__new__(ParamScalar)
+        out._terms = terms
+        out._hash = None
+        return out
 
     @staticmethod
     def var(name: str) -> "ParamScalar":
         return ParamScalar({((name, 1),): 1})
 
-    @staticmethod
-    def zero() -> "ParamScalar":
-        return ParamScalar({})
-
-    @staticmethod
-    def one() -> "ParamScalar":
-        return ParamScalar.of(1)
-
     # -- queries -----------------------------------------------------
 
     def is_constant(self) -> bool:
+        """Whether every monomial is (): never, for a canonical scalar (the
+        benchmark's tracer still asks)."""
         return all(m == () for m in self._terms)
-
-    def constant_value(self) -> RationalLike:
-        if not self.is_constant():
-            raise NonScalarDivisor("non-scalar divisor")
-        return self._terms.get((), 0)
 
     def parameters(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
 
     # -- arithmetic ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "ParamScalar":
-        if isinstance(other, ParamScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParamScalar.of(other)
-        return NotImplemented
+    def __add__(self, other) -> Scalar:
+        out = dict(self._terms)
+        if type(other) is ParamScalar:
+            for key, value in other._terms.items():
+                accumulate(out, key, value)
+        elif isinstance(other, (int, Fraction)):
+            accumulate(out, (), other)
+        else:
+            return NotImplemented
+        return self._new(out)
 
-    def __mul__(self, other) -> "ParamScalar":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Scalar:
+        out = dict(self._terms)
+        if type(other) is ParamScalar:
+            for key, value in other._terms.items():
+                accumulate(out, key, -value)
+        elif isinstance(other, (int, Fraction)):
+            accumulate(out, (), -other)
+        else:
+            return NotImplemented
+        return self._new(out)
+
+    def __rsub__(self, other) -> Scalar:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        out = {key: -value for key, value in self._terms.items()}
+        accumulate(out, (), other)
+        return self._new(out)
+
+    def __mul__(self, other) -> Scalar:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        other = ParamScalar._coerce(other)
-        if other is NotImplemented:
+        if type(other) is not ParamScalar:
             return NotImplemented
         out: dict[Monomial, RationalLike] = {}
         for m1, c1 in self._terms.items():
@@ -248,52 +264,56 @@ class ParamScalar(LinearCombination):
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ParamScalar":
-        other = ParamScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
+        """self / other for a nonzero number, through Fraction."""
+        if isinstance(other, (int, Fraction)) and other:
+            return self.scale(Fraction(1) / other)
+        if isinstance(other, (int, Fraction, ParamScalar)):
             raise NonScalarDivisor("non-scalar divisor")
-        if not other.is_constant():
-            raise NonScalarDivisor("non-scalar divisor")
-        return self.scale(Fraction(1) / other.constant_value())
+        return NotImplemented
 
-    def __pow__(self, n: int) -> "ParamScalar":
-        """self ** n; zero or a single monomial c*k^a takes one step,
-        c^n * k^(a*n), whatever n."""
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            raise NonScalarDivisor("non-scalar divisor")
+        return NotImplemented
+
+    def __pow__(self, n: int) -> Scalar:
+        """self ** n for n >= 0; a single monomial c*k^a takes one step,
+        c^n * k^(a*n), whatever n.  A scalar that holds a parameter has no
+        negative power."""
         if n < 0:
-            if self.is_zero() or not self.is_constant():
-                raise InvalidInput(f"negative power of {self}, which is not "
-                                   "a nonzero constant")
-            return ParamScalar.of(Fraction(self.constant_value()) ** n)
+            raise InvalidInput(f"negative power of {self}, which is not "
+                               "a nonzero constant")
         if n == 0:
-            return ParamScalar.one()
-        if len(self._terms) <= 1:
+            return 1
+        if len(self._terms) == 1:
             return self._new({tuple((name, e * n) for name, e in mono): c ** n
                               for mono, c in self._terms.items()})
-        out = ParamScalar.one()
-        for _ in range(n):
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
-    def substitute(self, assignment: Mapping[str, "RationalLike | ParamScalar"]) -> "ParamScalar":
-        """Substitute values (rational or scalar) for some parameters."""
-        out = ParamScalar.zero()
+    def substitute(self, assignment: Mapping[str, Scalar]) -> Scalar:
+        """Substitute values (any scalars) for some parameters."""
+        out = 0
         for mono, coeff in self._terms.items():
-            value = ParamScalar.of(coeff)
+            value = coeff
             for name, e in mono:
                 if name in assignment:
-                    val = ParamScalar._coerce(assignment[name])
-                    value = value * val ** e
+                    value = value * power(exact(assignment[name]), e)
                 else:
                     value = value * ParamScalar({((name, e),): 1})
             out = out + value
         return out
 
+    def __eq__(self, other) -> bool:
+        if type(other) is ParamScalar:
+            return self._terms == other._terms
+        return False if isinstance(other, (int, Fraction)) else NotImplemented
+
     def __hash__(self) -> int:
         if self._hash is None:
-            terms = self._terms
-            self._hash = (hash(terms.get((), 0)) if self.is_constant()
-                          else hash(frozenset(terms.items())))
+            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     # -- printing ------------------------------------------------------
@@ -302,8 +322,6 @@ class ParamScalar(LinearCombination):
         return f"ParamScalar({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for mono in sorted(self._terms):
             c = self._terms[mono]
@@ -324,29 +342,74 @@ class ParamScalar(LinearCombination):
         return out
 
 
-ZERO = ParamScalar.zero()
-ONE = ParamScalar.one()
+SCALAR_TYPES = (int, Fraction, ParamScalar)
+
+
+def exact(value) -> Scalar:
+    """The one coercion of every public constructor: an int for an integral
+    value (a bool or Fraction(2, 1) too), a Fraction for any other rational,
+    and a ParamScalar as it is, since it always holds a parameter; anything
+    else, a float or a string, is InvalidInput."""
+    if type(value) is int or type(value) is ParamScalar:
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise InvalidInput(f"coefficient {value!r} is not exact: "
+                           "use an int, a Fraction or a ParamScalar")
+    return int(value) if value.denominator == 1 else value
+
+
+def power(x: Scalar, n: int) -> Scalar:
+    """x ** n for any scalar x and integer n.  A negative power of a nonzero
+    number goes through Fraction, since int ** -n is a float; zero and a
+    scalar that holds a parameter have none (InvalidInput)."""
+    if type(x) is ParamScalar:
+        return x ** n
+    if n < 0:
+        if not x:
+            raise InvalidInput(f"negative power of {x}, which is not a nonzero constant")
+        return exact(Fraction(x) ** n)
+    return exact(x ** n)
+
+
+def constant_value(x: Scalar) -> RationalLike:
+    """The number x; a scalar that holds a parameter raises NonScalarDivisor."""
+    if type(x) is ParamScalar:
+        raise NonScalarDivisor(f"{x} is not a constant")
+    return x
+
+
+def substitute(x: Scalar, assignment: Mapping[str, Scalar]) -> Scalar:
+    """x with values substituted for some parameters; a number is unchanged."""
+    return x.substitute(assignment) if type(x) is ParamScalar else x
+
+
+def parameters(x: Scalar) -> set[str]:
+    """The formal parameters of a scalar or of a combination over scalars."""
+    return x.parameters() if isinstance(x, LinearCombination) else set()
 
 
 class LinearSolution(NamedTuple):
     """Outcome of an exact affine-linear solve in the formal parameters.
 
-    Assignment values are ParamScalars: they may involve the parameters that
-    were not solved for.
+    Assignment values are scalars: numbers, or ParamScalars that involve the
+    parameters that were not solved for.
     """
 
     status: str  # "unique" | "underdetermined" | "inconsistent"
-    assignment: dict[str, ParamScalar] | None = None
+    assignment: dict[str, Scalar] | None = None
 
 
-def _affine_split(eq: ParamScalar,
-                  unknowns: list[str]) -> tuple[dict[int, RationalLike], ParamScalar]:
+def _affine_split(eq: Scalar,
+                  unknowns: list[str]) -> tuple[dict[int, RationalLike], Scalar]:
     """Write eq as  const + sum coeffs[i] * unknowns[i];  exact, or raise.
 
     The coefficients come back sparse, keyed by unknown index.  The constant
     part may involve parameters outside the unknown list; the unknowns
-    themselves must enter with rational coefficients.
+    themselves must enter with rational coefficients.  A number is all
+    constant.
     """
+    if type(eq) is not ParamScalar:
+        return {}, eq
     index = {name: i for i, name in enumerate(unknowns)}
     coeffs: dict[int, RationalLike] = {}
     const: dict[Monomial, RationalLike] = {}
@@ -373,8 +436,8 @@ class Echelon(NamedTuple):
     """
 
     rows: dict[int, dict[int, RationalLike]]
-    rhs: dict[int, ParamScalar]
-    residuals: list[ParamScalar]
+    rhs: dict[int, Scalar]
+    residuals: list[Scalar]
 
     @property
     def rank(self) -> int:
@@ -405,7 +468,7 @@ def _subtract(row: dict[int, RationalLike], f: RationalLike,
 
 
 def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
-               rhs: Iterable[ParamScalar] | None = None) -> Echelon:
+               rhs: Iterable[Scalar] | None = None) -> Echelon:
     """Exact Gauss-Jordan elimination of sparse rows {column: coefficient}.
 
     The optional right-hand sides (one per row, default zero) follow the row
@@ -421,10 +484,10 @@ def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
     eliminated on ints and no value is ever a float.
     """
     rows = list(rows)
-    rhs = [ZERO] * len(rows) if rhs is None else list(rhs)
+    rhs = [0] * len(rows) if rhs is None else list(rhs)
     pivots: dict[int, dict[int, RationalLike]] = {}
-    pivot_rhs: dict[int, ParamScalar] = {}
-    residuals: list[ParamScalar] = []
+    pivot_rhs: dict[int, Scalar] = {}
+    residuals: list[Scalar] = []
     for entries, b in zip(rows, rhs, strict=True):
         row = {c: x for c, x in entries.items() if x}
         for col in [c for c in row if c in pivots]:
@@ -460,7 +523,7 @@ def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
 
 
 def solve_linear_system(
-    equations: Iterable[ParamScalar], unknowns: list[str]
+    equations: Iterable[Scalar], unknowns: list[str]
 ) -> LinearSolution:
     """Classify and solve an affine-linear system in the given parameters.
 

@@ -39,10 +39,12 @@ from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
 from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
 from .scalar import (
-    ZERO,
     ParamScalar,
     RationalLike,
+    Scalar,
     accumulate,
+    constant_value,
+    exact,
     row_reduce,
     solve_linear_system,
 )
@@ -110,7 +112,7 @@ def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseMode
 # -- graded membership in the span of generator differentials ----------------
 
 
-def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScalar]:
+def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[Scalar]:
     """Residual conditions for omega to lie in the span, over degree-matched
     invariant monomials, of the generator differentials.
 
@@ -147,7 +149,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[ParamScal
                         exp = block[:i - 1] + (block[i - 1] - 1,) + block[i:]
                         rows.setdefault((i, exp), {})[j] = gi
                 j += 1
-    return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
+    return row_reduce(rows.values(), [target.get(c, 0) for c in rows]).residuals
 
 
 def omega_membership(omega: OneForm, model: VeroneseModel) -> bool:
@@ -161,7 +163,7 @@ def omega_membership(omega: OneForm, model: VeroneseModel) -> bool:
 
 def gl2_chart_images(k) -> dict[str, WeightOneElement]:
     """Sections on the chart where y1 is invertible, gluing multiple k."""
-    k = ParamScalar.of(k)
+    k = exact(k)
     y1 = LaurentElement.coordinate(V2, 1)
     y2 = LaurentElement.coordinate(V2, 2)
     inv = LaurentElement.monomial(V2, (-1, 0))
@@ -179,7 +181,7 @@ RELATION_PAIRS = (("E12", "E22"), ("E11", "E21"))
 
 
 @functools.cache
-def _embedded_chart_images(k: ParamScalar) -> MappingProxyType:
+def _embedded_chart_images(k: Scalar) -> MappingProxyType:
     """The gl_2 chart images at multiple k, embedded in the shared algebra;
     built once per value of k and kept as long as that algebra."""
     alg = fock_algebra(V2, 3)
@@ -205,7 +207,7 @@ def relation_defect(model: VeroneseModel, r: int,
         raise InvalidInput(f"pair must be one of {RELATION_PAIRS}")
     if k is None:
         k = ParamScalar.var("k")
-    images = _embedded_chart_images(ParamScalar.of(k))
+    images = _embedded_chart_images(exact(k))
     alg = fock_algebra(V2, 3)
     N = model.N
     m1 = alg.from_laurent(LaurentElement.monomial(V2, (r, N - r)))
@@ -257,14 +259,14 @@ def solve_charge(model: VeroneseModel) -> ChargeResult:
     if model.N == 1:
         return ChargeResult("unconstrained", None, line)
     k = ParamScalar.var("k")
-    conditions: list[ParamScalar] = []
+    conditions: list[Scalar] = []
     for pair in RELATION_PAIRS:
         for r in range(model.N):
             defect = relation_defect(model, r, pair, k)
             conditions.extend(membership_residuals(defect.form_part, model))
     sol = solve_linear_system(conditions, ["k"])
     if sol.status == "unique":
-        return ChargeResult("unique", sol.assignment["k"].constant_value(), line)
+        return ChargeResult("unique", constant_value(sol.assignment["k"]), line)
     if sol.status == "underdetermined":
         return ChargeResult("unconstrained", None, line)
     return ChargeResult("no_solution", None, line)

@@ -67,9 +67,9 @@ def test_criterion_3_gl2_levels():
     rep = morphism_check(gl2_chart_images(k))
     ok = rep.status == "pass" and rep.levels == (-k - 1, k - 1)
     for N in (2, 3):
-        rep = morphism_check(gl2_chart_images(ParamScalar.of(N + 1)))
+        rep = morphism_check(gl2_chart_images(N + 1))
         ok = ok and rep.status == "pass"
-        ok = ok and rep.levels == (ParamScalar.of(-N - 2), ParamScalar.of(N))
+        ok = ok and rep.levels == (-N - 2, N)
     report(3, "gl_2 morphism levels (-k-1, k-1) and (-N-2, N)", ok)
 
 
@@ -82,7 +82,7 @@ def test_criterion_4_gln_levels():
             for a in range(1, n + 1) for b in range(1, n + 1)}
         rep = morphism_check(images)
         ok = ok and rep.status == "pass"
-        ok = ok and rep.levels == (ParamScalar.of(-1), ParamScalar.of(-1))
+        ok = ok and rep.levels == (-1, -1)
     report(4, "tautological gl_n levels (-1, -1)", ok)
 
 
@@ -102,7 +102,7 @@ def test_criterion_6_conformal_gluing():
     ok = all(conformal_glue_check(om) for om in (
         GluingForm.basis(1, 1),
         GluingForm.basis(1, 2),
-        GluingForm.basis(2, 1, ParamScalar.of(2)),
+        GluingForm.basis(2, 1, 2),
     ))
     report(6, "conformal element survives twisted gluing", ok)
 
@@ -186,7 +186,7 @@ def test_criterion_11_property_suites():
         ok = ok and vprod(u, 0, v) == oracle_vprod(u, 0, v)
 
     om = GluingForm.basis(1, 1, ParamScalar.var("k")) \
-        + GluingForm.basis(2, 1, ParamScalar.of(2))
+        + GluingForm.basis(2, 1, 2)
     for _ in range(100):
         u, v = rand_section(), rand_section()
         ok = ok and transition(transition(u, om), om, "2->1") == u

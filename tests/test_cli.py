@@ -260,6 +260,12 @@ def test_negative_powers_are_exact(capsys):
     assert json.loads(out)["payload"]["value"] == "1/2*y1"
     code, out, _ = run(capsys, "nprod", "(-2*y1*y2^-1)^-2", "--format", "machine")
     assert json.loads(out)["payload"]["value"] == "1/4*y1^-2*y2^2"
+    # constant coefficients are plain ints, on which ** -n would be a float
+    for expr, value in (("(-2)^-3*y1", "-1/8*y1"), ("(2*y1)^-2", "1/4*y1^-2")):
+        code, out, _ = run(capsys, "nprod", expr, "--format", "machine")
+        assert code == 0 and json.loads(out)["payload"]["value"] == value
+    code, out, _ = run(capsys, "glue-check", "--omega", "(-2)^-3*w[1,1]", "--format", "machine")
+    assert json.loads(out)["payload"]["omega"] == "(-1/8)*w[1,1]"
 
 
 def test_gluing_difference(capsys):
@@ -267,6 +273,10 @@ def test_gluing_difference(capsys):
                        "--format", "machine")
     assert code == 0
     assert json.loads(out)["payload"]["omega"] == "(1)*w[1,1] + (-2)*w[2,1]"
+    # a cancelled parameter leaves a number, which still adds to a scalar
+    for omega, want in (("(k-k+1)*w[1,1]", "(1)*w[1,1]"), ("(k+1)*w[1,1]", "(1 + k)*w[1,1]")):
+        code, out, _ = run(capsys, "glue-check", "--omega", omega, "--format", "machine")
+        assert code == 0 and json.loads(out)["payload"]["omega"] == want
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][:-2]) for c in GOLDEN])

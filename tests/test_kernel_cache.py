@@ -27,7 +27,7 @@ from vertexalg.freefield import (
     nproduct,
     random_element,
 )
-from vertexalg.scalar import ParamScalar
+from vertexalg.scalar import ParamScalar, substitute
 
 # the largest result weight: two weight-3 factors under mode -2
 MAX_WEIGHT = 7
@@ -83,7 +83,7 @@ def test_mutating_a_result_leaves_the_table_intact():
             raw = alg._word_mode(alpha, tail, m, b.terms)
             for key in raw:
                 raw[key] = raw[key] * 5
-            raw[((0, 0), ())] = ParamScalar.of(1)
+            raw[((0, 0), ())] = 1
         assert nproduct(a, m, b) == first
         assert nproduct(a, m, b) == nproduct(a, m, b, rng=random.Random(m))
 
@@ -118,9 +118,9 @@ def test_multinomial_matches_its_fraction_form():
             assert type(got) is int and got == expected
 
 
-def substitute(x, value):
+def at(x, value):
     """x with the value put for the parameter k in every coefficient."""
-    return x.algebra.element({key: c.substitute({"k": value})
+    return x.algebra.element({key: substitute(c, {"k": value})
                               for key, c in x.terms.items()})
 
 
@@ -134,8 +134,8 @@ def test_parametric_products_agree_with_substitution(n, seed):
         peeled = nproduct(ka, m, kb, rng=random.Random(peel_seed))
         for value in (0, 1, 2, -3):
             expected = nproduct(a.scale(value), m, b.scale(value * value - 2))
-            assert substitute(table, value) == expected
-            assert substitute(peeled, value) == expected
+            assert at(table, value) == expected
+            assert at(peeled, value) == expected
 
 
 def random_word(alg, rng):

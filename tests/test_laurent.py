@@ -14,7 +14,7 @@ from vertexalg.laurent import (
     degrees,
     homogeneous_degree,
 )
-from vertexalg.scalar import ParamScalar, accumulate
+from vertexalg.scalar import ParamScalar, accumulate, exact
 
 V = ("y1", "y2")
 V3 = ("y1", "y2", "y3")
@@ -52,7 +52,7 @@ def random_parametric(rng, variables=V3):
     k, c = ParamScalar.var("k"), ParamScalar.var("c")
     out = LaurentElement(variables)
     for _ in range(rng.randint(1, 4)):
-        coeff = (ParamScalar.of(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        coeff = (exact(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
                  + k * rng.randint(-2, 2) + k * c * rng.randint(-1, 1))
         exps = [rng.randint(-2, 3) for _ in variables]
         out = out + LaurentElement.monomial(variables, exps, coeff)
@@ -64,9 +64,12 @@ def to_sympy(f: LaurentElement):
     def power_product(pairs):
         return sympy.Mul(*(sympy.Symbol(name) ** e for name, e in pairs))
 
+    def terms(c):
+        return c.terms if isinstance(c, ParamScalar) else {(): c}
+
     return sympy.Add(*(sympy.Rational(x) * power_product(params)
                        * power_product(zip(f.variables, exp))
-                       for exp, c in f.terms.items() for params, x in c.terms.items()))
+                       for exp, c in f.terms.items() for params, x in terms(c).items()))
 
 
 def is_partial(d: LaurentElement, f: LaurentElement, i: int) -> bool:

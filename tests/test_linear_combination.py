@@ -23,7 +23,7 @@ from vertexalg.errors import (
 from vertexalg.freefield import FreeFieldAlgebra
 from vertexalg.geometry import GluingForm
 from vertexalg.laurent import LaurentElement, OneForm
-from vertexalg.scalar import ParamScalar
+from vertexalg.scalar import LinearCombination, ParamScalar, exact, parameters
 
 V = ("y1", "y2")
 OTHER = ("y1", "z")  # same length, different variable list
@@ -40,6 +40,20 @@ def _scalar(rng):
                         for m in rng.sample(MONOMIALS, rng.randint(0, 3))})
 
 
+def _param_scalar(rng):
+    """A random scalar that holds a parameter, so it is a ParamScalar."""
+    while not isinstance(x := _scalar(rng), ParamScalar):
+        pass
+    return x
+
+
+def _terms(x) -> dict:
+    """x's terms; a number is a scalar whose one term is its constant."""
+    if isinstance(x, LinearCombination):
+        return x.terms
+    return {(): x} if x else {}
+
+
 def _laurent(rng, variables):
     return LaurentElement(variables, {(rng.randint(-2, 2), rng.randint(-2, 2)): _scalar(rng)
                                       for _ in range(rng.randint(0, 3))})
@@ -51,8 +65,8 @@ def _components(rng, keys, variables):
 
 # type -> (random element over a variable list, public constructor from terms)
 KINDS = {
-    "ParamScalar": (lambda rng, vs: _scalar(rng),
-                    lambda a: ParamScalar(a.terms)),
+    "ParamScalar": (lambda rng, vs: _param_scalar(rng),
+                    lambda a: ParamScalar(_terms(a))),
     "LaurentElement": (_laurent,
                        lambda a: LaurentElement(a.variables, a.terms)),
     "OneForm": (lambda rng, vs: OneForm(vs, _components(rng, [1, 2], vs)),
@@ -78,6 +92,11 @@ def _draws(kind, seed, count=3, variables=V):
 
 
 def _canonical(x) -> bool:
+    """No zero value stored; a scalar is a number or holds a parameter."""
+    if isinstance(x, ParamScalar):
+        return bool(x.parameters()) and all(x.terms.values())
+    if not isinstance(x, LinearCombination):
+        return type(x) in (int, Fraction)
     return all(x.terms.values())
 
 
@@ -86,10 +105,13 @@ def test_cancellation_stores_no_term(kind):
     for seed in SEEDS:
         a, b, _ = _draws(kind, seed)
         for zero in (a - a, -a + a, a.scale(0), (a + b) - (b + a)):
-            assert zero.terms == {} and zero.is_zero() and not zero
+            if kind == "ParamScalar":  # a scalar with no term is the int 0
+                assert zero == 0 and type(zero) is int
+            else:
+                assert zero.terms == {} and zero.is_zero() and not zero
         for x in (a + b, a - b, -a, a.scale(2), a.scale(Fraction(-1, 3))):
             assert _canonical(x)
-            assert bool(x) == bool(x.terms)
+            assert bool(x) == bool(_terms(x))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -116,33 +138,36 @@ def test_equal_objects_have_equal_hashes(kind):
 
 
 def test_scalar_compares_with_rationals():
-    three = ParamScalar.of(3)
-    assert three == 3 and 3 == three
-    assert ParamScalar.zero() == 0 and 0 == ParamScalar.zero()
-    assert ParamScalar.of(Fraction(1, 2)) == Fraction(1, 2)
-    assert ParamScalar.var("k") != 0
-    assert three + 1 == 4 and 1 - three == -2 and 2 * three == 6
+    # a constant is the plain number, so it compares and computes as one
+    three = ParamScalar({(): 3})
+    assert three == 3 and 3 == three and type(three) is int
+    assert ParamScalar({}) == 0 and type(ParamScalar({})) is int
+    assert ParamScalar({(): Fraction(1, 2)}) == Fraction(1, 2)
+    k = ParamScalar.var("k")
+    assert k != 0 and 0 != k and k != Fraction(1, 2) and k + 1 != 1
+    assert (k + 3) - k == 3 and 1 - (k + 3) + k == -2 and 2 * (k + 3) - 2 * k == 6
+    assert type((k + 3) - k) is int
     assert hash(three) == hash(ParamScalar({(): Fraction(3)}))
 
 
 def test_constant_scalars_hash_as_their_rationals():
-    assert {3: "x"}.get(ParamScalar.of(3)) == "x"
-    assert {Fraction(-2, 3): "y"}.get(ParamScalar.of(Fraction(-2, 3))) == "y"
     k = ParamScalar.var("k")
-    pairs = [(ParamScalar.of(3), 3), (ParamScalar.of(Fraction(1, 2)), Fraction(1, 2)),
-             (ParamScalar.zero(), 0), (k + k - k, k), (1 + k, ParamScalar({(): 1, (("k", 1),): 1}))]
+    assert {3: "x"}.get(ParamScalar({(): 3})) == "x"
+    assert {Fraction(-2, 3): "y"}.get(k - k + Fraction(-2, 3)) == "y"
+    pairs = [(ParamScalar({(): 3}), 3), ((k + Fraction(1, 2)) - k, Fraction(1, 2)),
+             (ParamScalar({}), 0), (k + k - k, k),
+             (1 + k, ParamScalar({(): 1, (("k", 1),): 1}))]
     for seed in SEEDS:
         x = _scalar(random.Random(seed))
-        pairs.append((x, ParamScalar(x.terms)))
-        if x.is_constant():
-            pairs.append((x, x.constant_value()))
+        pairs.append((x, ParamScalar(_terms(x))))
+        pairs.append((x + k - k, x))
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
 
 
 # public constructor -> (element with one coefficient c, the value it stores)
 COEFFICIENT_SLOTS = {
-    "ParamScalar": (lambda c: ParamScalar({(): c}), lambda x: x.get(())),
+    "ParamScalar": (lambda c: ParamScalar({(("k", 1),): c}), lambda x: x.get((("k", 1),))),
     "LaurentElement": (lambda c: LaurentElement.monomial(V, (1, 0), c), lambda x: x.get((1, 0))),
     "GluingForm": (lambda c: GluingForm({(1, 1): c}), lambda x: x.get((1, 1))),
     "FreeFieldElement": (lambda c: ALGEBRAS[V].element({WORDS[0]: c}),
@@ -154,18 +179,20 @@ COEFFICIENT_SLOTS = {
 def test_constructors_accept_exact_scalars_only(kind):
     build, stored = COEFFICIENT_SLOTS[kind]
     half = build(Fraction(1, 2))
-    want = Fraction(1, 2) if kind == "ParamScalar" else ParamScalar.of(Fraction(1, 2))
-    assert stored(half) == want and type(stored(half)) is type(want)
+    assert stored(half) == Fraction(1, 2) and type(stored(half)) is Fraction
+    k = ParamScalar.var("k")
     same = [build(2), build(Fraction(2))]
+    assert all(type(stored(x)) is int for x in same)
     if kind != "ParamScalar":
-        same.append(build(ParamScalar.of(2)))
-        assert build(ParamScalar.of(Fraction(1, 2))) == half
+        same.append(build(k - k + 2))
+        assert build(k - k + Fraction(1, 2)) == half
+        assert stored(build(k)) == k
     assert len({hash(x) for x in same}) == 1 and same[0] == same[1] == same[-1]
     for bad in (0.5, 0.1, "1/2", None):
         with pytest.raises(InvalidInput):
             build(bad)
         with pytest.raises(InvalidInput):
-            build(ParamScalar.of(bad))
+            build(exact(bad))
 
 
 def test_public_constructors_drop_zeros_and_coerce_ints():
@@ -174,17 +201,18 @@ def test_public_constructors_drop_zeros_and_coerce_ints():
     s = ParamScalar({(): 0, k: Fraction(4, 2), (("c", 1),): Fraction(1, 2)})
     assert s.terms == {k: 2, (("c", 1),): Fraction(1, 2)}
     assert type(s.terms[k]) is int and type(s.terms[(("c", 1),)]) is Fraction
-    assert type(ParamScalar.of(3).terms[()]) is int
+    assert type(exact(3)) is int and type(exact(Fraction(6, 2))) is int
+    assert type(exact(True)) is int and type(exact(Fraction(1, 2))) is Fraction
     f = LaurentElement(V, {(1, 0): 0, (0, 1): 2})
-    assert f.terms == {(0, 1): ParamScalar.of(2)} and type(f.terms[(0, 1)]) is ParamScalar
+    assert f.terms == {(0, 1): 2} and type(f.terms[(0, 1)]) is int
     zero = LaurentElement(V)
     assert OneForm(V, {1: zero}).terms == {}
     assert OneForm(V, {1: f}).terms == {1: f}
     g = GluingForm({(1, 1): 0, (1, 2): 3})
-    assert g.terms == {(1, 2): ParamScalar.of(3)}
+    assert g.terms == {(1, 2): 3} and type(g.terms[(1, 2)]) is int
     alg = ALGEBRAS[V]
     x = alg.element({WORDS[0]: 0, WORDS[3]: 2})
-    assert x.terms == {WORDS[3]: ParamScalar.of(2)}
+    assert x.terms == {WORDS[3]: 2} and type(x.terms[WORDS[3]]) is int
     # keys are normalized, so words differing only in symbol order cancel
     tail = (("d", 1, 0), ("y", 2, 1))
     assert alg.element({((0, 0), tail): 1, ((0, 0), tail[::-1]): -1}).terms == {}
@@ -238,6 +266,9 @@ def test_results_keep_the_left_context_and_no_partials(kind):
         if kind in ("ParamScalar", "LaurentElement"):
             results.append(a * b)
         for x in results:
+            if kind == "ParamScalar" and not parameters(x):
+                assert type(x) in (int, Fraction)  # a number has no context
+                continue
             assert type(x) is type(a)
             assert all(getattr(x, name) is getattr(a, name) for name in context)
             assert not hasattr(x, "_partials") and x._hash is None

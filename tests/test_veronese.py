@@ -19,7 +19,7 @@ from vertexalg.laurent import (
     exponent_vectors,
     homogeneous_degree,
 )
-from vertexalg.scalar import ZERO, Echelon, ParamScalar, row_reduce
+from vertexalg.scalar import Echelon, ParamScalar, constant_value, exact, row_reduce, substitute
 from vertexalg.veronese import (
     build_model,
     classify_admissible,
@@ -124,8 +124,7 @@ def test_relation_defect_formal():
     k = ParamScalar.var("k")
     d = relation_defect(m, 0, ("E12", "E22"), k)
     assert not d.field_part
-    one = ParamScalar.of(1)
-    assert d.form_part == OneForm(V, {1: mono(0, 1).scale(one - k), 2: mono(1, 0, -2)})
+    assert d.form_part == OneForm(V, {1: mono(0, 1).scale(1 - k), 2: mono(1, 0, -2)})
 
 
 def test_relation_defect_specialized():
@@ -143,7 +142,7 @@ def test_relation_defect_closed_form():
     for N in range(2, 25):
         m = build_model(2, N)
         for r in range(N):
-            shift = ParamScalar.of(N - 1 - 2 * r)
+            shift = N - 1 - 2 * r
             closed = {
                 ("E12", "E22"): {1: mono(r, N - 1 - r, shift - k),
                                  2: mono(r + 1, N - 2 - r, -2 * (N - 1 - r))},
@@ -156,9 +155,14 @@ def test_relation_defect_closed_form():
                 assert d.form_part == OneForm(V, components), (N, r, pair)
 
 
-def _sympy(x: ParamScalar):
+def _terms(x) -> dict:
+    """The terms of a scalar: a number is its own constant term."""
+    return x.terms if isinstance(x, ParamScalar) else {(): x}
+
+
+def _sympy(x):
     return sum((sympy.Rational(c) * sympy.Mul(*(sympy.Symbol(name) ** e for name, e in mono))
-                for mono, c in x.terms.items()), sympy.Integer(0))
+                for mono, c in _terms(x).items()), sympy.Integer(0))
 
 
 def test_charge_from_the_block_algebra():
@@ -203,15 +207,15 @@ def test_charge_from_the_block_algebra():
 
 
 def test_relation_defect_chart_cache_is_keyed_by_value():
-    # calls at different k interleave; 3 and ParamScalar.of(3) share an entry
+    # calls at different k interleave; 3 and Fraction(3) share an entry
     def at(form: OneForm, value) -> OneForm:
-        return OneForm(V, {j: LaurentElement(V, {e: c.substitute({"k": value})
+        return OneForm(V, {j: LaurentElement(V, {e: substitute(c, {"k": value})
                                                  for e, c in g.terms.items()})
                            for j, g in form.terms.items()})
 
     veronese._embedded_chart_images.cache_clear()
     k = ParamScalar.var("k")
-    values = (3, k, Fraction(7, 2), ParamScalar.of(3), 3)
+    values = (3, k, Fraction(7, 2), Fraction(3), 3)
     for N in range(2, 6):
         m = build_model(2, N)
         for pair in veronese.RELATION_PAIRS:
@@ -281,7 +285,7 @@ def test_solve_charge_per_instance_conditions():
                 sol = solve_linear_system(conds, ["k"])
                 assert sol.status in ("unique", "underdetermined")
                 if sol.status == "unique":
-                    assert sol.assignment["k"] == ParamScalar.of(N + 1)
+                    assert sol.assignment["k"] == N + 1
 
 
 def test_gl2_chart_images_match_geometry():
@@ -456,15 +460,15 @@ def _full_span_residuals(omega: OneForm, model) -> list[ParamScalar]:
     rows = {c: {} for c in target}
     for j, column in enumerate(_full_span(model.n, model.N, degree)):
         for coord, c in column.items():
-            rows.setdefault(coord, {})[j] = c.constant_value()
-    return row_reduce(rows.values(), [target.get(c, ZERO) for c in rows]).residuals
+            rows.setdefault(coord, {})[j] = constant_value(c)
+    return row_reduce(rows.values(), [target.get(c, 0) for c in rows]).residuals
 
 
 _SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 
 
 def _random_coefficient(rng: random.Random) -> ParamScalar:
-    c = ParamScalar.of(Fraction(rng.choice((1, -1, 2, -3, 5)), rng.randint(1, 3)))
+    c = exact(Fraction(rng.choice((1, -1, 2, -3, 5)), rng.randint(1, 3)))
     if rng.random() < 0.3:
         c = c + ParamScalar.var("k").scale(rng.randint(-2, 2))
     return c
@@ -532,14 +536,14 @@ def test_membership_verdicts_match_a_sympy_rank_test():
         degree = homogeneous_degree(omega)
         if degree is None:
             continue
-        span = [{c: x.constant_value() for c, x in column.items()}
+        span = [{c: constant_value(x) for c, x in column.items()}
                 for column in _full_span(model.n, model.N, degree)]
         target = _coordinates(omega)
         coords = sorted(set(target).union(*span))
         # every coefficient is c0 + c1*k, and omega lies in the span for every
         # k exactly when both the c0 and the c1 vectors do
-        assert all(set(v.terms) <= {(), k} for v in target.values())
-        parts = [{c: v.get(key, 0) for c, v in target.items()} for key in ((), k)]
+        assert all(set(_terms(v)) <= {(), k} for v in target.values())
+        parts = [{c: _terms(v).get(key, 0) for c, v in target.items()} for key in ((), k)]
         a = sympy.Matrix(len(coords), len(span), lambda r, j: span[j].get(coords[r], 0))
         ab = a.row_join(sympy.Matrix(len(coords), 2, lambda r, j: parts[j].get(coords[r], 0)))
         member = _rank(a) == _rank(ab)
