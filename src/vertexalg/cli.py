@@ -323,7 +323,7 @@ def _cmd_morphism(args, params) -> Report:
 
 
 def _cmd_derivations(args, params) -> Report:
-    model = build_model(2, args.N, args.degree_bound)
+    model = build_model(_arg(args, "n", 2, 2), args.N, args.degree_bound)
     rep = derivations(model, args.degree)
     return Report("derivations", "pass",
                   {"degree": rep.degree, "dimension": rep.dimension,
@@ -466,7 +466,7 @@ COMMANDS = {
     "glue-check": (_cmd_glue_check, ("omega",), ()),
     "extend": (_cmd_extend, ("expr", "omega"), ("chart",)),
     "morphism": (_cmd_morphism, (), ("n",)),
-    "derivations": (_cmd_derivations, ("N",), ("degree", "degree_bound")),
+    "derivations": (_cmd_derivations, ("N",), ("n", "degree", "degree_bound")),
     "witness": (_cmd_witness, ("n", "N"), ()),
     "membership": (_cmd_membership, ("N", "omega"), ("n", "degree_bound")),
     "virasoro": (_cmd_virasoro, (), ("n", "weight")),

@@ -21,6 +21,7 @@ as `degree_shift`, and `degrees` is the one function that applies the rule.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InhomogeneousInput, InvalidInput, VariableMismatch
@@ -194,7 +195,7 @@ def mul_into(out: dict, f: LaurentElement, g: LaurentElement,
     for e1, c1 in f._terms.items():
         for e2, c2 in g._terms.items():
             c = c1 * c2
-            accumulate(out, tuple(a + b for a, b in zip(e1, e2)), -c if negate else c)
+            accumulate(out, tuple(map(add, e1, e2)), -c if negate else c)
     return out
 
 

@@ -30,17 +30,17 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import add, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .algebroid import WeightOneElement, embed, extract, fock_algebra
+from .algebroid import WeightOneElement, _validate_rules, embed, extract, fock_algebra
 from .errors import InvalidInput, VertexAlgError
 from .freefield import nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
-from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
+from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree, mul_into
 from .scalar import (
     ParamScalar,
-    RationalLike,
     Scalar,
     accumulate,
     constant_value,
@@ -50,7 +50,6 @@ from .scalar import (
 )
 
 ExpVec = tuple[int, ...]
-Columns = dict[tuple[str, ExpVec], int]  # (generator, monomial) -> unknown
 
 
 class VeroneseModel:
@@ -258,6 +257,7 @@ def solve_charge(model: VeroneseModel) -> ChargeResult:
     line = survivors[0]
     if model.N == 1:
         return ChargeResult("unconstrained", None, line)
+    _validate_rules(V2)  # the kernel must match the closed forms first
     k = ParamScalar.var("k")
     conditions: list[Scalar] = []
     for pair in RELATION_PAIRS:
@@ -283,109 +283,121 @@ class DerivationReport(NamedTuple):
     gl_generates: bool
 
 
-def _columns(model: VeroneseModel, monos: list[ExpVec]) -> Columns:
-    """Column of the unknown coefficient of each monomial in each generator's
-    image, generators outermost."""
-    return {key: col for col, key in enumerate(itertools.product(model.generators, monos))}
+def _character_blocks(model: VeroneseModel, monos: list[ExpVec]) -> dict[ExpVec, list[str]]:
+    """The unknowns (g, m), the coefficient of y^m in the image of x_g, by
+    torus character chi = m - exp(x_g): block chi lists, in generator order,
+    the generators g with chi + exp(x_g) >= 0, one column each."""
+    blocks: dict[ExpVec, list[str]] = {}
+    for g, gexp in model.generators.items():
+        for m in monos:
+            blocks.setdefault(tuple(map(sub, m, gexp)), []).append(g)
+    return blocks
 
 
-def _derivation_rows(model: VeroneseModel, monos: list[ExpVec], columns: Columns):
-    """Linear constraints on the generator images of a graded derivation, as
-    sparse rows {column: coefficient}, one per relation and target monomial."""
-    gens = model.generators
+def _solve_block(model: VeroneseModel, names: list[str]):
+    """The columns (generator -> column) of a block with generators `names`,
+    the nullspace of its relation rows, and the rows meeting each column as
+    column -> [(row, coefficient)].  Relation (u, v) ~ (w, z) gives the row
+    e_u + e_v - e_w - e_z, because its four terms share the block's
+    character."""
+    local = {g: col for col, g in enumerate(names)}
     rows = []
     for (u, v), (w, z) in model.relations:
-        contributions = [(u, gens[v], 1), (v, gens[u], 1), (w, gens[z], -1), (z, gens[w], -1)]
-        targets = {tuple(a + b for a, b in zip(m, other))
-                   for m in monos for _, other, _ in contributions}
-        for target in targets:
-            row: dict[int, int] = {}
-            for gname, other, sign in contributions:
-                col = columns.get((gname, tuple(a - b for a, b in zip(target, other))))
-                if col is not None:
-                    accumulate(row, col, sign)
-            if row:
-                rows.append(row)
-    return rows
+        row: dict[int, int] = {}
+        for g, sign in ((u, 1), (v, 1), (w, -1), (z, -1)):
+            col = local.get(g)
+            if col is not None:
+                accumulate(row, col, sign)
+        if row:
+            rows.append(row)
+    by_column: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for col, x in row.items():
+            by_column.setdefault(col, []).append((i, x))
+    return local, row_reduce(rows).nullspace(len(names)), by_column
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
-    """Basis of the degree-d derivations of the model ring, computed by an
-    exact nullspace solve on generator-image coefficients, plus a report on
+    """Basis of the degree-d derivations of the model ring, plus a report on
     whether invariant multiples of the linear coordinate fields span it.
 
-    Two independent checks guard the result.  Each basis vector is rebuilt as
-    generator images in the Laurent ring and must preserve every relation
-    there (`_verify_derivation`).  Each coordinate-field multiple must lie in
-    the nullspace: its product with the relation rows, taken through a
-    column -> rows index, must vanish."""
+    A derivation's torus character chi = m - exp(x_g) is shared by the four
+    terms of every relation, so the solve splits into one small exact
+    nullspace per character block (`_character_blocks`).  Two independent
+    checks guard the result.  Each basis vector is rebuilt as generator
+    images in the Laurent ring and must preserve every relation there
+    (`_verify_derivation`).  Each coordinate-field multiple of a block must
+    lie in its nullspace: its product with the block's relation rows, taken
+    through a column -> rows index, must vanish; the multiples generate when
+    their rank is the nullity in every block."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
     if degree % N != 0 or N + degree < 0:
         return DerivationReport(degree, 0, [], [], True)
     monos = list(exponent_vectors(N + degree, n))
-    columns = _columns(model, monos)
-    rows = _derivation_rows(model, monos, columns)
-    null = row_reduce(rows).nullspace(len(columns))
-    keys = list(columns)  # column -> (generator, monomial)
-    gens = {g: model.generator_element(g) for g in model.generators}
+    variables, gexps = model.variables, model.generators
+    gens = {g: model.generator_element(g) for g in gexps}
+    zero = LaurentElement(variables)
     basis = []
-    for vec in null:
-        terms: dict[str, dict[ExpVec, RationalLike]] = {g: {} for g in gens}
-        for col, x in vec.items():
-            g, m = keys[col]
-            terms[g][m] = x
-        images = {g: LaurentElement(model.variables, t) for g, t in terms.items()}
-        _verify_derivation(model, images, gens)
-        basis.append(images)
-    by_column: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(rows):
-        for col, x in row.items():
-            by_column.setdefault(col, []).append((i, x))
-    gl_vecs = _gl_multiple_vectors(model, degree, columns)
-    for vec in gl_vecs:
-        image: dict[int, int] = {}
-        for col, y in vec.items():
-            for i, x in by_column.get(col, ()):
-                accumulate(image, i, x * y)
-        if image:
-            raise VertexAlgError("coordinate-field image violates a relation")
-    generates = row_reduce(gl_vecs).rank == len(null)
-    return DerivationReport(degree, len(null), monos, basis, generates)
+    generates = True
+    for chi, names in _character_blocks(model, monos).items():
+        local, null, by_column = _solve_block(model, names)
+        for vec in null:
+            images = dict.fromkeys(gexps, zero)
+            for col, x in vec.items():
+                g = names[col]
+                images[g] = LaurentElement.monomial(
+                    variables, map(add, chi, gexps[g]), x)
+            _verify_derivation(model, images, gens)
+            basis.append(images)
+        gl_vecs = _gl_multiple_vectors(model, chi, local)
+        for vec in gl_vecs:
+            image: dict[int, int] = {}
+            for col, y in vec.items():
+                for i, x in by_column.get(col, ()):
+                    accumulate(image, i, x * y)
+            if image:
+                raise VertexAlgError("coordinate-field image violates a relation")
+        generates = generates and row_reduce(gl_vecs).rank == len(null)
+    return DerivationReport(degree, len(basis), monos, basis, generates)
 
 
-def _gl_multiple_vectors(model: VeroneseModel, degree: int, columns: Columns):
-    """Coefficient vectors of m * y_a d/dy_b for invariant monomials m."""
-    n = model.n
+def _gl_multiple_vectors(model: VeroneseModel, chi: ExpVec, local: dict[str, int]):
+    """Coefficient vectors, over the columns `local` of block chi, of the
+    multiples m * y_a d/dy_b by invariant monomials m = chi - e_a + e_b.
+    Such a multiple maps x_g to exp(x_g)_b * y^(chi + exp(x_g)), so its
+    vector depends on b alone: one vector for each b that has such an a,
+    which is when chi + e_b is nonzero and nonnegative."""
     vecs = []
-    for m in exponent_vectors(degree, n):
-        for a in range(n):
-            for b in range(n):
-                vec: dict[int, int] = {}
-                for gname, gexp in model.generators.items():
-                    if gexp[b] == 0:
-                        continue
-                    out = list(gexp)
-                    out[b] -= 1
-                    out[a] += 1
-                    col = columns.get((gname, tuple(x + y for x, y in zip(out, m))))
-                    if col is None:
-                        raise VertexAlgError("image monomial escaped the graded slice")
-                    vec[col] = gexp[b]
-                if vec:
-                    vecs.append(vec)
+    for b in range(model.n):
+        lifted = list(chi)
+        lifted[b] += 1
+        if min(lifted) < 0 or not any(lifted):
+            continue
+        vec: dict[int, int] = {}
+        for gname, gexp in model.generators.items():
+            if gexp[b]:
+                col = local.get(gname)
+                if col is None:
+                    raise VertexAlgError("image monomial escaped the graded slice")
+                vec[col] = gexp[b]
+        vecs.append(vec)
     return vecs
 
 
 def _verify_derivation(model: VeroneseModel, images: dict[str, LaurentElement],
                        gens: dict[str, LaurentElement]):
-    """Check D(x_u x_v) = D(x_w x_z) on every relation; gens holds the
+    """Check D(x_u x_v) = D(x_w x_z) on every relation, adding the four
+    products into one exponent dict and skipping zero images; gens holds the
     generator elements."""
     for (u, v), (w, z) in model.relations:
-        val = images[u] * gens[v] + gens[u] * images[v] \
-            - images[w] * gens[z] - gens[w] * images[z]
-        if not val.is_zero():
+        val: dict = {}
+        for image, other, negate in ((u, v, False), (v, u, False), (w, z, True), (z, w, True)):
+            f = images[image]
+            if f:
+                mul_into(val, f, gens[other], negate)
+        if val:
             raise VertexAlgError("computed derivation does not preserve the relations")
 
 
@@ -407,6 +419,7 @@ def higher_witness(model: VeroneseModel):
         raise InvalidInput("degree 1 gives a polynomial ring; nothing to witness")
     variables = model.variables
     N = model.N
+    _validate_rules(variables)  # the kernel must match the closed forms first
     alg = fock_algebra(variables, 2)
 
     def mono(*pairs) -> LaurentElement:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -127,6 +128,17 @@ def test_derivations(capsys):
     assert doc["payload"]["gl_generates"] is True
 
 
+@pytest.mark.parametrize("n, N, d", [(2, 3, 3), (3, 2, 0), (3, 3, 3), (4, 2, 2)])
+def test_derivations_in_n_variables(capsys, n, N, d):
+    # every derivation is an invariant vector field: n * C(d + n, n - 1)
+    code, out, _ = run(capsys, "derivations", "--n", str(n), "--N", str(N),
+                       "--degree", str(d), "--format", "machine")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["payload"]["dimension"] == n * math.comb(d + n, n - 1)
+    assert doc["payload"]["gl_generates"] is True
+
+
 def test_axioms_reproducible(capsys):
     code, out1, _ = run(capsys, "axioms", "--weight", "1", "--trials", "10",
                         "--seed", "11", "--format", "machine")
@@ -216,6 +228,7 @@ def test_config_file(tmp_path, capsys):
     ["extend", "y2*d1", "--omega", "y1*w[1,1]"],
     ["glue-check", "--omega", "y1*w[1,1]"],
     ["glue-check", "--omega", "d2*w[1,1]"],
+    ["derivations", "--n", "1", "--N", "2"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -294,7 +307,7 @@ OWN_FLAGS = {
     "glue-check": {"--omega"},
     "extend": {"--omega", "--chart"},
     "morphism": {"--n"},
-    "derivations": {"--N", "--degree", "--degree-bound"},
+    "derivations": {"--N", "--n", "--degree", "--degree-bound"},
     "witness": {"--n", "--N"},
     "membership": {"--N", "--n", "--omega", "--degree-bound"},
     "virasoro": {"--n", "--weight"},

@@ -1,5 +1,7 @@
+import collections
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -347,6 +349,73 @@ def test_derivation_checks_catch_a_wrong_coordinate_field(monkeypatch):
     monkeypatch.setattr(veronese, "_gl_multiple_vectors", perturbed)
     with pytest.raises(VertexAlgError, match="coordinate-field image violates a relation"):
         derivations(build_model(2, 3), 3)
+
+
+# (n, N, d), d a multiple of N: the total n * C(d + n, n - 1) runs from 4 to 80
+DERIVATION_GRID = [(2, 2, 0), (2, 3, 3), (2, 4, 8), (3, 2, 0), (3, 2, 2), (3, 3, 3),
+                   (4, 2, 2), (2, 3, -3), (3, 1, -1)]
+
+
+def _closed_counts(n: int, d: int) -> collections.Counter:
+    """Z_N acts by scalars, so it has no pseudo-reflections and every
+    derivation of the invariant ring is an invariant polynomial vector field
+    (Schlessinger, Invent. Math. 14, 1971): character chi carries one for
+    each b with chi + e_b >= 0.  Those chi are p - e_b with p >= 0 of degree
+    d + 1."""
+    counts = collections.Counter()
+    for p in exponent_vectors(d + 1, n) if d + 1 >= 0 else ():
+        for b in range(n):
+            chi = p[:b] + (p[b] - 1,) + p[b + 1:]
+            counts[chi] = sum(min(chi[:c] + (chi[c] + 1,) + chi[c + 1:]) >= 0
+                              for c in range(n))
+    return counts
+
+
+@pytest.mark.parametrize("n, N, d", DERIVATION_GRID)
+def test_derivation_blocks_match_the_closed_count(n, N, d):
+    model = build_model(n, N, max(abs(d), 2 * N + 2))
+    rep = derivations(model, d)
+    # below degree 0 no y_a d/dy_b multiple exists, so only zero is spanned
+    assert rep.gl_generates == (d >= 0 or not rep.basis)
+    per_character = collections.Counter()
+    for images in rep.basis:
+        # the character chi = m - exp(x_g) of every term of every image
+        chars = {tuple(a - b for a, b in zip(exp, model.generators[g]))
+                 for g, image in images.items() for exp in image.terms}
+        assert len(chars) == 1, (n, N, d)
+        per_character[chars.pop()] += 1
+    assert per_character == _closed_counts(n, d)
+    total = n * math.comb(d + n, n - 1) if d >= 0 else sum(per_character.values())
+    assert rep.dimension == len(rep.basis) == total
+
+
+def _unblocked_nullity(model, d: int) -> int:
+    """Nullity of the whole derivation system, one column per (generator,
+    monomial) and one row per target monomial of every pair of generator
+    pairs with equal product, ranked by sympy."""
+    gens = model.generators
+    monos = list(exponent_vectors(model.N + d, model.n))
+    column = {key: j for j, key in enumerate(itertools.product(gens, monos))}
+    same_product = collections.defaultdict(list)
+    for u, v in itertools.combinations_with_replacement(gens, 2):
+        same_product[tuple(a + b for a, b in zip(gens[u], gens[v]))].append((u, v))
+    rows = []
+    for pairs in same_product.values():
+        for (u, v), (w, z) in itertools.combinations(pairs, 2):
+            for target in exponent_vectors(2 * model.N + d, model.n):
+                row = [0] * len(column)
+                for g, other, sign in ((u, v, 1), (v, u, 1), (w, z, -1), (z, w, -1)):
+                    m = tuple(a - b for a, b in zip(target, gens[other]))
+                    if (g, m) in column:
+                        row[column[g, m]] += sign
+                rows.append(row)
+    return len(column) - _rank(sympy.Matrix(rows))
+
+
+@pytest.mark.parametrize("n, N, d", [(2, 3, 3), (3, 2, 0), (3, 2, 2)])
+def test_derivation_dimension_matches_a_sympy_nullity(n, N, d):
+    model = build_model(n, N)
+    assert derivations(model, d).dimension == _unblocked_nullity(model, d)
 
 
 def test_relations_connect_equal_products():
