@@ -323,12 +323,17 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
 
     A derivation's torus character chi = m - exp(x_g) is shared by the four
     terms of every relation, so the solve splits into one small exact
-    nullspace per character block (`_character_blocks`).  Two independent
-    checks guard the result.  Each basis vector is rebuilt as generator
-    images in the Laurent ring and must preserve every relation there
-    (`_verify_derivation`).  Each coordinate-field multiple of a block must
-    lie in its nullspace: its product with the block's relation rows, taken
-    through a column -> rows index, must vanish; the multiples generate when
+    nullspace per character block (`_character_blocks`).  A block's relation
+    rows, and so its nullspace, depend on its generator tuple alone, and
+    every block with chi >= 0 holds every generator: each distinct tuple is
+    solved once and its solve serves every block that has it.  Two
+    independent checks guard the result.  Each basis vector of each block is
+    rebuilt as generator images in the Laurent ring and must preserve every
+    relation there (`_verify_derivation`).  Each coordinate-field multiple of
+    a block must lie in its nullspace: its product with the block's relation
+    rows, taken through a column -> rows index, must vanish.  Those vectors
+    depend on the generator tuple and the field directions alone, so they
+    are checked and ranked once per such pair; the multiples generate when
     their rank is the nullity in every block."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
@@ -341,8 +346,13 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     zero = LaurentElement(variables)
     basis = []
     generates = True
+    solves: dict[tuple[str, ...], tuple] = {}
+    ranks: dict[tuple, int] = {}
     for chi, names in _character_blocks(model, monos).items():
-        local, null, by_column = _solve_block(model, names)
+        key = tuple(names)
+        if key not in solves:
+            solves[key] = _solve_block(model, names)
+        local, null, by_column = solves[key]
         for vec in null:
             images = dict.fromkeys(gexps, zero)
             for col, x in vec.items():
@@ -351,30 +361,50 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
                     variables, map(add, chi, gexps[g]), x)
             _verify_derivation(model, images, gens)
             basis.append(images)
-        gl_vecs = _gl_multiple_vectors(model, chi, local)
-        for vec in gl_vecs:
-            image: dict[int, int] = {}
-            for col, y in vec.items():
-                for i, x in by_column.get(col, ()):
-                    accumulate(image, i, x * y)
-            if image:
-                raise VertexAlgError("coordinate-field image violates a relation")
-        generates = generates and row_reduce(gl_vecs).rank == len(null)
+        fields = key, _field_directions(chi)
+        if fields not in ranks:
+            ranks[fields] = _gl_rank(model, fields[1], local, by_column)
+        generates = generates and ranks[fields] == len(null)
     return DerivationReport(degree, len(basis), monos, basis, generates)
 
 
-def _gl_multiple_vectors(model: VeroneseModel, chi: ExpVec, local: dict[str, int]):
-    """Coefficient vectors, over the columns `local` of block chi, of the
-    multiples m * y_a d/dy_b by invariant monomials m = chi - e_a + e_b.
-    Such a multiple maps x_g to exp(x_g)_b * y^(chi + exp(x_g)), so its
-    vector depends on b alone: one vector for each b that has such an a,
-    which is when chi + e_b is nonzero and nonnegative."""
-    vecs = []
-    for b in range(model.n):
+def _field_directions(chi: ExpVec) -> tuple[int, ...]:
+    """The b for which some multiple m * y_a d/dy_b by an invariant monomial
+    m = chi - e_a + e_b has character chi: an a exists exactly when
+    chi + e_b is nonzero and nonnegative."""
+    directions = []
+    for b in range(len(chi)):
         lifted = list(chi)
         lifted[b] += 1
-        if min(lifted) < 0 or not any(lifted):
-            continue
+        if min(lifted) >= 0 and any(lifted):
+            directions.append(b)
+    return tuple(directions)
+
+
+def _gl_rank(model: VeroneseModel, directions: tuple[int, ...],
+             local: dict[str, int], by_column) -> int:
+    """Check that every coordinate-field multiple in `directions` lies in the
+    nullspace of a block's relation rows, and return the rank of those
+    multiples."""
+    gl_vecs = _gl_multiple_vectors(model, directions, local)
+    for vec in gl_vecs:
+        image: dict[int, int] = {}
+        for col, y in vec.items():
+            for i, x in by_column.get(col, ()):
+                accumulate(image, i, x * y)
+        if image:
+            raise VertexAlgError("coordinate-field image violates a relation")
+    return row_reduce(gl_vecs).rank
+
+
+def _gl_multiple_vectors(model: VeroneseModel, directions: tuple[int, ...],
+                         local: dict[str, int]):
+    """Coefficient vectors, over the columns `local` of a block with
+    character chi, of the multiples m * y_a d/dy_b for b in `directions`.  Such a multiple maps x_g
+    to exp(x_g)_b * y^(chi + exp(x_g)), so its vector depends on b alone:
+    one vector for each b."""
+    vecs = []
+    for b in directions:
         vec: dict[int, int] = {}
         for gname, gexp in model.generators.items():
             if gexp[b]:

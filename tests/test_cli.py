@@ -128,7 +128,7 @@ def test_derivations(capsys):
     assert doc["payload"]["gl_generates"] is True
 
 
-@pytest.mark.parametrize("n, N, d", [(2, 3, 3), (3, 2, 0), (3, 3, 3), (4, 2, 2)])
+@pytest.mark.parametrize("n, N, d", [(2, 3, 3), (3, 2, 0), (3, 3, 3), (4, 2, 2), (3, 6, 6)])
 def test_derivations_in_n_variables(capsys, n, N, d):
     # every derivation is an invariant vector field: n * C(d + n, n - 1)
     code, out, _ = run(capsys, "derivations", "--n", str(n), "--N", str(N),

@@ -27,6 +27,7 @@ from vertexalg.freefield import (
     nproduct,
     random_element,
 )
+from vertexalg.laurent import LaurentElement
 from vertexalg.scalar import ParamScalar, substitute
 
 # the largest result weight: two weight-3 factors under mode -2
@@ -57,6 +58,22 @@ def test_table_matches_fresh_algebra_and_random_peel(n, seed):
         direct = nproduct(fresh.element(a.terms), m, fresh.element(b.terms))
         peeled = nproduct(a, m, b, rng=random.Random(peel_seed))
         assert warm == cold == direct == peeled
+
+
+@pytest.mark.parametrize("n, seed", [(1, 90), (2, 91), (3, 92)])
+def test_table_matches_random_peel_on_coordinate_powers(n, seed):
+    # y^e with exponents -3..5 applied to random elements: the table follows
+    # one fixed peel plan per word, the rng a random peel order
+    bound = 3
+    rng = random.Random(seed)
+    alg = FreeFieldAlgebra(variables(n), bound)
+    for _ in range(30):
+        power = [rng.randint(-3, 5) for _ in range(n)]
+        a = alg.from_laurent(LaurentElement.monomial(variables(n), power))
+        b = random_element(alg, rng, bound)
+        m = rng.randint(b.weight - 1 - bound, b.weight - 1)  # result weight 0..bound
+        peel = random.Random(rng.randint(0, 10 ** 6))
+        assert nproduct(a, m, b) == nproduct(a, m, b, rng=peel), (power, m)
 
 
 @pytest.mark.parametrize("n", [2, 3])

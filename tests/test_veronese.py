@@ -322,7 +322,8 @@ def test_derivations_positive_degree():
 
 def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
     # one pivot coefficient of one basis vector off by one leaves the
-    # nullspace, which the Laurent-ring check must notice
+    # nullspace, which the Laurent-ring check must notice; the perturbed
+    # solve serves every block with chi >= 0
     nullspace = Echelon.nullspace
 
     def perturbed(self, ncols):
@@ -338,6 +339,8 @@ def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
 
 
 def test_derivation_checks_catch_a_wrong_coordinate_field(monkeypatch):
+    # one coefficient of one coordinate-field multiple off by one leaves the
+    # nullspace; the perturbed vectors serve every block with chi >= 0
     gl_vectors = veronese._gl_multiple_vectors
 
     def perturbed(*args):
@@ -387,6 +390,42 @@ def test_derivation_blocks_match_the_closed_count(n, N, d):
     assert per_character == _closed_counts(n, d)
     total = n * math.comb(d + n, n - 1) if d >= 0 else sum(per_character.values())
     assert rep.dimension == len(rep.basis) == total
+
+
+def test_one_solve_per_generator_tuple(monkeypatch):
+    # every block with chi >= 0 holds every generator and shares one solve
+    model = build_model(2, 2, 10)
+    blocks = veronese._character_blocks(model, list(exponent_vectors(12, 2)))
+    assert (len(blocks), len({tuple(names) for names in blocks.values()})) == (15, 5)
+    calls = []
+    solve = veronese._solve_block
+
+    def counted(model, names):
+        calls.append(tuple(names))
+        return solve(model, names)
+
+    monkeypatch.setattr(veronese, "_solve_block", counted)
+    assert derivations(model, 10).dimension == 24
+    assert len(calls) == len(set(calls)) == 5
+
+
+@pytest.mark.parametrize("n, N, d", DERIVATION_GRID)
+def test_shared_solve_matches_a_solve_per_block(n, N, d):
+    # the reference solves every block on its own, in the same block order
+    model = build_model(n, N, max(abs(d), 2 * N + 2))
+    rep = derivations(model, d)
+    reference = []
+    monos = list(exponent_vectors(N + d, n))
+    for chi, names in veronese._character_blocks(model, monos).items():
+        _, null, _ = veronese._solve_block(model, names)
+        for vec in null:
+            images = {g: {} for g in model.generators}
+            for col, x in vec.items():
+                g = names[col]
+                images[g] = {tuple(a + b for a, b in zip(chi, model.generators[g])): x}
+            reference.append(images)
+    assert [{g: im.terms for g, im in images.items()} for images in rep.basis] == reference
+    assert rep.dimension == len(reference)
 
 
 def _unblocked_nullity(model, d: int) -> int:
