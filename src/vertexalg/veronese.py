@@ -294,12 +294,20 @@ def _character_blocks(model: VeroneseModel, monos: list[ExpVec]) -> dict[ExpVec,
     return blocks
 
 
-def _solve_block(model: VeroneseModel, names: list[str]):
-    """The columns (generator -> column) of a block with generators `names`,
-    the nullspace of its relation rows, and the rows meeting each column as
-    column -> [(row, coefficient)].  Relation (u, v) ~ (w, z) gives the row
-    e_u + e_v - e_w - e_z, because its four terms share the block's
-    character."""
+def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
+    """The nullspace of the relation rows of a block with character chi and
+    generators `names`, and whether its coordinate-field multiples span it.
+    Relation (u, v) ~ (w, z) gives the row e_u + e_v - e_w - e_z, because its
+    four terms share the block's character; each multiple must vanish on
+    every row.
+
+    At a fixed degree d the tuple S = {g : chi + exp(x_g) >= 0} decides the
+    whole result, so one solve serves every block with that S.  The rows read
+    S alone, and so do the field directions, the b with chi + e_b nonzero and
+    nonnegative: chi + e_b >= 0 exactly when S holds every generator with
+    exp_b >= 1 (take y_b^N and y_b y_c^(N-1)), and chi + e_b = 0 forces
+    chi = -e_b, whose degree is -1 = d, the only character of that degree
+    with that S."""
     local = {g: col for col, g in enumerate(names)}
     rows = []
     for (u, v), (w, z) in model.relations:
@@ -310,11 +318,12 @@ def _solve_block(model: VeroneseModel, names: list[str]):
                 accumulate(row, col, sign)
         if row:
             rows.append(row)
-    by_column: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(rows):
-        for col, x in row.items():
-            by_column.setdefault(col, []).append((i, x))
-    return local, row_reduce(rows).nullspace(len(names)), by_column
+    null = row_reduce(rows).nullspace(len(names))
+    gl_vecs = _gl_multiple_vectors(model, chi, local)
+    for vec in gl_vecs:
+        if any(sum(x * vec.get(col, 0) for col, x in row.items()) for row in rows):
+            raise VertexAlgError("coordinate-field image violates a relation")
+    return null, row_reduce(gl_vecs).rank == len(null)
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
@@ -323,18 +332,11 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
 
     A derivation's torus character chi = m - exp(x_g) is shared by the four
     terms of every relation, so the solve splits into one small exact
-    nullspace per character block (`_character_blocks`).  A block's relation
-    rows, and so its nullspace, depend on its generator tuple alone, and
-    every block with chi >= 0 holds every generator: each distinct tuple is
-    solved once and its solve serves every block that has it.  Two
-    independent checks guard the result.  Each basis vector of each block is
-    rebuilt as generator images in the Laurent ring and must preserve every
-    relation there (`_verify_derivation`).  Each coordinate-field multiple of
-    a block must lie in its nullspace: its product with the block's relation
-    rows, taken through a column -> rows index, must vanish.  Those vectors
-    depend on the generator tuple and the field directions alone, so they
-    are checked and ranked once per such pair; the multiples generate when
-    their rank is the nullity in every block."""
+    nullspace per character block (`_character_blocks`), and each distinct
+    generator tuple is solved once (`_solve_block`).  Each basis vector of
+    each block is rebuilt as generator images in the Laurent ring and must
+    preserve every relation there (`_verify_derivation`).  The field multiples
+    generate when they span the nullspace of every block."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
@@ -347,12 +349,11 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     basis = []
     generates = True
     solves: dict[tuple[str, ...], tuple] = {}
-    ranks: dict[tuple, int] = {}
     for chi, names in _character_blocks(model, monos).items():
         key = tuple(names)
         if key not in solves:
-            solves[key] = _solve_block(model, names)
-        local, null, by_column = solves[key]
+            solves[key] = _solve_block(model, chi, names)
+        null, spans = solves[key]
         for vec in null:
             images = dict.fromkeys(gexps, zero)
             for col, x in vec.items():
@@ -361,50 +362,21 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
                     variables, map(add, chi, gexps[g]), x)
             _verify_derivation(model, images, gens)
             basis.append(images)
-        fields = key, _field_directions(chi)
-        if fields not in ranks:
-            ranks[fields] = _gl_rank(model, fields[1], local, by_column)
-        generates = generates and ranks[fields] == len(null)
+        generates = generates and spans
     return DerivationReport(degree, len(basis), monos, basis, generates)
 
 
-def _field_directions(chi: ExpVec) -> tuple[int, ...]:
-    """The b for which some multiple m * y_a d/dy_b by an invariant monomial
-    m = chi - e_a + e_b has character chi: an a exists exactly when
-    chi + e_b is nonzero and nonnegative."""
-    directions = []
-    for b in range(len(chi)):
-        lifted = list(chi)
-        lifted[b] += 1
-        if min(lifted) >= 0 and any(lifted):
-            directions.append(b)
-    return tuple(directions)
-
-
-def _gl_rank(model: VeroneseModel, directions: tuple[int, ...],
-             local: dict[str, int], by_column) -> int:
-    """Check that every coordinate-field multiple in `directions` lies in the
-    nullspace of a block's relation rows, and return the rank of those
-    multiples."""
-    gl_vecs = _gl_multiple_vectors(model, directions, local)
-    for vec in gl_vecs:
-        image: dict[int, int] = {}
-        for col, y in vec.items():
-            for i, x in by_column.get(col, ()):
-                accumulate(image, i, x * y)
-        if image:
-            raise VertexAlgError("coordinate-field image violates a relation")
-    return row_reduce(gl_vecs).rank
-
-
-def _gl_multiple_vectors(model: VeroneseModel, directions: tuple[int, ...],
-                         local: dict[str, int]):
+def _gl_multiple_vectors(model: VeroneseModel, chi: ExpVec, local: dict[str, int]):
     """Coefficient vectors, over the columns `local` of a block with
-    character chi, of the multiples m * y_a d/dy_b for b in `directions`.  Such a multiple maps x_g
-    to exp(x_g)_b * y^(chi + exp(x_g)), so its vector depends on b alone:
-    one vector for each b."""
+    character chi, of the multiples m * y_a d/dy_b by invariant monomials
+    m = chi - e_a + e_b.  An a exists exactly when chi + e_b is nonzero and
+    nonnegative.  Such a multiple maps x_g to exp(x_g)_b * y^(chi + exp(x_g)),
+    so its vector depends on b alone: one vector for each such b."""
     vecs = []
-    for b in directions:
+    for b in range(len(chi)):
+        lifted = [c + (a == b) for a, c in enumerate(chi)]
+        if min(lifted) < 0 or not any(lifted):
+            continue
         vec: dict[int, int] = {}
         for gname, gexp in model.generators.items():
             if gexp[b]:

@@ -340,7 +340,8 @@ def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
 
 def test_derivation_checks_catch_a_wrong_coordinate_field(monkeypatch):
     # one coefficient of one coordinate-field multiple off by one leaves the
-    # nullspace; the perturbed vectors serve every block with chi >= 0
+    # nullspace; the vectors are built once per generator tuple, and the
+    # perturbed ones serve every block with chi >= 0
     gl_vectors = veronese._gl_multiple_vectors
 
     def perturbed(*args):
@@ -400,9 +401,9 @@ def test_one_solve_per_generator_tuple(monkeypatch):
     calls = []
     solve = veronese._solve_block
 
-    def counted(model, names):
+    def counted(model, chi, names):
         calls.append(tuple(names))
-        return solve(model, names)
+        return solve(model, chi, names)
 
     monkeypatch.setattr(veronese, "_solve_block", counted)
     assert derivations(model, 10).dimension == 24
@@ -411,13 +412,18 @@ def test_one_solve_per_generator_tuple(monkeypatch):
 
 @pytest.mark.parametrize("n, N, d", DERIVATION_GRID)
 def test_shared_solve_matches_a_solve_per_block(n, N, d):
-    # the reference solves every block on its own, in the same block order
+    # the reference solves every block on its own, in the same block order,
+    # and ranks each block's own coordinate-field multiples against its nullity
     model = build_model(n, N, max(abs(d), 2 * N + 2))
     rep = derivations(model, d)
     reference = []
+    generates = True
     monos = list(exponent_vectors(N + d, n))
     for chi, names in veronese._character_blocks(model, monos).items():
-        _, null, _ = veronese._solve_block(model, names)
+        null, _ = veronese._solve_block(model, chi, names)
+        local = {g: col for col, g in enumerate(names)}
+        gl_vecs = veronese._gl_multiple_vectors(model, chi, local)
+        generates = generates and row_reduce(gl_vecs).rank == len(null)
         for vec in null:
             images = {g: {} for g in model.generators}
             for col, x in vec.items():
@@ -426,6 +432,7 @@ def test_shared_solve_matches_a_solve_per_block(n, N, d):
             reference.append(images)
     assert [{g: im.terms for g, im in images.items()} for images in rep.basis] == reference
     assert rep.dimension == len(reference)
+    assert rep.gl_generates == generates
 
 
 def _unblocked_nullity(model, d: int) -> int:
