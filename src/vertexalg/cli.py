@@ -289,6 +289,8 @@ def _cmd_classify(args, params) -> Report:
 
 def _cmd_glue_check(args, params) -> Report:
     omega = _require_gluing(args.omega, params)
+    if not omega:
+        raise UsageError("--omega is zero: there is no gluing form to check")
     ok = conformal_glue_check(omega)
     return Report("glue-check", "pass" if ok else "fail", {"omega": repr(omega)})
 
@@ -296,6 +298,8 @@ def _cmd_glue_check(args, params) -> Report:
 def _cmd_extend(args, params) -> Report:
     omega = _require_gluing(args.omega, params)
     section = _section_from_expr(args.expr, params, chart=args.chart)
+    if not section:
+        raise UsageError("the section is zero: there is nothing to extend")
     out = extend_section(section, omega)
     if out is None:
         return Report("extend", "fail", {"section": repr(section)})
@@ -342,6 +346,8 @@ def _cmd_membership(args, params) -> Report:
     section = _section_from_expr(args.omega, params, n_vars=n)
     if section.field_part:
         raise UsageError("--omega must be a pure one-form")
+    if not section:
+        raise UsageError("--omega is zero: there is no one-form to test")
     member = omega_membership(section.form_part, model)
     return Report("membership", "member" if member else "non-member",
                   {"omega": repr(section.form_part)})

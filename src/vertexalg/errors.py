@@ -6,7 +6,7 @@ class VertexAlgError(Exception):
 
 
 class NonScalarDivisor(VertexAlgError):
-    """Division by zero or by a non-constant parameter expression."""
+    """`scalar.constant_value` of a scalar that holds a parameter."""
 
 
 class NonlinearCondition(VertexAlgError):

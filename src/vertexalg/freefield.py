@@ -260,17 +260,18 @@ class FreeFieldAlgebra:
 
         Returns the plan (kind, i, m, c_weight, alpha', tail') as plain data:
         the peeled factor c is the symbol (kind, i, m) for kind 'y' or 'd',
-        the coordinate y_i for 'pos' or its inverse for 'neg', and
-        `_factor_mode` applies its modes.  Inverse coordinates are peeled
-        only once the symbol tail is empty, where their modes act without
-        contractions against frame symbols of the remainder.
+        or the inverse coordinate 1/y_i for 'neg', and `_factor_mode` applies
+        its modes.  A coordinate y_i is the order-0 symbol ('y', i, 0), since
+        T^0(y_i)/0! = y_i.  Inverse coordinates are peeled only once the
+        symbol tail is empty, where their modes act without contractions
+        against frame symbols of the remainder.
         """
         choices = []
         for idx in range(len(tail)):
             choices.append(("sym", idx))
         for i in range(1, self.n + 1):
             if alpha[i - 1] > 0:
-                choices.append(("pos", i))
+                choices.append(("y", i))
         if not tail:
             for i in range(1, self.n + 1):
                 if alpha[i - 1] < 0:
@@ -281,19 +282,21 @@ class FreeFieldAlgebra:
             sym = tail[val]
             return (*sym, _sym_weight(sym), alpha, tail[:val] + tail[val + 1:])
         new = list(alpha)
-        new[val - 1] += -1 if kind == "pos" else 1
+        new[val - 1] += -1 if kind == "y" else 1
         return kind, val, 0, 0, tuple(new), tail
 
     def _factor_mode(self, kind: str, i: int, m: int, l: int, terms: Terms) -> Terms:
-        """Apply mode l of a peeled factor, named as in a `_peel` plan."""
-        if kind == "pos":
-            return self._gen_mode("y", i, l, terms)
+        """Apply mode l of a peeled factor, named as in a `_peel` plan.  Mode l
+        of the symbol (kind, i, m) is (-1)^m binom(l, m) times mode l - m of
+        its field; a factor of 1 (every coordinate) returns that result as is."""
         if kind == "neg":
             return self._w_mode(i, l, terms)
         factor = (-1) ** m * _binom(l, m)
         if factor == 0:
             return {}
         res = self._gen_mode(kind, i, l - m, terms)
+        if factor == 1:
+            return res
         return {key: c * factor for key, c in res.items()}
 
     def _shape(self, key: TermKey) -> tuple[int, int, int]:

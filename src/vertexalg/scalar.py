@@ -21,10 +21,10 @@ rational coefficients, only while it holds a parameter.  `exact` is the one
 coercion of the public constructors, and ParamScalar arithmetic, like its
 constructor, returns the plain number once no parameter is left, so
 `k - k + 1` is 1 and a constant product runs on Python ints.  A coefficient
-is never a float: the only divisions go through Fraction, in
-`ParamScalar.__truediv__`, in `power` (every negative power: of a number, of
-a Laurent monomial, and the CLI's) and in `row_reduce`.  The module helpers
-`power`, `constant_value`, `substitute` and `parameters` accept any scalar.
+is never a float: the program divides only through Fraction, in `power`
+(every negative power: of a number, of a Laurent monomial, and the CLI's),
+in `row_reduce` and in scaling by a Fraction.  The module helpers `power`,
+`constant_value` and `substitute` accept any scalar.
 """
 
 from __future__ import annotations
@@ -86,16 +86,8 @@ class LinearCombination:
     def terms(self) -> dict:
         return dict(self._terms)
 
-    def get(self, key, default=None):
-        """The value at key, or default when key holds no term."""
-        return self._terms.get(key, default)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def parameters(self) -> set[str]:
-        """The formal parameters occurring in any value."""
-        return set().union(*(parameters(value) for value in self._terms.values()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -214,9 +206,6 @@ class ParamScalar(LinearCombination):
         benchmark's tracer still asks)."""
         return all(m == () for m in self._terms)
 
-    def parameters(self) -> set[str]:
-        return {name for mono in self._terms for name, _ in mono}
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> Scalar:
@@ -263,18 +252,9 @@ class ParamScalar(LinearCombination):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "ParamScalar":
-        """self / other for a nonzero number, through Fraction."""
-        if isinstance(other, (int, Fraction)) and other:
-            return self.scale(Fraction(1) / other)
-        if isinstance(other, (int, Fraction, ParamScalar)):
-            raise NonScalarDivisor("non-scalar divisor")
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            raise NonScalarDivisor("non-scalar divisor")
-        return NotImplemented
+    def __truediv__(self, other) -> Scalar:
+        """self * (Fraction(1) / other), kept for the benchmark's tracer."""
+        return self.scale(Fraction(1) / other)
 
     def __pow__(self, n: int) -> Scalar:
         """self ** n for n >= 0; a single monomial c*k^a takes one step,
@@ -381,11 +361,6 @@ def constant_value(x: Scalar) -> RationalLike:
 def substitute(x: Scalar, assignment: Mapping[str, Scalar]) -> Scalar:
     """x with values substituted for some parameters; a number is unchanged."""
     return x.substitute(assignment) if type(x) is ParamScalar else x
-
-
-def parameters(x: Scalar) -> set[str]:
-    """The formal parameters of a scalar or of a combination over scalars."""
-    return x.parameters() if isinstance(x, LinearCombination) else set()
 
 
 class LinearSolution(NamedTuple):

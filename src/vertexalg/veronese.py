@@ -307,7 +307,13 @@ def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
     nonnegative: chi + e_b >= 0 exactly when S holds every generator with
     exp_b >= 1 (take y_b^N and y_b y_c^(N-1)), and chi + e_b = 0 forces
     chi = -e_b, whose degree is -1 = d, the only character of that degree
-    with that S."""
+    with that S.
+
+    The multiples need no elimination: they are independent.  chi + e_b >= 0
+    gives chi + N e_b >= 0, so the block holds y_b^N, and the vector of
+    direction b is the only one that is nonzero there (its entry is N).  Each
+    lies in the nullspace, as checked below, so they span it exactly when
+    there are as many of them as it has basis vectors."""
     local = {g: col for col, g in enumerate(names)}
     rows = []
     for (u, v), (w, z) in model.relations:
@@ -323,7 +329,7 @@ def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
     for vec in gl_vecs:
         if any(sum(x * vec.get(col, 0) for col, x in row.items()) for row in rows):
             raise VertexAlgError("coordinate-field image violates a relation")
-    return null, row_reduce(gl_vecs).rank == len(null)
+    return null, len(gl_vecs) == len(null)
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:

@@ -33,7 +33,7 @@ def lie_derivative(tau: dict, omega: OneForm) -> OneForm:
     for j, g in omega.terms.items():
         accumulate(comps, j, apply_field(tau, g))
     for i, f in tau.items():
-        g = omega.get(i)
+        g = omega.terms.get(i)
         if g is not None:
             for j, df in de_rham(f).terms.items():
                 accumulate(comps, j, g * df)

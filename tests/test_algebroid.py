@@ -21,10 +21,10 @@ from vertexalg.algebroid import (
 from vertexalg.errors import ChartMismatch, InvalidInput, RuleOracleDivergence
 from vertexalg.laurent import LaurentElement, OneForm, degrees
 from vertexalg.scalar import (
+    LinearCombination,
     ParamScalar,
     accumulate,
     exact,
-    parameters,
     solve_linear_system,
     substitute,
 )
@@ -267,11 +267,21 @@ def test_morphism_failure_reported():
     assert rep.failures
 
 
+def _parameters(x) -> set[str]:
+    """The formal parameters of a scalar or of a combination over scalars,
+    read from the terms."""
+    if type(x) is ParamScalar:
+        return {name for mono in x.terms for name, _ in mono}
+    if isinstance(x, LinearCombination):
+        return set().union(*map(_parameters, x.terms.values()))
+    return set()
+
+
 def _per_pair_morphism_check(basis, brackets, pairing, images):
     """morphism_check as it was before equal equations were merged: every
     pair's equation goes to the solve and is substituted on its own."""
-    unknowns = sorted(set().union(*(parameters(val) for val in pairing.values()))
-                      .difference(*(parameters(im) for im in images.values())))
+    unknowns = sorted(set().union(*(_parameters(val) for val in pairing.values()))
+                      .difference(*(_parameters(im) for im in images.values())))
     failures, equations, computed1 = [], [], {}
     for a in basis:
         for b in basis:

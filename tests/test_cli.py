@@ -232,6 +232,10 @@ def test_config_file(tmp_path, capsys):
     ["glue-check", "--omega", "y1*w[1,1]"],
     ["glue-check", "--omega", "d2*w[1,1]"],
     ["derivations", "--n", "1", "--N", "2"],
+    # no verdict on empty input
+    ["extend", "0", "--omega", "w[1,1]"],
+    ["glue-check", "--omega", "0*w[1,1]"],
+    ["membership", "--N", "2", "--omega", "0"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -134,22 +134,22 @@ def test_variable_mismatch():
 def test_de_rham():
     f = mono(1, 1)
     d = de_rham(f)
-    assert d.get(1) == mono(0, 1)
-    assert d.get(2) == mono(1, 0)
+    assert d.terms.get(1) == mono(0, 1)
+    assert d.terms.get(2) == mono(1, 0)
 
 
 def test_de_rham_power():
     N = 4
     d = de_rham(mono(N, 0))
-    assert d.get(1) == mono(N - 1, 0, N)
-    assert d.get(2) is None
+    assert d.terms.get(1) == mono(N - 1, 0, N)
+    assert d.terms.get(2) is None
 
 
 def test_de_rham_veronese_generator():
     N, j = 3, 1
     d = de_rham(mono(N - j, j))
-    assert d.get(1) == mono(N - j - 1, j, N - j)
-    assert d.get(2) == mono(N - j, j - 1, j)
+    assert d.terms.get(1) == mono(N - j - 1, j, N - j)
+    assert d.terms.get(2) == mono(N - j, j - 1, j)
 
 
 def test_gl2_bracket():

@@ -9,7 +9,7 @@ import pytest
 
 import vertexalg
 from vertexalg.algebroid import WeightOneElement, embed, extract, fock_algebra, vprod
-from vertexalg.errors import InvalidInput, NonlinearCondition, NonScalarDivisor
+from vertexalg.errors import InvalidInput, NonlinearCondition
 from vertexalg.freefield import nproduct
 from vertexalg.geometry import GluingForm, transition
 from vertexalg.laurent import LaurentElement, OneForm
@@ -62,17 +62,6 @@ def test_substitute():
     assert partial == 2 * k
 
 
-def test_division():
-    k = ParamScalar.var("k")
-    assert (k * 6) / 3 == k * 2
-    with pytest.raises(NonScalarDivisor):
-        _ = k / 0
-    with pytest.raises(NonScalarDivisor):
-        _ = 1 / k
-    with pytest.raises(NonScalarDivisor):
-        _ = (k + 1) / k
-
-
 def test_negative_powers():
     assert power(2, -1) == Fraction(1, 2)
     assert power(Fraction(-2, 3), -2) == Fraction(9, 4)
@@ -102,11 +91,9 @@ def test_monomial_powers_take_one_step():
 
 
 def test_division_and_negative_powers_stay_exact():
-    # on ints, 2 / 3 and 2 ** -1 would be floats
-    k = ParamScalar.var("k")
-    assert (k + 2) / 3 - k / 3 == Fraction(2, 3)
+    # on ints, 2 ** -1 would be a float
     assert power(2, -1) == Fraction(1, 2)
-    for value in ((k + 2) / 3 - k / 3, power(2, -1), power(-2, -3)):
+    for value in (power(2, -1), power(-2, -3)):
         assert type(value) is Fraction
     f = LaurentElement.monomial(("y1", "y2"), (1, 0), 2) ** -1
     assert f.terms == {(-1, 0): Fraction(1, 2)}
@@ -129,7 +116,7 @@ def test_no_float_is_ever_stored_random():
                    rational * a, power(a, rng.randint(0, 3)),
                    substitute(a * b, {"k": rational})]
         if isinstance(a, ParamScalar):
-            results += [a / divisor, a / -divisor]
+            results += [a * (Fraction(1) / divisor), a * (Fraction(1) / -divisor)]
         elif a:
             results.append(power(a, rng.randint(-3, -1)))
         for c in results:
@@ -142,8 +129,8 @@ def _one_form(x) -> bool:
     stores nonzero ints and Fractions: never a float, never a constant
     ParamScalar."""
     if type(x) is ParamScalar:
-        return bool(x.parameters()) and all(type(c) in (int, Fraction) and c
-                                            for c in x.terms.values())
+        return any(x.terms) and all(type(c) in (int, Fraction) and c
+                                    for c in x.terms.values())
     return type(x) in (int, Fraction)
 
 
@@ -170,7 +157,8 @@ def test_every_scalar_has_one_form_random():
                    substitute(a, {"k": rational}), substitute(a * b, {"k": rational, "c": k}),
                    substitute(a - k, {"k": k + rational})]
         if type(a) is ParamScalar:
-            scalars += [a / divisor, a / rng.randint(1, 4), (a - b) * k]
+            scalars += [a * (Fraction(1) / divisor), a * (Fraction(1) / rng.randint(1, 4)),
+                        (a - b) * k]
         elif a:
             scalars.append(power(a, -rng.randint(1, 3)))
         for x in scalars:

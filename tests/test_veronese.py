@@ -413,7 +413,8 @@ def test_one_solve_per_generator_tuple(monkeypatch):
 @pytest.mark.parametrize("n, N, d", DERIVATION_GRID)
 def test_shared_solve_matches_a_solve_per_block(n, N, d):
     # the reference solves every block on its own, in the same block order,
-    # and ranks each block's own coordinate-field multiples against its nullity
+    # and ranks each block's own coordinate-field multiples against its nullity;
+    # the multiples are independent, so their rank is their count
     model = build_model(n, N, max(abs(d), 2 * N + 2))
     rep = derivations(model, d)
     reference = []
@@ -423,7 +424,9 @@ def test_shared_solve_matches_a_solve_per_block(n, N, d):
         null, _ = veronese._solve_block(model, chi, names)
         local = {g: col for col, g in enumerate(names)}
         gl_vecs = veronese._gl_multiple_vectors(model, chi, local)
-        generates = generates and row_reduce(gl_vecs).rank == len(null)
+        rank = row_reduce(gl_vecs).rank
+        assert rank == len(gl_vecs), (n, N, d, chi)
+        generates = generates and rank == len(null)
         for vec in null:
             images = {g: {} for g in model.generators}
             for col, x in vec.items():
