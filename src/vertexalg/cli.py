@@ -375,31 +375,33 @@ CONFIG_KEYS = ("degree_bound", "weight", "trials")
 
 
 def _read_config(path: str) -> dict[str, int]:
-    """The `key = value` lines of a config file (`#` starts a comment): each
-    key one of CONFIG_KEYS, given once, with an integer value."""
+    """The `key = value` lines of a UTF-8 config file (`#` starts a comment):
+    each key one of CONFIG_KEYS, given once, with an integer value."""
     out = {}
     try:
-        handle = open(path)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc.strerror}") from exc
-    with handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"config key {key!r} is not one of "
-                                 f"{', '.join(CONFIG_KEYS)}")
-            if key in out:
-                raise UsageError(f"config key {key} is given twice")
-            try:
-                out[key] = int(value)
-            except ValueError as exc:
-                raise UsageError(f"config {key} needs an integer, "
-                                 f"got {value!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config {path!r}: it is not UTF-8 text") from exc
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"config key {key!r} is not one of "
+                             f"{', '.join(CONFIG_KEYS)}")
+        if key in out:
+            raise UsageError(f"config key {key} is given twice")
+        try:
+            out[key] = int(value)
+        except ValueError as exc:
+            raise UsageError(f"config {key} needs an integer, "
+                             f"got {value!r}") from exc
     return out
 
 

@@ -175,44 +175,36 @@ class FreeFieldAlgebra:
     # -- mode actions of the generating fields ---------------------------
 
     def _gen_mode(self, cls: str, i: int, p: int, terms: Terms) -> Terms:
-        """Apply mode p of coordinate field i (cls 'y') or frame field i (cls 'd')."""
+        """Apply mode p of coordinate field i (cls 'y') or frame field i (cls 'd').
+
+        The mode picks one of four actions, each a one-to-one map of basis
+        states, so the terms need no accumulation:
+        - mode -1 of the coordinate multiplies by y_i;
+        - any other negative mode inserts the symbol (cls, i, -1 - p);
+        - mode 0 of the frame differentiates in y_i;
+        - any other mode removes one conjugate symbol, ('d', i, p) for the
+          coordinate or ('y', i, p) for the frame, times -count or +count,
+          where count is how often the state holds that symbol.
+        """
         out: Terms = {}
-        for (alpha, tail), coeff in terms.items():
-            if cls == "y":
-                if p <= -1:
-                    if p == -1:
-                        new = list(alpha)
-                        new[i - 1] += 1
-                        accumulate(out, (tuple(new), tail), coeff)
-                    else:
-                        sym = ("y", i, -1 - p)
-                        newtail = tuple(sorted(tail + (sym,), key=_sort_key))
-                        accumulate(out, (alpha, newtail), coeff)
-                else:
-                    sym = ("d", i, p)
-                    count = tail.count(sym)
-                    if count:
-                        lst = list(tail)
-                        lst.remove(sym)
-                        accumulate(out, (alpha, tuple(lst)), coeff * (-count))
-            else:
-                if p <= -1:
-                    sym = ("d", i, -1 - p)
-                    newtail = tuple(sorted(tail + (sym,), key=_sort_key))
-                    accumulate(out, (alpha, newtail), coeff)
-                elif p == 0:
-                    e = alpha[i - 1]
-                    if e:
-                        new = list(alpha)
-                        new[i - 1] = e - 1
-                        accumulate(out, (tuple(new), tail), coeff * e)
-                else:
-                    sym = ("y", i, p)
-                    count = tail.count(sym)
-                    if count:
-                        lst = list(tail)
-                        lst.remove(sym)
-                        accumulate(out, (alpha, tuple(lst)), coeff * count)
+        if cls == "y" and p == -1:
+            for (alpha, tail), c in terms.items():
+                out[alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:], tail] = c
+        elif p < 0:
+            sym = (cls, i, -1 - p)
+            for (alpha, tail), c in terms.items():
+                out[alpha, tuple(sorted(tail + (sym,), key=_sort_key))] = c
+        elif cls == "d" and p == 0:
+            for (alpha, tail), c in terms.items():
+                if e := alpha[i - 1]:
+                    out[alpha[:i - 1] + (e - 1,) + alpha[i:], tail] = c * e
+        else:
+            sym = ("d" if cls == "y" else "y", i, p)
+            sign = -1 if cls == "y" else 1
+            for (alpha, tail), c in terms.items():
+                if count := tail.count(sym):
+                    idx = tail.index(sym)
+                    out[alpha, tail[:idx] + tail[idx + 1:]] = c * (sign * count)
         return out
 
     def _w_mode(self, i: int, n: int, terms: Terms) -> Terms:

@@ -4,7 +4,8 @@ Every exact object of the package is a LinearCombination: a sparse map
 {key: value} that never stores a zero value.  ParamScalar (here), the Laurent
 elements and one-forms of `laurent`, the weight-one sections of `algebroid`,
 the gluing forms of `geometry` and the Fock elements of `freefield` share its
-sum, difference, negation, scaling, equality and hashing.  Canonical form
+sum, difference, negation, scaling, equality and hashing; a difference is
+the sum with the negation, so one loop adds every term.  Canonical form
 is enforced in two places only: each public constructor checks what it is
 given, coerces every scalar through `exact` and drops zeros, and every sum
 goes through `accumulate`, which drops a key whose value cancels.
@@ -115,11 +116,7 @@ class LinearCombination:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        self._check(other)
-        out = dict(self._terms)
-        for key, value in other._terms.items():
-            accumulate(out, key, -value)
-        return self._new(out)
+        return self + -other
 
     def scale(self, c):
         """Every value times c: a number for a ParamScalar, a scalar for the
@@ -222,22 +219,14 @@ class ParamScalar(LinearCombination):
     __radd__ = __add__
 
     def __sub__(self, other) -> Scalar:
-        out = dict(self._terms)
-        if type(other) is ParamScalar:
-            for key, value in other._terms.items():
-                accumulate(out, key, -value)
-        elif isinstance(other, (int, Fraction)):
-            accumulate(out, (), -other)
-        else:
+        if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        return self._new(out)
+        return self + -other
 
     def __rsub__(self, other) -> Scalar:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out = {key: -value for key, value in self._terms.items()}
-        accumulate(out, (), other)
-        return self._new(out)
+        return -self + other
 
     def __mul__(self, other) -> Scalar:
         if isinstance(other, (int, Fraction)):

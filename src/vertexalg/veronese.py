@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .algebroid import WeightOneElement, _validate_rules, embed, extract, fock_algebra
 from .errors import InvalidInput, VertexAlgError
-from .freefield import nproduct, translate
+from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
 from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree, mul_into
 from .scalar import (
@@ -53,13 +53,14 @@ ExpVec = tuple[int, ...]
 
 
 class VeroneseModel:
-    def __init__(self, n: int, N: int, degree_bound: int,
-                 variables: tuple[str, ...], generators: dict[str, ExpVec]):
+    """The degree-N model on y1..yn, generators from `_generator_exponents`."""
+
+    def __init__(self, n: int, N: int, degree_bound: int):
         self.n = n
         self.N = N
         self.degree_bound = degree_bound
-        self.variables = variables
-        self.generators = generators
+        self.variables = tuple(f"y{i}" for i in range(1, n + 1))
+        self.generators = _generator_exponents(n, N)
 
     def generator_element(self, name: str) -> LaurentElement:
         return LaurentElement.monomial(self.variables, self.generators[name])
@@ -102,10 +103,7 @@ def build_model(n: int, N: int, degree_bound: int | None = None) -> VeroneseMode
     built on first read of `relations`."""
     if n < 2 or N < 1:
         raise InvalidInput("need n >= 2 and N >= 1")
-    if degree_bound is None:
-        degree_bound = 2 * N + 2
-    variables = tuple(f"y{i}" for i in range(1, n + 1))
-    return VeroneseModel(n, N, degree_bound, variables, _generator_exponents(n, N))
+    return VeroneseModel(n, N, 2 * N + 2 if degree_bound is None else degree_bound)
 
 
 # -- graded membership in the span of generator differentials ----------------
@@ -187,16 +185,36 @@ def _embedded_chart_images(k: Scalar) -> MappingProxyType:
     return MappingProxyType({name: embed(v, alg) for name, v in gl2_chart_images(k).items()})
 
 
+def _relation_lift(alg: FreeFieldAlgebra, first: tuple[ExpVec, FreeFieldElement],
+                   second: tuple[ExpVec, FreeFieldElement]) -> WeightOneElement:
+    """The quantum lift (y^e1)_(-1) s1 - (y^e2)_(-1) s2 of the module
+    relation y^e1 s1 = y^e2 s2 between embedded sections, extracted on U1.
+
+    The one check site of both Fock verdicts: the kernel is checked against
+    the closed forms (`_validate_rules`) before the first product, and the
+    vector-field parts must cancel exactly, or the module relation broke.
+    """
+    _validate_rules(alg.variables)
+    (e1, s1), (e2, s2) = first, second
+    lift = (nproduct(alg.from_laurent(LaurentElement.monomial(alg.variables, e1)), -1, s1)
+            - nproduct(alg.from_laurent(LaurentElement.monomial(alg.variables, e2)), -1, s2))
+    out = extract(lift, "U1")
+    if out.field_part:
+        raise VertexAlgError("relation lift has a vector-field component; "
+                             "the module relation broke")
+    return out
+
+
 def relation_defect(model: VeroneseModel, r: int,
                     pair: tuple[str, str] = ("E12", "E22"),
                     k=None) -> WeightOneElement:
     """Quantum lift of the degree-N module relation indexed by r.
 
     Evaluates (y1^r y2^(N-r))_(-1) applied to the first section minus
-    (y1^(r+1) y2^(N-r-1))_(-1) applied to the second in the free-field
-    engine; the vector-field parts must cancel exactly, so the value is a
-    pure one-form whose membership is the quantization condition.  The chart
-    images are embedded once per value of k and reused by every (pair, r).
+    (y1^(r+1) y2^(N-r-1))_(-1) applied to the second by `_relation_lift`,
+    a pure one-form whose membership is the quantization condition.  The
+    chart images are embedded once per value of k and reused by every
+    (pair, r).
     """
     if model.n != 2:
         raise InvalidInput("relation defects are defined for the two-variable model")
@@ -207,17 +225,9 @@ def relation_defect(model: VeroneseModel, r: int,
     if k is None:
         k = ParamScalar.var("k")
     images = _embedded_chart_images(exact(k))
-    alg = fock_algebra(V2, 3)
     N = model.N
-    m1 = alg.from_laurent(LaurentElement.monomial(V2, (r, N - r)))
-    m2 = alg.from_laurent(LaurentElement.monomial(V2, (r + 1, N - r - 1)))
-    out = nproduct(m1, -1, images[pair[0]]) - nproduct(m2, -1, images[pair[1]])
-    defect = extract(out, "U1")
-    if defect.field_part:
-        raise VertexAlgError(
-            "relation defect has a vector-field component; the module relation broke"
-        )
-    return defect
+    return _relation_lift(fock_algebra(V2, 3), ((r, N - r), images[pair[0]]),
+                          ((r + 1, N - r - 1), images[pair[1]]))
 
 
 # -- classification and the charge solver -------------------------------------
@@ -257,7 +267,6 @@ def solve_charge(model: VeroneseModel) -> ChargeResult:
     line = survivors[0]
     if model.N == 1:
         return ChargeResult("unconstrained", None, line)
-    _validate_rules(V2)  # the kernel must match the closed forms first
     k = ParamScalar.var("k")
     conditions: list[Scalar] = []
     for pair in RELATION_PAIRS:
@@ -417,38 +426,26 @@ def higher_witness(model: VeroneseModel):
     span, certifying that no quantization exists for n >= 3, N >= 2.
 
     Computes (x3 x2^(N-1))_(-1)(x1 applied to the first frame) minus
-    (x3 x2^(N-2) x1)_(-1)(x2 applied to the first frame) in the free-field
-    engine, checks it equals (T(x3 x2^(N-2)))_(-1) x2, and runs the graded
-    membership test, which must fail.
+    (x3 x2^(N-2) x1)_(-1)(x2 applied to the first frame) by
+    `_relation_lift`, checks it equals (T(x3 x2^(N-2)))_(-1) x2, and runs the
+    graded membership test, which must fail.
     """
     if model.n < 3:
         raise InvalidInput("the witness needs at least three variables")
     if model.N < 2:
         raise InvalidInput("degree 1 gives a polynomial ring; nothing to witness")
-    variables = model.variables
-    N = model.N
-    _validate_rules(variables)  # the kernel must match the closed forms first
-    alg = fock_algebra(variables, 2)
-
-    def mono(*pairs) -> LaurentElement:
-        exp = [0] * model.n
-        for i, e in pairs:
-            exp[i - 1] += e
-        return LaurentElement.monomial(variables, exp)
-
-    x1_d1 = embed(WeightOneElement.field("U1", variables, 1,
-                                         LaurentElement.coordinate(variables, 1)), alg)
-    x2_d1 = embed(WeightOneElement.field("U1", variables, 1,
-                                         LaurentElement.coordinate(variables, 2)), alg)
-    w = nproduct(alg.from_laurent(mono((3, 1), (2, N - 1))), -1, x1_d1) \
-        - nproduct(alg.from_laurent(mono((3, 1), (2, N - 2), (1, 1))), -1, x2_d1)
-    display = nproduct(translate(alg.from_laurent(mono((3, 1), (2, N - 2)))), -1,
-                       alg.from_laurent(mono((2, 1))))
-    if w != display:
+    variables, N = model.variables, model.N
+    alg = fock_algebra(variables)
+    x1_d1, x2_d1 = (embed(WeightOneElement.field(
+        "U1", variables, 1, LaurentElement.coordinate(variables, j)), alg) for j in (1, 2))
+    rest = (0,) * (model.n - 3)
+    witness = _relation_lift(alg, ((0, N - 1, 1) + rest, x1_d1),
+                             ((1, N - 2, 1) + rest, x2_d1))
+    display = nproduct(translate(alg.from_laurent(
+        LaurentElement.monomial(variables, (0, N - 2, 1) + rest))), -1,
+        alg.from_laurent(LaurentElement.coordinate(variables, 2)))
+    if witness != extract(display, "U1"):
         raise VertexAlgError("witness does not match its closed form")
-    witness = extract(w, "U1")
-    if witness.field_part:
-        raise VertexAlgError("witness has a vector-field component")
     if omega_membership(witness.form_part, model):
         raise VertexAlgError("witness lies in the generator span; no obstruction")
     return witness, "non-quantizable"

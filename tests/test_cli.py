@@ -165,7 +165,9 @@ def test_nprod(capsys):
     # a one-term power takes one step, however large
     for expr, value in (("y1^99999999999999999999", "y1^99999999999999999999"),
                         ("(-y1*y2^-2)^100000000000", "y1^100000000000*y2^-200000000000"),
-                        ("(y1-y1)^99999999999999999999", "0")):
+                        ("(y1-y1)^99999999999999999999", "0"),
+                        # a weighted power multiplies out; an exponent may carry a plus sign
+                        ("d1^2", "d1*d1"), ("y1^+2", "y1^2")):
         code, out, _ = run(capsys, "nprod", expr, "--format", "machine")
         assert code == 0
         assert json.loads(out)["payload"]["value"] == value
@@ -189,6 +191,18 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--N", "3", "--config", str(cfg),
                        "--degree-bound", "5", "--format", "machine")
     assert json.loads(out)["payload"]["bound"] == 5
+    cfg.write_text("degree_bound 9\n")
+    code, out, err = run(capsys, "quantize", "--N", "3", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: bad config line: 'degree_bound 9'")
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"\xff\xfe degree_bound = 9\n")
+    code, out, err = run(capsys, "quantize", "--N", "3", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: cannot read config") and "UTF-8" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,6 +250,11 @@ def test_config_file(tmp_path, capsys):
     ["extend", "0", "--omega", "w[1,1]"],
     ["glue-check", "--omega", "0*w[1,1]"],
     ["membership", "--N", "2", "--omega", "0"],
+    ["membership", "--N", "2", "--omega", "y1*d1"],
+    ["quantize", "--N", "3", "--param", "k"],
+    ["nprod", "d1^-1"],
+    ["nprod", "y1 $ y2"],
+    ["nprod", "y1^1/2"],
 ])
 def test_invalid_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -9,13 +9,14 @@ import pytest
 
 import vertexalg
 from vertexalg.algebroid import WeightOneElement, embed, extract, fock_algebra, vprod
-from vertexalg.errors import InvalidInput, NonlinearCondition
+from vertexalg.errors import InvalidInput, NonlinearCondition, NonScalarDivisor, VertexAlgError
 from vertexalg.freefield import nproduct
 from vertexalg.geometry import GluingForm, transition
 from vertexalg.laurent import LaurentElement, OneForm
 from vertexalg.scalar import (
     LinearCombination,
     ParamScalar,
+    constant_value,
     exact,
     power,
     solve_linear_system,
@@ -247,6 +248,25 @@ def test_solver_nonlinear_rejected():
         solve_linear_system([k * k - 1], ["k"])
     with pytest.raises(NonlinearCondition):
         solve_linear_system([k * ParamScalar.var("c") - 1], ["k", "c"])
+
+
+def test_constant_value_refuses_a_parameter():
+    assert constant_value(Fraction(3, 2)) == Fraction(3, 2)
+    with pytest.raises(NonScalarDivisor) as info:
+        constant_value(ParamScalar.var("k"))
+    assert isinstance(info.value, VertexAlgError)
+
+
+def test_subtraction_is_addition_of_the_negation():
+    k, c = ParamScalar.var("k"), ParamScalar.var("c")
+    for a, b in ((k + 1, c - k), (k, 3), (Fraction(1, 2) * k, Fraction(2, 3))):
+        assert a - b == a + -b and b - a == -(a - b)
+    # a foreign operand is still refused, not negated
+    assert k.__sub__("x") is NotImplemented and k.__rsub__(k) is NotImplemented
+    f = LaurentElement.coordinate(("y1", "y2"), 1)
+    assert f.__sub__(k) is NotImplemented
+    with pytest.raises(TypeError):
+        k - "x"
 
 
 def test_copies_keep_the_scalar():
