@@ -12,8 +12,9 @@ depend only on that row space.  On top sit the exact checkers: graded
 membership of one-forms in the span of generator differentials, the relation
 defects produced by quantum products on the twisted punctured plane, the
 charge solver that pins the unique gluing multiple, the admissible-gluing
-classification by section extension, the gl_2 chart sections, graded
-derivation computation, and the higher-dimensional obstruction witness.
+classification by section extension, the gl_2 chart sections, the graded
+derivations, each proved by lifting it to an invariant vector field, and the
+higher-dimensional obstruction witness.
 
 The span of the generator differentials is graded by the torus multidegree
 in Z^n: m*dx_g has multidegree m + exp(x_g), and a coordinate y^e dy_i has
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from operator import add, sub
+from operator import mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -38,7 +39,7 @@ from .algebroid import WeightOneElement, _validate_rules, embed, extract, fock_a
 from .errors import InvalidInput, VertexAlgError
 from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
-from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree, mul_into
+from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
 from .scalar import (
     ParamScalar,
     Scalar,
@@ -288,7 +289,7 @@ class DerivationReport(NamedTuple):
     degree: int
     dimension: int
     monomials: list[ExpVec]
-    basis: list[dict[str, LaurentElement]]
+    basis: list[dict[int, LaurentElement]]
     gl_generates: bool
 
 
@@ -303,26 +304,50 @@ def _character_blocks(model: VeroneseModel, monos: list[ExpVec]) -> dict[ExpVec,
     return blocks
 
 
+def _field_vector(model: VeroneseModel, local: dict[str, int], lift) -> dict:
+    """The block vector, over the columns `local`, of the vector field
+    sum_b l_b y^(chi + e_b) d/dy_b with lift = (l_1, ..., l_n): it maps x_g
+    to <l, exp(x_g)> y^(chi + exp(x_g)), so chi enters only through which
+    generators the block holds."""
+    vec = {}
+    for g, gexp in model.generators.items():
+        value = sum(map(mul, lift, gexp))
+        if value:
+            col = local.get(g)
+            if col is None:
+                raise VertexAlgError("image monomial escaped the graded slice")
+            vec[col] = value
+    return vec
+
+
 def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
-    """The nullspace of the relation rows of a block with character chi and
-    generators `names`, and whether its coordinate-field multiples span it.
-    Relation (u, v) ~ (w, z) gives the row e_u + e_v - e_w - e_z, because its
-    four terms share the block's character; each multiple must vanish on
-    every row.
+    """The derivations of a block with character chi and generators `names`,
+    each as the lift (N l_1, ..., N l_n) of its field
+    sum_b l_b y^(chi + e_b) d/dy_b, and whether the coordinate-field
+    multiples span them.  Relation (u, v) ~ (w, z) gives the row
+    e_u + e_v - e_w - e_z, because its four terms share the block's character.
 
-    At a fixed degree d the tuple S = {g : chi + exp(x_g) >= 0} decides the
-    whole result, so one solve serves every block with that S.  The rows read
-    S alone, and so do the field directions, the b with chi + e_b nonzero and
-    nonnegative: chi + e_b >= 0 exactly when S holds every generator with
-    exp_b >= 1 (take y_b^N and y_b y_c^(N-1)), and chi + e_b = 0 forces
-    chi = -e_b, whose degree is -1 = d, the only character of that degree
-    with that S.
+    Each nullspace vector c is proved a derivation by its field: N l_b is
+    c(y_b^N), or 0 when y_b^N is not in the block, and the field must map the
+    generators to N c exactly.  A derivation of the Laurent ring preserves
+    every relation, so c does too.  Z_N acting by scalars has no
+    pseudo-reflections, so every derivation is such a field (Schlessinger,
+    Invent. Math. 14, 1971), and a vector that does not lift is a faulty
+    solve.  The proof reads the columns, not chi, so one solve serves every
+    block with the same generators.
 
-    The multiples need no elimination: they are independent.  chi + e_b >= 0
-    gives chi + N e_b >= 0, so the block holds y_b^N, and the vector of
-    direction b is the only one that is nonzero there (its entry is N).  Each
-    lies in the nullspace, as checked below, so they span it exactly when
-    there are as many of them as it has basis vectors."""
+    The fields y^(chi + e_b) d/dy_b with chi + e_b >= 0 are derivations that
+    must vanish on every row, and they are independent: chi + e_b >= 0 gives
+    chi + N e_b >= 0, so the block holds y_b^N, where only direction b is
+    nonzero.  Fewer nullspace vectors than fields is therefore a faulty
+    elimination.  Those with chi + e_b nonzero are the multiples
+    m * y_a d/dy_b (m = chi - e_a + e_b), which span the nullspace exactly
+    when they are as many as its vectors.  At a fixed degree d the generators
+    fix these directions too: chi + e_b >= 0 exactly when the block holds
+    every generator with exp_b >= 1 (take y_b^N and y_b y_c^(N-1)), and
+    chi + e_b = 0 forces chi = -e_b, whose degree is -1 = d, the only
+    character of that degree with those generators."""
+    n, N = model.n, model.N
     local = {g: col for col, g in enumerate(names)}
     rows = []
     for (u, v), (w, z) in model.relations:
@@ -333,34 +358,45 @@ def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
                 accumulate(row, col, sign)
         if row:
             rows.append(row)
-    null = row_reduce(rows).nullspace(len(names))
-    gl_vecs = _gl_multiple_vectors(model, chi, local)
-    for vec in gl_vecs:
+    powers = {gexp.index(N): local.get(g) for g, gexp in model.generators.items() if N in gexp}
+    fields = []
+    for vec in row_reduce(rows).nullspace(len(names)):
+        lift = tuple(vec.get(powers[b], 0) for b in range(n))
+        if _field_vector(model, local, lift) != {col: N * x for col, x in vec.items()}:
+            raise VertexAlgError("computed derivation is not the restriction of a vector field")
+        fields.append(lift)
+    directions = multiples = 0
+    for b in range(n):
+        shifted = [c + (a == b) for a, c in enumerate(chi)]
+        if min(shifted) < 0:
+            continue
+        vec = _field_vector(model, local, [a == b for a in range(n)])
         if any(sum(x * vec.get(col, 0) for col, x in row.items()) for row in rows):
             raise VertexAlgError("coordinate-field image violates a relation")
-    return null, len(gl_vecs) == len(null)
+        directions += 1
+        multiples += any(shifted)
+    if len(fields) < directions:
+        raise VertexAlgError("the elimination lost independent derivations")
+    return fields, multiples == len(fields)
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
-    """Basis of the degree-d derivations of the model ring, plus a report on
-    whether invariant multiples of the linear coordinate fields span it.
+    """Basis of the degree-d derivations of the model ring, each as its
+    vector field {b: component of d/dy_b}, plus a report on whether
+    invariant multiples of the linear coordinate fields span it.
 
     A derivation's torus character chi = m - exp(x_g) is shared by the four
     terms of every relation, so the solve splits into one small exact
     nullspace per character block (`_character_blocks`), and each distinct
-    generator tuple is solved once (`_solve_block`).  Each basis vector of
-    each block is rebuilt as generator images in the Laurent ring and must
-    preserve every relation there (`_verify_derivation`).  The field multiples
-    generate when they span the nullspace of every block."""
+    generator tuple is solved once (`_solve_block`), which proves every
+    nullspace vector a derivation by lifting it to its field.  The field
+    multiples generate when they span the nullspace of every block."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
     if degree % N != 0 or N + degree < 0:
         return DerivationReport(degree, 0, [], [], True)
     monos = list(exponent_vectors(N + degree, n))
-    variables, gexps = model.variables, model.generators
-    gens = {g: model.generator_element(g) for g in gexps}
-    zero = LaurentElement(variables)
     basis = []
     generates = True
     solves: dict[tuple[str, ...], tuple] = {}
@@ -368,54 +404,13 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
         key = tuple(names)
         if key not in solves:
             solves[key] = _solve_block(model, chi, names)
-        null, spans = solves[key]
-        for vec in null:
-            images = dict.fromkeys(gexps, zero)
-            for col, x in vec.items():
-                g = names[col]
-                images[g] = LaurentElement.monomial(
-                    variables, map(add, chi, gexps[g]), x)
-            _verify_derivation(model, images, gens)
-            basis.append(images)
+        fields, spans = solves[key]
+        for lift in fields:
+            basis.append({b: LaurentElement.monomial(
+                model.variables, [c + (a == b - 1) for a, c in enumerate(chi)], Fraction(l, N))
+                for b, l in enumerate(lift, 1) if l})
         generates = generates and spans
     return DerivationReport(degree, len(basis), monos, basis, generates)
-
-
-def _gl_multiple_vectors(model: VeroneseModel, chi: ExpVec, local: dict[str, int]):
-    """Coefficient vectors, over the columns `local` of a block with
-    character chi, of the multiples m * y_a d/dy_b by invariant monomials
-    m = chi - e_a + e_b.  An a exists exactly when chi + e_b is nonzero and
-    nonnegative.  Such a multiple maps x_g to exp(x_g)_b * y^(chi + exp(x_g)),
-    so its vector depends on b alone: one vector for each such b."""
-    vecs = []
-    for b in range(len(chi)):
-        lifted = [c + (a == b) for a, c in enumerate(chi)]
-        if min(lifted) < 0 or not any(lifted):
-            continue
-        vec: dict[int, int] = {}
-        for gname, gexp in model.generators.items():
-            if gexp[b]:
-                col = local.get(gname)
-                if col is None:
-                    raise VertexAlgError("image monomial escaped the graded slice")
-                vec[col] = gexp[b]
-        vecs.append(vec)
-    return vecs
-
-
-def _verify_derivation(model: VeroneseModel, images: dict[str, LaurentElement],
-                       gens: dict[str, LaurentElement]):
-    """Check D(x_u x_v) = D(x_w x_z) on every relation, adding the four
-    products into one exponent dict and skipping zero images; gens holds the
-    generator elements."""
-    for (u, v), (w, z) in model.relations:
-        val: dict = {}
-        for image, other, negate in ((u, v, False), (v, u, False), (w, z, True), (z, w, True)):
-            f = images[image]
-            if f:
-                mul_into(val, f, gens[other], negate)
-        if val:
-            raise VertexAlgError("computed derivation does not preserve the relations")
 
 
 # -- the higher-dimensional obstruction witness --------------------------------

@@ -142,6 +142,25 @@ def test_derivations_in_n_variables(capsys, n, N, d):
     assert doc["payload"]["gl_generates"] is (d >= 0)
 
 
+@pytest.mark.parametrize("argv, accepted", [
+    # the default bound is 2N + 2 = 6; a form y^e dy_i has degree |e| + 1
+    (["membership", "--N", "2", "--omega", "y1^5*T(y1)"], True),
+    (["membership", "--N", "2", "--omega", "y1^6*T(y1)"], False),
+    (["membership", "--N", "2", "--omega", "y1^3*T(y1)", "--degree-bound", "4"], True),
+    (["membership", "--N", "2", "--omega", "y1^4*T(y1)", "--degree-bound", "4"], False),
+    (["derivations", "--N", "2", "--degree", "6"], True),
+    (["derivations", "--N", "2", "--degree", "7"], False),
+    (["derivations", "--N", "2", "--degree", "-6"], True),
+    (["derivations", "--N", "2", "--degree", "-7"], False),
+])
+def test_degree_bound_is_inclusive(capsys, argv, accepted):
+    code, out, err = run(capsys, *argv, "--format", "machine")
+    if accepted:
+        assert code == 0 and json.loads(out)["status"] in ("member", "pass"), err
+    else:
+        assert (code, out) == (2, "") and "exceeds model bound" in err
+
+
 def test_axioms_reproducible(capsys):
     code, out1, _ = run(capsys, "axioms", "--weight", "1", "--trials", "10",
                         "--seed", "11", "--format", "machine")

@@ -322,8 +322,8 @@ def test_derivations_positive_degree():
 
 def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
     # one pivot coefficient of one basis vector off by one leaves the
-    # nullspace, which the Laurent-ring check must notice; the perturbed
-    # solve serves every block with chi >= 0
+    # nullspace, so the vector is no longer the restriction of its field;
+    # the perturbed solve serves every block with chi >= 0
     nullspace = Echelon.nullspace
 
     def perturbed(self, ncols):
@@ -334,25 +334,17 @@ def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
         return basis
 
     monkeypatch.setattr(Echelon, "nullspace", perturbed)
-    with pytest.raises(VertexAlgError, match="computed derivation does not preserve the relations"):
+    with pytest.raises(VertexAlgError, match="not the restriction of a vector field"):
         derivations(build_model(2, 3), 3)
 
 
-def test_derivation_checks_catch_a_wrong_coordinate_field(monkeypatch):
-    # one coefficient of one coordinate-field multiple off by one leaves the
-    # nullspace; the vectors are built once per generator tuple, and the
-    # perturbed ones serve every block with chi >= 0
-    gl_vectors = veronese._gl_multiple_vectors
-
-    def perturbed(*args):
-        vecs = gl_vectors(*args)
-        col = next(iter(vecs[0]))
-        vecs[0][col] += 1
-        return vecs
-
-    monkeypatch.setattr(veronese, "_gl_multiple_vectors", perturbed)
+def test_derivation_checks_catch_a_wrong_coordinate_field():
+    # a relation that is not a syzygy (x0^2 = x1^2) puts a row on every block
+    # that no coordinate-field multiple satisfies; the nullspace still lifts
+    model = build_model(2, 3)
+    model.__dict__["relations"] = model.relations + [(("x0", "x0"), ("x1", "x1"))]
     with pytest.raises(VertexAlgError, match="coordinate-field image violates a relation"):
-        derivations(build_model(2, 3), 3)
+        derivations(model, 3)
 
 
 # (n, N, d), d a multiple of N: the total n * C(d + n, n - 1) runs from 4 to 80
@@ -382,10 +374,10 @@ def test_derivation_blocks_match_the_closed_count(n, N, d):
     # below degree 0 no y_a d/dy_b multiple exists, so only zero is spanned
     assert rep.gl_generates == (d >= 0 or not rep.basis)
     per_character = collections.Counter()
-    for images in rep.basis:
-        # the character chi = m - exp(x_g) of every term of every image
-        chars = {tuple(a - b for a, b in zip(exp, model.generators[g]))
-                 for g, image in images.items() for exp in image.terms}
+    for field in rep.basis:
+        # the character chi = exp - e_b of every component f_b y^exp d/dy_b
+        chars = {tuple(e - (a == b - 1) for a, e in enumerate(exp))
+                 for b, component in field.items() for exp in component.terms}
         assert len(chars) == 1, (n, N, d)
         per_character[chars.pop()] += 1
     assert per_character == _closed_counts(n, d)
@@ -410,30 +402,66 @@ def test_one_solve_per_generator_tuple(monkeypatch):
     assert len(calls) == len(set(calls)) == 5
 
 
+def _generator_images(model, field: dict) -> dict:
+    """D(x_g) = sum_b exp(x_g)_b y^(exp(x_g) - e_b) f_b by Laurent products,
+    for the derivation D with field components {b: f_b}."""
+    vs = model.variables
+    images = {}
+    for g, gexp in model.generators.items():
+        image = LaurentElement(vs)
+        for b, component in field.items():
+            if gexp[b - 1]:
+                down = tuple(e - (a == b - 1) for a, e in enumerate(gexp))
+                image = image + component * LaurentElement.monomial(vs, down, gexp[b - 1])
+        images[g] = image
+    return images
+
+
 @pytest.mark.parametrize("n, N, d", DERIVATION_GRID)
 def test_shared_solve_matches_a_solve_per_block(n, N, d):
     # the reference solves every block on its own, in the same block order,
-    # and ranks each block's own coordinate-field multiples against its nullity;
-    # the multiples are independent, so their rank is their count
+    # from its own relation rows, and ranks each block's own coordinate-field
+    # multiples against its nullity; every field must map back to the
+    # reference's generator images, and those images must preserve every
+    # relation in the Laurent ring
     model = build_model(n, N, max(abs(d), 2 * N + 2))
+    gens = model.generators
     rep = derivations(model, d)
     reference = []
     generates = True
     monos = list(exponent_vectors(N + d, n))
     for chi, names in veronese._character_blocks(model, monos).items():
-        null, _ = veronese._solve_block(model, chi, names)
         local = {g: col for col, g in enumerate(names)}
-        gl_vecs = veronese._gl_multiple_vectors(model, chi, local)
-        rank = row_reduce(gl_vecs).rank
-        assert rank == len(gl_vecs), (n, N, d, chi)
+        rows = []
+        for (u, v), (w, z) in model.relations:
+            row = collections.Counter()
+            for g, sign in ((u, 1), (v, 1), (w, -1), (z, -1)):
+                if g in local:
+                    row[local[g]] += sign
+            rows.append({col: x for col, x in row.items() if x})
+        null = row_reduce(rows).nullspace(len(names))
+        multiples = []
+        for b in range(n):
+            lifted = [c + (a == b) for a, c in enumerate(chi)]
+            if min(lifted) >= 0 and any(lifted):
+                assert all(g in local for g in gens if gens[g][b]), (n, N, d, chi)
+                multiples.append({local[g]: gens[g][b] for g in gens if gens[g][b]})
+        rank = row_reduce(multiples).rank
+        assert rank == len(multiples), (n, N, d, chi)
         generates = generates and rank == len(null)
         for vec in null:
-            images = {g: {} for g in model.generators}
+            images = {g: {} for g in gens}
             for col, x in vec.items():
                 g = names[col]
-                images[g] = {tuple(a + b for a, b in zip(chi, model.generators[g])): x}
+                images[g] = {tuple(a + b for a, b in zip(chi, gens[g])): x}
             reference.append(images)
-    assert [{g: im.terms for g, im in images.items()} for images in rep.basis] == reference
+    basis_images = [_generator_images(model, field) for field in rep.basis]
+    assert [{g: im.terms for g, im in images.items()} for images in basis_images] == reference
+    for images in basis_images:
+        for (u, v), (w, z) in model.relations:
+            x = {g: model.generator_element(g) for g in (u, v, w, z)}
+            assert (images[u] * x[v] + x[u] * images[v]
+                    == images[w] * x[z] + x[w] * images[z]), (n, N, d)
     assert rep.dimension == len(reference)
     assert rep.gl_generates == generates
 
