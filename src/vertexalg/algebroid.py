@@ -151,7 +151,9 @@ def _exact_part(variables: tuple[str, ...], terms: dict) -> OneForm:
 def embed(v: WeightOneElement, alg: FreeFieldAlgebra) -> FreeFieldElement:
     """Inject: the term at ("d", i) or ("y", j) becomes its creation symbol
     ("d", i, 0) or ("y", j, 1), and the raw frame words are corrected to
-    single applications by subtracting their exact part."""
+    single applications by subtracting their exact part.  Every word has one
+    symbol of weight 1 and every sum goes through `accumulate`, so the terms
+    are canonical and the element is built from them by `_new`."""
     if v.variables != alg.variables:
         raise VariableMismatch("section over wrong variable list")
     terms = {(alpha, ((cls, i, _ORDER[cls]),)): c
@@ -159,7 +161,7 @@ def embed(v: WeightOneElement, alg: FreeFieldAlgebra) -> FreeFieldElement:
     for j, g in _exact_part(v.variables, v._terms)._terms.items():
         for alpha, c in g._terms.items():
             accumulate(terms, (alpha, (("y", j, 1),)), -c)
-    return alg.element(terms)
+    return alg.zero()._new(terms)
 
 
 def extract(x: FreeFieldElement, chart: str) -> WeightOneElement:

@@ -152,18 +152,22 @@ class FreeFieldAlgebra:
         return self.element({(self._zero_exp, (("d", i, 0),)): 1})
 
     def from_laurent(self, f: LaurentElement) -> "FreeFieldElement":
+        """The chart function f as a weight-0 element, one term (exp, ()) per
+        term of f.  f's terms are canonical, so the element is built from
+        them by `_new`, not coerced again."""
         if f.variables != self.variables:
             raise VariableMismatch("laurent element over wrong variable list")
-        return self.element({(exp, ()): c for exp, c in f.terms.items()})
+        return self.zero()._new({(exp, ()): c for exp, c in f._terms.items()})
 
     def to_laurent(self, x: "FreeFieldElement") -> LaurentElement:
         """Inverse of from_laurent: the chart function of an element with no
-        creation symbols."""
+        creation symbols, built from x's canonical terms by `_new`."""
         if x.variables != self.variables:
             raise VariableMismatch("element over wrong variable list")
         if any(tail for _, tail in x._terms):
             raise InvalidInput(f"{x} has creation symbols, so it is not a chart function")
-        return LaurentElement(self.variables, {alpha: c for (alpha, _), c in x._terms.items()})
+        return LaurentElement(self.variables)._new(
+            {alpha: c for (alpha, _), c in x._terms.items()})
 
     def virasoro_element(self) -> "FreeFieldElement":
         terms: Terms = {}

@@ -10,22 +10,28 @@ is enforced in two places only: each public constructor checks what it is
 given, coerces every scalar through `exact` and drops zeros, and every sum
 goes through `accumulate`, which drops a key whose value cancels.
 Arithmetic results are built by `LinearCombination._new` from terms that are
-already canonical, so they are never coerced or checked again.  `_new` makes
-one object per result and stores its context (the variable list, the chart,
-the algebra) directly: a class with context overrides `_new` to set those
-slots, and a result never inherits the `_partials` of its operand.
+already canonical, so they are never coerced or checked again.  So are the
+builders that only rearrange canonical terms: the derivation basis
+components (`veronese.derivations`), `FreeFieldAlgebra.from_laurent` and
+`to_laurent`, and `algebroid.embed` keep their own checks and build with
+`_new`, not through a public constructor.  `_new` makes one object per
+result and stores its context (the variable list, the chart, the algebra)
+directly: a class with context overrides `_new` to set those slots, and a
+result never inherits the `_partials` of its operand.
 
-A scalar, the coefficient of every other module, has one form per value: an
-int for an integral rational, a Fraction for any other, and a ParamScalar, a
-polynomial in formal parameters (k, gluing coefficients c_ab, ...) with
-rational coefficients, only while it holds a parameter.  `exact` is the one
-coercion of the public constructors, and ParamScalar arithmetic, like its
-constructor, returns the plain number once no parameter is left, so
-`k - k + 1` is 1 and a constant product runs on Python ints.  A coefficient
-is never a float: the program divides only through Fraction, in `power`
-(every negative power: of a number, of a Laurent monomial, and the CLI's),
-in `row_reduce` and in scaling by a Fraction.  The module helpers `power`,
-`constant_value` and `substitute` accept any scalar.
+A scalar, the coefficient of every other module, is an int, a Fraction, or a
+ParamScalar, a polynomial in formal parameters (k, gluing coefficients c_ab,
+...) with rational coefficients, only while it holds a parameter.  A public
+constructor stores an int for an integral rational and a Fraction for any
+other; arithmetic on Fractions may leave an integral Fraction (1/2 + 1/2),
+which equals and hashes as its int.  `exact` is the one coercion of the
+public constructors, and ParamScalar arithmetic, like its constructor,
+returns the plain number once no parameter is left, so `k - k + 1` is 1 and
+a constant product runs on Python ints.  A coefficient is never a float: the
+program divides only through Fraction, in `power` (every negative power: of
+a number, of a Laurent monomial, and the CLI's), in `row_reduce` and in
+scaling by a Fraction.  The module helpers `power`, `constant_value` and
+`substitute` accept any scalar.
 """
 
 from __future__ import annotations

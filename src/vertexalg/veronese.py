@@ -390,13 +390,18 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     nullspace per character block (`_character_blocks`), and each distinct
     generator tuple is solved once (`_solve_block`), which proves every
     nullspace vector a derivation by lifting it to its field.  The field
-    multiples generate when they span the nullspace of every block."""
+    multiples generate when they span the nullspace of every block.
+
+    Each component {chi + e_b: l_b / N} is built from canonical terms by
+    `LaurentElement._new`: the exponent is sliced from chi, and the
+    coefficient is the int l_b // N when N divides l_b, else the Fraction."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
     if degree % N != 0 or N + degree < 0:
         return DerivationReport(degree, 0, [], [], True)
     monos = list(exponent_vectors(N + degree, n))
+    zero = LaurentElement(model.variables)
     basis = []
     generates = True
     solves: dict[tuple[str, ...], tuple] = {}
@@ -406,9 +411,9 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
             solves[key] = _solve_block(model, chi, names)
         fields, spans = solves[key]
         for lift in fields:
-            basis.append({b: LaurentElement.monomial(
-                model.variables, [c + (a == b - 1) for a, c in enumerate(chi)], Fraction(l, N))
-                for b, l in enumerate(lift, 1) if l})
+            basis.append({b: zero._new({chi[:b - 1] + (chi[b - 1] + 1,) + chi[b:]:
+                                        Fraction(l, N) if l % N else l // N})
+                          for b, l in enumerate(lift, 1) if l})
         generates = generates and spans
     return DerivationReport(degree, len(basis), monos, basis, generates)
 

@@ -1,12 +1,18 @@
-"""One-site faults in the exact elimination must not reach a printed
-`derivations` dimension.
+"""One-site faults in the exact elimination must not reach a printed verdict.
 
-Each fault wraps the row reduction or the nullspace that `derivations`
+The first table wraps the row reduction or the nullspace that `derivations`
 solves its character blocks with.  The command then runs through `cli.main`
 and must exit non-zero or print the closed-form dimension n * C(d + n, n - 1)
 (Schlessinger, Invent. Math. 14, 1971).  The fields y^(chi + e_b) d/dy_b are
 independent derivations of their block, so a solve that loses one is
 refused.
+
+The second table wraps `row_reduce` in both `scalar` (the solve of
+`quantize` and `morphism`) and `veronese` (membership, the witness and the
+derivation blocks), and runs every command that eliminates through
+`cli.main`; each must exit non-zero or print its known answer from the
+paper.  A cell where a fault gets through is marked as a strict expected
+failure with what it prints, so it fails loudly once a check stops it.
 """
 
 import contextlib
@@ -16,7 +22,7 @@ import math
 
 import pytest
 
-from vertexalg import cli, veronese
+from vertexalg import cli, scalar, veronese
 from vertexalg.scalar import Echelon
 
 
@@ -54,3 +60,92 @@ def test_elimination_fault_never_prints_a_wrong_dimension(monkeypatch, fault, n,
     monkeypatch.setattr(*FAULTS[fault]())
     code, doc = _run(["derivations", "--n", str(n), "--N", str(N), "--degree", str(d)])
     assert code != 0 or doc["payload"]["dimension"] == n * math.comb(d + n, n - 1), (fault, doc)
+
+
+def _drop_last_row(row_reduce):
+    def faulty(rows, rhs=None):
+        return row_reduce(list(rows)[:-1], None if rhs is None else list(rhs)[:-1])
+    return faulty
+
+
+def _drop_residuals(row_reduce):
+    return lambda rows, rhs=None: row_reduce(rows, rhs)._replace(residuals=[])
+
+
+def _rhs_doubled(row_reduce):
+    return lambda rows, rhs=None: row_reduce(rows, None if rhs is None else [2 * b for b in rhs])
+
+
+def _echelon_sign(row_reduce):
+    """Every entry of every pivot row negated, except the pivot itself."""
+    def faulty(rows, rhs=None):
+        echelon = row_reduce(rows, rhs)
+        return echelon._replace(rows={col: {c: x if c == col else -x for c, x in row.items()}
+                                      for col, row in echelon.rows.items()})
+    return faulty
+
+
+ROW_REDUCE_FAULTS = {"drop last row": _drop_last_row, "drop residuals": _drop_residuals,
+                     "rhs x 2": _rhs_doubled, "echelon sign": _echelon_sign}
+
+# argv -> (status, payload) from the paper: charge N + 1, gl_2 levels
+# (-N-2, N) at k = N + 1, gl_n levels (-1, -1), the witness
+# (N-2) y2^(N-2) y3 dy2 + y2^(N-1) dy3, y1^2 dy2 outside the span of the
+# degree-3 generator differentials, and n * C(d + n, n - 1) derivations
+KNOWN = {
+    ("quantize", "--N", "3"): ("unique", {"charge": "4", "gluing": "(1)*w[1,1]"}),
+    ("quantize", "--N", "5"): ("unique", {"charge": "6", "gluing": "(1)*w[1,1]"}),
+    ("witness", "--n", "3", "--N", "3"):
+        ("non-quantizable", {"witness": "(y2*y3)*dy2 + (y2^2)*dy3"}),
+    ("membership", "--N", "3", "--omega", "y1^2*T(y2)"):
+        ("non-member", {"omega": "(y1^2)*dy2"}),
+    ("morphism", "--n", "2", "--param", "k=4"):
+        ("pass", {"failures": [], "levels": ["-5", "3"]}),
+    ("morphism", "--n", "3"): ("pass", {"failures": [], "levels": ["-1", "-1"]}),
+    ("derivations", "--n", "2", "--N", "3", "--degree", "3"):
+        ("pass", {"degree": 3, "dimension": 10, "gl_generates": True}),
+    ("derivations", "--n", "3", "--N", "3", "--degree", "3"):
+        ("pass", {"degree": 3, "dimension": 45, "gl_generates": True}),
+}
+
+
+@pytest.mark.parametrize("argv", KNOWN, ids=" ".join)
+def test_sound_elimination_prints_the_known_answer(argv):
+    code, doc = _run(argv)
+    assert code == (1 if doc["status"] == "non-member" else 0)
+    assert (doc["status"], doc["payload"]) == KNOWN[argv]
+
+
+MEMBERSHIP = ("membership", "--N", "3", "--omega", "y1^2*T(y2)")
+# the cells where a fault reaches a wrong verdict, and what it prints
+ESCAPES = {
+    ("drop last row", MEMBERSHIP):
+        "prints 'member': a lost row loses its residual, and no check rebuilds "
+        "the form from the span",
+    ("drop residuals", MEMBERSHIP):
+        "prints 'member': nothing checks a 'member' verdict against the form",
+    ("rhs x 2", ("quantize", "--N", "3")):
+        "prints k = 8: solve_linear_system does not substitute its assignment "
+        "back into the equations",
+    ("rhs x 2", ("quantize", "--N", "5")):
+        "prints k = 12: solve_linear_system does not substitute its assignment "
+        "back into the equations",
+}
+
+
+def _cells():
+    for fault in ROW_REDUCE_FAULTS:
+        for argv in KNOWN:
+            reason = ESCAPES.get((fault, argv))
+            marks = ([pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)]
+                     if reason else [])
+            yield pytest.param(fault, argv, marks=marks, id=f"{fault}-{' '.join(argv)}")
+
+
+@pytest.mark.parametrize("fault, argv", _cells())
+def test_row_reduce_fault_never_prints_a_wrong_verdict(monkeypatch, fault, argv):
+    faulty = ROW_REDUCE_FAULTS[fault](scalar.row_reduce)
+    monkeypatch.setattr(scalar, "row_reduce", faulty)
+    monkeypatch.setattr(veronese, "row_reduce", faulty)
+    code, doc = _run(argv)
+    assert code != 0 or (doc["status"], doc["payload"]) == KNOWN[argv], (fault, doc)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from vertexalg import cli
-from vertexalg.algebroid import WeightOneElement
+from vertexalg.algebroid import WeightOneElement, embed
 from vertexalg.errors import (
     ChartMismatch,
     InhomogeneousInput,
@@ -22,7 +22,7 @@ from vertexalg.errors import (
 )
 from vertexalg.freefield import FreeFieldAlgebra
 from vertexalg.geometry import GluingForm
-from vertexalg.laurent import LaurentElement, OneForm
+from vertexalg.laurent import LaurentElement, OneForm, de_rham
 from vertexalg.scalar import LinearCombination, ParamScalar, exact
 
 V = ("y1", "y2")
@@ -309,3 +309,72 @@ def test_fock_sum_of_different_weights_raises():
         weight1 - weight0
     assert alg.zero() + weight1 == weight1 == weight1 + alg.zero()
     assert cli.main(["nprod", "y1 + d1"]) == 2
+
+
+def _same_element(x, y, same_types=False) -> bool:
+    """Equal, with equal hashes, and canonical; with same_types, every
+    coefficient is also stored as the same type.  Arithmetic may leave an
+    integral Fraction (derive, a sum of halves), which the public
+    constructor stores as the int it equals."""
+    return (x == y and hash(x) == hash(y) and _canonical(x)
+            and (not same_types
+                 or all(type(c) is type(y.terms[key]) for key, c in x.terms.items())))
+
+
+def _embedded_by_words(v, alg):
+    """embed(v) from public constructors: the raw words of v's components
+    minus the words of the exact part d(sum_i d f_i/dy_i)."""
+    order = {"d": 0, "y": 1}
+    raw = alg.element({(alpha, ((cls, i, order[cls]),)): c
+                       for (cls, i), f in v.terms.items() for alpha, c in f.terms.items()})
+    div = LaurentElement(v.variables)
+    for i, f in v.field_part.items():
+        div = div + f.derive(i)
+    exact_part = alg.element({(alpha, (("y", j, 1),)): c
+                              for j, g in de_rham(div).terms.items()
+                              for alpha, c in g.terms.items()})
+    return raw - exact_part
+
+
+def test_fock_builders_store_what_the_public_constructors_store():
+    # from_laurent, to_laurent and embed build from canonical terms by `_new`:
+    # each result must equal, hash and store like the public constructor's
+    # element on the same terms; the draws hold ParamScalar coefficients and
+    # negative exponents
+    alg = ALGEBRAS[V]
+    k = ParamScalar.var("k")
+    y1 = LaurentElement.coordinate(V, 1)
+    cancelling = [
+        # y1^2 D1 + c dy1: the exact part d(2c y1) = 2c dy1 cancels the form
+        WeightOneElement.field("U1", V, 1, (y1 ** 2).scale(c))
+        + WeightOneElement.form("U1", OneForm(V, {1: LaurentElement.constant(V, 2 * c)}))
+        for c in (1, Fraction(-1, 3), k, k + Fraction(1, 2))]
+    for v in cancelling:
+        y = embed(v, alg)
+        assert ((0, 0), (("y", 1, 1),)) not in y.terms and y
+        assert _same_element(y, alg.element(y.terms)) and y == _embedded_by_words(v, alg)
+    for seed in SEEDS:
+        for f, g in zip(_draws("LaurentElement", seed), _draws("LaurentElement", seed + 500)):
+            # f comes from the public constructor, so its values keep their types
+            x = alg.from_laurent(f)
+            assert _same_element(x, alg.element({(exp, ()): c for exp, c in f.terms.items()}),
+                                 same_types=True)
+            assert _same_element(alg.to_laurent(x), f, same_types=True)
+            for z, h in ((x - alg.from_laurent(g), f - g), (x - x, f - f)):
+                back = alg.to_laurent(z)
+                assert _same_element(back, LaurentElement(V, {alpha: c for (alpha, _), c
+                                                              in z.terms.items()}))
+                assert _same_element(back, h)
+        for v in _draws("WeightOneElement", seed):
+            y = embed(v, alg)
+            assert _same_element(y, alg.element(y.terms)) and y == _embedded_by_words(v, alg)
+
+
+def test_fock_builders_keep_their_variable_list_checks():
+    alg = ALGEBRAS[V]
+    with pytest.raises(VariableMismatch):
+        alg.from_laurent(LaurentElement.coordinate(OTHER, 1))
+    with pytest.raises(VariableMismatch):
+        alg.to_laurent(ALGEBRAS[OTHER].coordinate(1))
+    with pytest.raises(VariableMismatch):
+        embed(WeightOneElement.field("U1", OTHER, 1, LaurentElement.coordinate(OTHER, 1)), alg)

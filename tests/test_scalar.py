@@ -22,6 +22,7 @@ from vertexalg.scalar import (
     solve_linear_system,
     substitute,
 )
+from vertexalg.veronese import build_model, derivations
 
 
 def random_scalar(rng, names=("k", "c")):
@@ -149,6 +150,11 @@ def test_every_scalar_has_one_form_random():
     k = ParamScalar.var("k")
     V = ("y1", "y2")
     alg = fock_algebra(V)
+    # derivation basis components, built from canonical terms (coefficients
+    # 1/2, 1/3, 2/3 and integral ones)
+    components = [component for n, N, d in ((2, 2, 2), (2, 3, 3), (3, 1, -1))
+                  for field in derivations(build_model(n, N), d).basis
+                  for component in field.values()]
     for _ in range(150):
         a, b = random_scalar(rng), random_scalar(rng)
         rational = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -178,6 +184,7 @@ def test_every_scalar_has_one_form_random():
                                omega, omega.scale(divisor), extract(embed(u, alg), "U1")]
         x, y = alg.from_laurent(f), embed(v, alg)
         elements += [x, y, nproduct(x, -1, y), nproduct(y, 0, y), nproduct(x, -1, x) - x]
+        elements += components
         for element in elements:
             for c in _coefficients(element):
                 assert _one_form(c) and c, (element, c)

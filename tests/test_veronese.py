@@ -466,6 +466,32 @@ def test_shared_solve_matches_a_solve_per_block(n, N, d):
     assert rep.gl_generates == generates
 
 
+def test_basis_components_are_stored_as_the_public_constructor_stores_them():
+    # each component {chi + e_b: l_b / N} of a basis field is built from
+    # canonical terms; it must equal and hash like the public constructor's
+    # monomial, and store an integral coefficient as an int
+    kinds = set()
+    for n, N, d in DERIVATION_GRID:
+        model = build_model(n, N, max(abs(d), 2 * N + 2))
+        vs = model.variables
+        expected = []
+        monos = list(exponent_vectors(N + d, n))
+        for chi, names in veronese._character_blocks(model, monos).items():
+            for lift in veronese._solve_block(model, chi, names)[0]:
+                expected.append({b: LaurentElement.monomial(
+                    vs, [c + (a == b - 1) for a, c in enumerate(chi)], Fraction(l, N))
+                    for b, l in enumerate(lift, 1) if l})
+        basis = derivations(model, d).basis
+        assert basis == expected, (n, N, d)
+        for field, reference in zip(basis, expected):
+            for b, component in field.items():
+                assert hash(component) == hash(reference[b])
+                assert component.variables == vs
+                (c,) = component.terms.values()
+                assert type(c) is (int if c.denominator == 1 else Fraction), (n, N, d, c)
+                kinds.add(type(c))
+    assert kinds == {int, Fraction}
+
 def _unblocked_nullity(model, d: int) -> int:
     """Nullity of the whole derivation system, one column per (generator,
     monomial) and one row per target monomial of every pair of generator
