@@ -12,7 +12,8 @@ goes through `accumulate`, which drops a key whose value cancels.
 Arithmetic results are built by `LinearCombination._new` from terms that are
 already canonical, so they are never coerced or checked again.  So are the
 builders that only rearrange canonical terms: the derivation basis
-components (`veronese.derivations`), `FreeFieldAlgebra.from_laurent` and
+components (`veronese.derivations`, each a monomial y^(chi + e_b) with the
+int 1 as its coefficient), `FreeFieldAlgebra.from_laurent` and
 `to_laurent`, and `algebroid.embed` keep their own checks and build with
 `_new`, not through a public constructor.  `_new` makes one object per
 result and stores its context (the variable list, the chart, the algebra)
@@ -402,7 +403,9 @@ class Echelon(NamedTuple):
     the matching right-hand sides.  `residuals` are the nonzero right-hand
     sides of the rows that reduced to zero; the system is consistent exactly
     when they all vanish.  Every stored value is an int or a Fraction: integer
-    input stays int wherever no pivot other than 1 or -1 divides it.
+    input stays int wherever no pivot other than 1 or -1 divides it.  No
+    nullspace is built: the derivation blocks read only the rank, against
+    the count of their coordinate fields.
     """
 
     rows: dict[int, dict[int, RationalLike]]
@@ -412,21 +415,6 @@ class Echelon(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def nullspace(self, ncols: int) -> list[dict[int, RationalLike]]:
-        """Sparse nullspace basis over columns 0..ncols-1: one vector per
-        free column, in column order, with 1 at that column."""
-        basis = []
-        for free in range(ncols):
-            if free in self.rows:
-                continue
-            vec = {free: 1}
-            for col, row in self.rows.items():
-                x = row.get(free)
-                if x:
-                    vec[col] = -x
-            basis.append(vec)
-        return basis
 
 
 def _subtract(row: dict[int, RationalLike], f: RationalLike,

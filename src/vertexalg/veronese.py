@@ -7,14 +7,14 @@ decreasing order (for n = 2, x_j maps to y1^(N-j) y2^j).  Each generator
 pair is related to the first pair with the same product, which joins every
 two pairs of equal product.  A derivation constraint is linear in the
 relation, so any list that joins them puts the same row space on the
-derivation unknowns, and the reduced echelon form and derivation basis
-depend only on that row space.  On top sit the exact checkers: graded
+derivation unknowns, and the rank that certifies the derivation basis
+depends only on that row space.  On top sit the exact checkers: graded
 membership of one-forms in the span of generator differentials, the relation
 defects produced by quantum products on the twisted punctured plane, the
 charge solver that pins the unique gluing multiple, the admissible-gluing
 classification by section extension, the gl_2 chart sections, the graded
-derivations, each proved by lifting it to an invariant vector field, and the
-higher-dimensional obstruction witness.
+derivations, whose basis is the coordinate fields certified by a rank, and
+the higher-dimensional obstruction witness.
 
 The span of the generator differentials is graded by the torus multidegree
 in Z^n: m*dx_g has multidegree m + exp(x_g), and a coordinate y^e dy_i has
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from operator import mul, sub
+from operator import sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -304,50 +304,24 @@ def _character_blocks(model: VeroneseModel, monos: list[ExpVec]) -> dict[ExpVec,
     return blocks
 
 
-def _field_vector(model: VeroneseModel, local: dict[str, int], lift) -> dict:
-    """The block vector, over the columns `local`, of the vector field
-    sum_b l_b y^(chi + e_b) d/dy_b with lift = (l_1, ..., l_n): it maps x_g
-    to <l, exp(x_g)> y^(chi + exp(x_g)), so chi enters only through which
-    generators the block holds."""
-    vec = {}
-    for g, gexp in model.generators.items():
-        value = sum(map(mul, lift, gexp))
-        if value:
-            col = local.get(g)
-            if col is None:
-                raise VertexAlgError("image monomial escaped the graded slice")
-            vec[col] = value
-    return vec
+def _block_fields(model: VeroneseModel, names: list[str]) -> list[int]:
+    """The directions b (0-based) whose coordinate fields y^(chi + e_b) d/dy_b
+    are a basis of the derivations of a block with generators `names`.
+    Relation (u, v) ~ (w, z) gives the row e_u + e_v - e_w - e_z, because its
+    four terms share the block's character.
 
-
-def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
-    """The derivations of a block with character chi and generators `names`,
-    each as the lift (N l_1, ..., N l_n) of its field
-    sum_b l_b y^(chi + e_b) d/dy_b, and whether the coordinate-field
-    multiples span them.  Relation (u, v) ~ (w, z) gives the row
-    e_u + e_v - e_w - e_z, because its four terms share the block's character.
-
-    Each nullspace vector c is proved a derivation by its field: N l_b is
-    c(y_b^N), or 0 when y_b^N is not in the block, and the field must map the
-    generators to N c exactly.  A derivation of the Laurent ring preserves
-    every relation, so c does too.  Z_N acting by scalars has no
-    pseudo-reflections, so every derivation is such a field (Schlessinger,
-    Invent. Math. 14, 1971), and a vector that does not lift is a faulty
-    solve.  The proof reads the columns, not chi, so one solve serves every
-    block with the same generators.
-
-    The fields y^(chi + e_b) d/dy_b with chi + e_b >= 0 are derivations that
-    must vanish on every row, and they are independent: chi + e_b >= 0 gives
-    chi + N e_b >= 0, so the block holds y_b^N, where only direction b is
-    nonzero.  Fewer nullspace vectors than fields is therefore a faulty
-    elimination.  Those with chi + e_b nonzero are the multiples
-    m * y_a d/dy_b (m = chi - e_a + e_b), which span the nullspace exactly
-    when they are as many as its vectors.  At a fixed degree d the generators
-    fix these directions too: chi + e_b >= 0 exactly when the block holds
-    every generator with exp_b >= 1 (take y_b^N and y_b y_c^(N-1)), and
-    chi + e_b = 0 forces chi = -e_b, whose degree is -1 = d, the only
-    character of that degree with those generators."""
-    n, N = model.n, model.N
+    Z_N acting by scalars has no pseudo-reflections, so every derivation is
+    an invariant vector field (Schlessinger, Invent. Math. 14, 1971), and in
+    character chi the fields y^(chi + e_b) d/dy_b with chi + e_b >= 0 span
+    the block.  The field of direction b maps x_g to
+    exp(x_g)_b y^(chi + exp(x_g)), so it stays in the block exactly when the
+    block holds every generator with exp_b >= 1 (take y_b^N and
+    y_b y_c^(N-1)); its vector {x_g: exp(x_g)_b} reads the columns, not chi,
+    so one call serves every block with the same generators.  Each kept
+    field must vanish on every row.  The fields are independent, since only
+    direction b is nonzero on y_b^N, so fields in the kernel as many as its
+    dimension, len(names) - rank, are a basis of it, and a rank that lost or
+    gained a row is refused."""
     local = {g: col for col, g in enumerate(names)}
     rows = []
     for (u, v), (w, z) in model.relations:
@@ -358,26 +332,19 @@ def _solve_block(model: VeroneseModel, chi: ExpVec, names: list[str]):
                 accumulate(row, col, sign)
         if row:
             rows.append(row)
-    powers = {gexp.index(N): local.get(g) for g, gexp in model.generators.items() if N in gexp}
-    fields = []
-    for vec in row_reduce(rows).nullspace(len(names)):
-        lift = tuple(vec.get(powers[b], 0) for b in range(n))
-        if _field_vector(model, local, lift) != {col: N * x for col, x in vec.items()}:
-            raise VertexAlgError("computed derivation is not the restriction of a vector field")
-        fields.append(lift)
-    directions = multiples = 0
-    for b in range(n):
-        shifted = [c + (a == b) for a, c in enumerate(chi)]
-        if min(shifted) < 0:
+    gens = model.generators
+    directions = []
+    for b in range(model.n):
+        if not all(g in local for g, gexp in gens.items() if gexp[b]):
             continue
-        vec = _field_vector(model, local, [a == b for a in range(n)])
+        vec = {local[g]: gexp[b] for g, gexp in gens.items() if gexp[b]}
         if any(sum(x * vec.get(col, 0) for col, x in row.items()) for row in rows):
             raise VertexAlgError("coordinate-field image violates a relation")
-        directions += 1
-        multiples += any(shifted)
-    if len(fields) < directions:
-        raise VertexAlgError("the elimination lost independent derivations")
-    return fields, multiples == len(fields)
+        directions.append(b)
+    if len(names) - row_reduce(rows).rank != len(directions):
+        raise VertexAlgError("the nullity of the block disagrees with the count of "
+                             "coordinate fields")
+    return directions
 
 
 def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
@@ -386,15 +353,14 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     invariant multiples of the linear coordinate fields span it.
 
     A derivation's torus character chi = m - exp(x_g) is shared by the four
-    terms of every relation, so the solve splits into one small exact
-    nullspace per character block (`_character_blocks`), and each distinct
-    generator tuple is solved once (`_solve_block`), which proves every
-    nullspace vector a derivation by lifting it to its field.  The field
-    multiples generate when they span the nullspace of every block.
-
-    Each component {chi + e_b: l_b / N} is built from canonical terms by
-    `LaurentElement._new`: the exponent is sliced from chi, and the
-    coefficient is the int l_b // N when N divides l_b, else the Fraction."""
+    terms of every relation, so the space splits into one small block per
+    character (`_character_blocks`).  Each distinct generator tuple is
+    certified once (`_block_fields`): its coordinate fields satisfy every
+    relation row and are as many as the nullity, so they are its basis.
+    Each basis field is {b: y^(chi + e_b)}, built from canonical terms by
+    `LaurentElement._new` with the int 1 as its coefficient.  The field
+    multiples m * y_a d/dy_b generate when every chi + e_b is nonzero: the
+    fields d/dy_b themselves (chi = -e_b) are not such multiples."""
     n, N = model.n, model.N
     if abs(degree) > model.degree_bound:
         raise InvalidInput(f"degree {degree} exceeds model bound {model.degree_bound}")
@@ -404,17 +370,15 @@ def derivations(model: VeroneseModel, degree: int) -> DerivationReport:
     zero = LaurentElement(model.variables)
     basis = []
     generates = True
-    solves: dict[tuple[str, ...], tuple] = {}
+    solves: dict[tuple[str, ...], list[int]] = {}
     for chi, names in _character_blocks(model, monos).items():
         key = tuple(names)
         if key not in solves:
-            solves[key] = _solve_block(model, chi, names)
-        fields, spans = solves[key]
-        for lift in fields:
-            basis.append({b: zero._new({chi[:b - 1] + (chi[b - 1] + 1,) + chi[b:]:
-                                        Fraction(l, N) if l % N else l // N})
-                          for b, l in enumerate(lift, 1) if l})
-        generates = generates and spans
+            solves[key] = _block_fields(model, names)
+        for b in solves[key]:
+            shifted = chi[:b] + (chi[b] + 1,) + chi[b + 1:]
+            basis.append({b + 1: zero._new({shifted: 1})})
+            generates = generates and any(shifted)
     return DerivationReport(degree, len(basis), monos, basis, generates)
 
 

@@ -1,11 +1,11 @@
 """One-site faults in the exact elimination must not reach a printed verdict.
 
-The first table wraps the row reduction or the nullspace that `derivations`
-solves its character blocks with.  The command then runs through `cli.main`
-and must exit non-zero or print the closed-form dimension n * C(d + n, n - 1)
+The first table wraps the row reduction that `derivations` ranks its
+character blocks with.  The command then runs through `cli.main` and must
+exit non-zero or print the closed-form dimension n * C(d + n, n - 1)
 (Schlessinger, Invent. Math. 14, 1971).  The fields y^(chi + e_b) d/dy_b are
-independent derivations of their block, so a solve that loses one is
-refused.
+an independent basis of their block, so a rank that disagrees with their
+count is refused.
 
 The second table wraps `row_reduce` in both `scalar` (the solve of
 `quantize` and `morphism`) and `veronese` (membership, the witness and the
@@ -23,7 +23,6 @@ import math
 import pytest
 
 from vertexalg import cli, scalar, veronese
-from vertexalg.scalar import Echelon
 
 
 def _extra_row():
@@ -36,12 +35,18 @@ def _extra_row():
     return veronese, "row_reduce", faulty
 
 
-def _nullspace_drops_last():
-    nullspace = Echelon.nullspace
-    return Echelon, "nullspace", lambda self, ncols: nullspace(self, ncols)[:-1]
+def _pivot_row_lost():
+    """veronese.row_reduce returning its echelon form without the last pivot row."""
+    row_reduce = veronese.row_reduce
+
+    def faulty(rows, rhs=None):
+        echelon = row_reduce(rows, rhs)
+        return echelon._replace(rows=dict(list(echelon.rows.items())[:-1]))
+
+    return veronese, "row_reduce", faulty
 
 
-FAULTS = {"extra row": _extra_row, "nullspace drops last": _nullspace_drops_last}
+FAULTS = {"extra row": _extra_row, "pivot row lost": _pivot_row_lost}
 
 # (n, N, d): the dimension is n * C(d + n, n - 1)
 CASES = [(2, 3, 3), (2, 3, 0), (3, 3, 3), (2, 1, -1), (3, 1, -1)]

@@ -21,7 +21,7 @@ from vertexalg.laurent import (
     exponent_vectors,
     homogeneous_degree,
 )
-from vertexalg.scalar import Echelon, ParamScalar, constant_value, exact, row_reduce, substitute
+from vertexalg.scalar import ParamScalar, constant_value, exact, row_reduce, substitute
 from vertexalg.veronese import (
     build_model,
     classify_admissible,
@@ -320,27 +320,23 @@ def test_derivations_positive_degree():
         assert rep.dimension == 2 * d + 4, (N, d)
 
 
-def test_derivation_checks_catch_a_wrong_nullspace(monkeypatch):
-    # one pivot coefficient of one basis vector off by one leaves the
-    # nullspace, so the vector is no longer the restriction of its field;
-    # the perturbed solve serves every block with chi >= 0
-    nullspace = Echelon.nullspace
+def test_derivation_checks_catch_a_lost_pivot_row(monkeypatch):
+    # an elimination that loses its last pivot row leaves a block one
+    # dimension more than it has coordinate fields
+    row_reduce = veronese.row_reduce
 
-    def perturbed(self, ncols):
-        basis = nullspace(self, ncols)
-        vec = next(v for v in basis if len(v) > 1)
-        col = next(c for c in vec if c in self.rows)
-        vec[col] += 1
-        return basis
+    def lossy(rows, rhs=None):
+        echelon = row_reduce(rows, rhs)
+        return echelon._replace(rows=dict(list(echelon.rows.items())[:-1]))
 
-    monkeypatch.setattr(Echelon, "nullspace", perturbed)
-    with pytest.raises(VertexAlgError, match="not the restriction of a vector field"):
+    monkeypatch.setattr(veronese, "row_reduce", lossy)
+    with pytest.raises(VertexAlgError, match="disagrees with the count of coordinate fields"):
         derivations(build_model(2, 3), 3)
 
 
 def test_derivation_checks_catch_a_wrong_coordinate_field():
     # a relation that is not a syzygy (x0^2 = x1^2) puts a row on every block
-    # that no coordinate-field multiple satisfies; the nullspace still lifts
+    # that no coordinate-field multiple satisfies
     model = build_model(2, 3)
     model.__dict__["relations"] = model.relations + [(("x0", "x0"), ("x1", "x1"))]
     with pytest.raises(VertexAlgError, match="coordinate-field image violates a relation"):
@@ -391,13 +387,13 @@ def test_one_solve_per_generator_tuple(monkeypatch):
     blocks = veronese._character_blocks(model, list(exponent_vectors(12, 2)))
     assert (len(blocks), len({tuple(names) for names in blocks.values()})) == (15, 5)
     calls = []
-    solve = veronese._solve_block
+    solve = veronese._block_fields
 
-    def counted(model, chi, names):
+    def counted(model, names):
         calls.append(tuple(names))
-        return solve(model, chi, names)
+        return solve(model, names)
 
-    monkeypatch.setattr(veronese, "_solve_block", counted)
+    monkeypatch.setattr(veronese, "_block_fields", counted)
     assert derivations(model, 10).dimension == 24
     assert len(calls) == len(set(calls)) == 5
 
@@ -419,15 +415,17 @@ def _generator_images(model, field: dict) -> dict:
 
 @pytest.mark.parametrize("n, N, d", DERIVATION_GRID)
 def test_shared_solve_matches_a_solve_per_block(n, N, d):
-    # the reference solves every block on its own, in the same block order,
+    # the reference takes every block on its own, in the same block order,
     # from its own relation rows, and ranks each block's own coordinate-field
-    # multiples against its nullity; every field must map back to the
-    # reference's generator images, and those images must preserve every
-    # relation in the Laurent ring
+    # multiples against its nullity; the generator images of the block's
+    # basis fields, as vectors over its columns, must lie in sympy's
+    # nullspace of those rows and be as many as its nullity, and those
+    # images must preserve every relation in the Laurent ring
     model = build_model(n, N, max(abs(d), 2 * N + 2))
     gens = model.generators
     rep = derivations(model, d)
-    reference = []
+    basis_images = [_generator_images(model, field) for field in rep.basis]
+    fields = iter(basis_images)
     generates = True
     monos = list(exponent_vectors(N + d, n))
     for chi, names in veronese._character_blocks(model, monos).items():
@@ -438,8 +436,9 @@ def test_shared_solve_matches_a_solve_per_block(n, N, d):
             for g, sign in ((u, 1), (v, 1), (w, -1), (z, -1)):
                 if g in local:
                     row[local[g]] += sign
-            rows.append({col: x for col, x in row.items() if x})
-        null = row_reduce(rows).nullspace(len(names))
+            rows.append(row)
+        mat = sympy.Matrix(len(rows), len(names), lambda i, j: rows[i][j])
+        null = mat.nullspace()
         multiples = []
         for b in range(n):
             lifted = [c + (a == b) for a, c in enumerate(chi)]
@@ -449,38 +448,41 @@ def test_shared_solve_matches_a_solve_per_block(n, N, d):
         rank = row_reduce(multiples).rank
         assert rank == len(multiples), (n, N, d, chi)
         generates = generates and rank == len(null)
-        for vec in null:
-            images = {g: {} for g in gens}
-            for col, x in vec.items():
-                g = names[col]
-                images[g] = {tuple(a + b for a, b in zip(chi, gens[g])): x}
-            reference.append(images)
-    basis_images = [_generator_images(model, field) for field in rep.basis]
-    assert [{g: im.terms for g, im in images.items()} for images in basis_images] == reference
+        vectors = []
+        for images in itertools.islice(fields, len(null)):
+            vec = sympy.zeros(len(names), 1)
+            for g, image in images.items():
+                if image:
+                    assert image.terms.keys() == {tuple(map(sum, zip(chi, gens[g])))}
+                    (vec[local[g]],) = image.terms.values()
+            assert mat * vec == sympy.zeros(len(rows), 1), (n, N, d, chi)
+            vectors.append(vec)
+        assert len(vectors) == len(null), (n, N, d, chi)
+        if null:
+            assert sympy.Matrix.hstack(*vectors, *null).rank() == len(null), (n, N, d, chi)
+    assert next(fields, None) is None
+    assert rep.dimension == len(basis_images)
     for images in basis_images:
         for (u, v), (w, z) in model.relations:
             x = {g: model.generator_element(g) for g in (u, v, w, z)}
             assert (images[u] * x[v] + x[u] * images[v]
                     == images[w] * x[z] + x[w] * images[z]), (n, N, d)
-    assert rep.dimension == len(reference)
     assert rep.gl_generates == generates
 
 
 def test_basis_components_are_stored_as_the_public_constructor_stores_them():
-    # each component {chi + e_b: l_b / N} of a basis field is built from
-    # canonical terms; it must equal and hash like the public constructor's
-    # monomial, and store an integral coefficient as an int
-    kinds = set()
+    # each basis field {b: y^(chi + e_b)} is built from canonical terms; its
+    # component must equal and hash like the public constructor's monomial,
+    # and store its coefficient as the int 1
     for n, N, d in DERIVATION_GRID:
         model = build_model(n, N, max(abs(d), 2 * N + 2))
         vs = model.variables
         expected = []
         monos = list(exponent_vectors(N + d, n))
         for chi, names in veronese._character_blocks(model, monos).items():
-            for lift in veronese._solve_block(model, chi, names)[0]:
-                expected.append({b: LaurentElement.monomial(
-                    vs, [c + (a == b - 1) for a, c in enumerate(chi)], Fraction(l, N))
-                    for b, l in enumerate(lift, 1) if l})
+            for b in veronese._block_fields(model, names):
+                expected.append({b + 1: LaurentElement.monomial(
+                    vs, [c + (a == b) for a, c in enumerate(chi)])})
         basis = derivations(model, d).basis
         assert basis == expected, (n, N, d)
         for field, reference in zip(basis, expected):
@@ -488,9 +490,8 @@ def test_basis_components_are_stored_as_the_public_constructor_stores_them():
                 assert hash(component) == hash(reference[b])
                 assert component.variables == vs
                 (c,) = component.terms.values()
-                assert type(c) is (int if c.denominator == 1 else Fraction), (n, N, d, c)
-                kinds.add(type(c))
-    assert kinds == {int, Fraction}
+                assert type(c) is int and c == 1, (n, N, d, c)
+
 
 def _unblocked_nullity(model, d: int) -> int:
     """Nullity of the whole derivation system, one column per (generator,
