@@ -33,20 +33,31 @@ program divides only through Fraction, in `power` (every negative power: of
 a number, of a Laurent monomial, and the CLI's), in `row_reduce` and in
 scaling by a Fraction.  The module helpers `power`, `constant_value` and
 `substitute` accept any scalar.
+
+`row_reduce`, the one exact elimination, takes augmented rows {column:
+coefficient, RHS: right-hand side}: the right-hand side is the last column.
+`solve_linear_system` checks a unique solution against every row it built,
+so no printed charge or level rests on the elimination alone.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .errors import InvalidInput, NonlinearCondition, NonScalarDivisor, VariableMismatch
+from .errors import (InvalidInput, NonlinearCondition, NonScalarDivisor, VariableMismatch,
+                     VertexAlgError)
 
 # A parameter monomial: sorted tuple of (name, positive exponent).
 Monomial = tuple[tuple[str, int], ...]
 
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "ParamScalar"]
+
+# The key of the right-hand side in an augmented row: it sorts after every
+# column, so it is the last column of the elimination.
+RHS = math.inf
 
 
 def accumulate(acc: dict, key, value) -> None:
@@ -370,42 +381,42 @@ class LinearSolution(NamedTuple):
     assignment: dict[str, Scalar] | None = None
 
 
-def _affine_split(eq: Scalar,
-                  unknowns: list[str]) -> tuple[dict[int, RationalLike], Scalar]:
-    """Write eq as  const + sum coeffs[i] * unknowns[i];  exact, or raise.
+def _augmented_row(eq: Scalar, unknowns: list[str]) -> dict:
+    """The augmented row of the equation eq = 0, exact, or raise.
 
-    The coefficients come back sparse, keyed by unknown index.  The constant
-    part may involve parameters outside the unknown list; the unknowns
-    themselves must enter with rational coefficients.  A number is all
-    constant.
+    {i: coefficient of unknowns[i], RHS: -(the constant part)}, sparse.  The
+    constant part may involve parameters outside the unknown list; the
+    unknowns themselves must enter with rational coefficients.  A number is
+    all constant.
     """
     if type(eq) is not ParamScalar:
-        return {}, eq
+        return {RHS: -eq} if eq else {}
     index = {name: i for i, name in enumerate(unknowns)}
-    coeffs: dict[int, RationalLike] = {}
+    row: dict = {}
     const: dict[Monomial, RationalLike] = {}
     for mono, c in eq._terms.items():
         touched = [(name, e) for name, e in mono if name in index]
         if not touched:
-            const[mono] = c
+            const[mono] = -c
             continue
         if len(touched) > 1 or touched[0][1] > 1 or len(mono) > 1:
             raise NonlinearCondition("nonlinear condition")
-        accumulate(coeffs, index[touched[0][0]], c)
-    return coeffs, eq._new(const)
+        accumulate(row, index[touched[0][0]], c)
+    if const:
+        row[RHS] = eq._new(const)
+    return row
 
 
 class Echelon(NamedTuple):
     """Reduced row echelon form of a sparse rational system  A x = b.
 
     `rows` maps each pivot column, in increasing order, to its row: 1 at the
-    pivot, nothing to its left and 0 in every other pivot column.  `rhs` holds
-    the matching right-hand sides.  `residuals` are the nonzero right-hand
-    sides of the rows that reduced to zero; the system is consistent exactly
-    when they all vanish.  Every stored value is an int or a Fraction: integer
-    input stays int wherever no pivot other than 1 or -1 divides it.  No
-    nullspace is built: the derivation blocks read only the rank, against
-    the count of their coordinate fields.
+    pivot, nothing to its left and 0 in every other pivot column; no row holds
+    the RHS key.  `rhs` maps every pivot column to its right-hand side, 0 when
+    it has none.  `residuals` are the nonzero right-hand sides of the rows
+    that reduced to zero; the system is consistent exactly when they all
+    vanish.  Every stored coefficient is an int or a Fraction: integer input
+    stays int wherever no pivot other than 1 or -1 divides it.
     """
 
     rows: dict[int, dict[int, RationalLike]]
@@ -417,67 +428,56 @@ class Echelon(NamedTuple):
         return len(self.rows)
 
 
-def _subtract(row: dict[int, RationalLike], f: RationalLike,
-              other: dict[int, RationalLike]) -> None:
+def _subtract(row: dict, f: RationalLike, other: dict) -> None:
     """row -= f * other, in place, dropping entries that cancel."""
     f = -f
     for c, x in other.items():
         accumulate(row, c, f * x)
 
 
-def row_reduce(rows: Iterable[Mapping[int, RationalLike]],
-               rhs: Iterable[Scalar] | None = None) -> Echelon:
-    """Exact Gauss-Jordan elimination of sparse rows {column: coefficient}.
+def row_reduce(rows: Iterable[Mapping]) -> Echelon:
+    """Exact Gauss-Jordan elimination of sparse augmented rows
+    {column: coefficient, RHS: right-hand side}.
 
-    The optional right-hand sides (one per row, default zero) follow the row
-    operations.  Rows are taken in turn: each is reduced by the pivot rows
-    found so far; whatever is left makes its leftmost column a new pivot,
-    which is then cleared from the earlier pivot rows.  A pivot thus stays the
-    leftmost entry of its row, so the result is the reduced row echelon form,
-    which the row space and the column order determine uniquely.
+    The right-hand side is the last column, since RHS sorts after every
+    column, so it follows every row operation.  Rows are taken in turn: each
+    is reduced by the pivot rows found so far; whatever is left makes its
+    leftmost column a new pivot, which is then cleared from the earlier pivot
+    rows.  A pivot thus stays the leftmost entry of its row, so the result is
+    the reduced row echelon form, which the row space and the column order
+    determine uniquely.  A row that reduces to its RHS entry alone is a
+    residual, and RHS is never a pivot.  The input rows are not changed.
 
-    Entries are ints or Fractions and are kept as given.  A new pivot row is
+    Coefficients are ints or Fractions, a right-hand side is any scalar, and
+    both are kept as given.  A new pivot row is
     left alone when its pivot is 1, negated when it is -1, and otherwise
     multiplied by Fraction(1) / pivot, so integer rows with unit pivots are
     eliminated on ints and no value is ever a float.
     """
-    rows = list(rows)
-    rhs = [0] * len(rows) if rhs is None else list(rhs)
-    pivots: dict[int, dict[int, RationalLike]] = {}
-    pivot_rhs: dict[int, Scalar] = {}
+    pivots: dict[int, dict] = {}
     residuals: list[Scalar] = []
-    for entries, b in zip(rows, rhs, strict=True):
+    for entries in rows:
         row = {c: x for c, x in entries.items() if x}
         for col in [c for c in row if c in pivots]:
-            f = row[col]
-            _subtract(row, f, pivots[col])
-            if pivot_rhs[col]:
-                b = b - pivot_rhs[col] * f
-        if not row:
-            if b:
-                residuals.append(b)
+            _subtract(row, row[col], pivots[col])
+        col = min(row, default=RHS)
+        if col == RHS:
+            if row:
+                residuals.append(row[RHS])
             continue
-        col = min(row)
         p = row[col]
         if p == -1:
             row = {c: -x for c, x in row.items()}
-            b = -b
         elif p != 1:
             inv = Fraction(1) / p
             row = {c: x * inv for c, x in row.items()}
-            if b:
-                b = b * inv
-        for pcol, prow in pivots.items():
+        for prow in pivots.values():
             f = prow.get(col)
             if f:
                 _subtract(prow, f, row)
-                if b:
-                    pivot_rhs[pcol] = pivot_rhs[pcol] - b * f
         pivots[col] = row
-        pivot_rhs[col] = b
-    order = sorted(pivots)
-    return Echelon({c: pivots[c] for c in order}, {c: pivot_rhs[c] for c in order},
-                   residuals)
+    rhs = {c: pivots[c].pop(RHS, 0) for c in sorted(pivots)}
+    return Echelon({c: pivots[c] for c in rhs}, rhs, residuals)
 
 
 def solve_linear_system(
@@ -488,16 +488,18 @@ def solve_linear_system(
     Exact elimination by row_reduce, on the ints and Fractions of the
     coefficients as they stand: a pivot other than 1 or -1 divides through
     Fraction, never through float division.  Returns a unique
-    assignment, or flags the system underdetermined / inconsistent.
+    assignment, or flags the system underdetermined / inconsistent.  A
+    unique assignment is checked against every equation before it is
+    returned, and one that violates an equation raises VertexAlgError.
     """
-    rows, rhs = [], []
-    for eq in equations:
-        coeffs, const = _affine_split(eq, unknowns)
-        rows.append(coeffs)
-        rhs.append(-const)
-    echelon = row_reduce(rows, rhs)
+    rows = [_augmented_row(eq, unknowns) for eq in equations]
+    echelon = row_reduce(rows)
     if echelon.residuals:
         return LinearSolution("inconsistent")
     if echelon.rank < len(unknowns):
         return LinearSolution("underdetermined")
-    return LinearSolution("unique", {unknowns[c]: b for c, b in echelon.rhs.items()})
+    values = echelon.rhs
+    for row in rows:
+        if sum((x * values[c] for c, x in row.items() if c != RHS), 0) != row.get(RHS, 0):
+            raise VertexAlgError("the solved values violate an equation of the system")
+    return LinearSolution("unique", {unknowns[c]: b for c, b in values.items()})

@@ -41,6 +41,7 @@ from .freefield import FreeFieldAlgebra, FreeFieldElement, nproduct, translate
 from .geometry import GluingForm, V2, extend_section, invariant_sections
 from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
 from .scalar import (
+    RHS,
     ParamScalar,
     Scalar,
     accumulate,
@@ -133,7 +134,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[Scalar]:
     n, N = model.n, model.N
     target = {(i, exp): c for i, g in omega.terms.items() for exp, c in g.terms.items()}
     blocks = {tuple(e + (k == i - 1) for k, e in enumerate(exp)) for i, exp in target}
-    rows: dict[tuple[int, ExpVec], dict[int, int]] = {c: {} for c in target}
+    rows: dict[tuple[int, ExpVec], dict] = {c: {RHS: b} for c, b in target.items()}
     if degree >= N and (degree - N) % N == 0:
         j = 0
         for m in exponent_vectors(degree - N, n):
@@ -147,7 +148,7 @@ def membership_residuals(omega: OneForm, model: VeroneseModel) -> list[Scalar]:
                         exp = block[:i - 1] + (block[i - 1] - 1,) + block[i:]
                         rows.setdefault((i, exp), {})[j] = gi
                 j += 1
-    return row_reduce(rows.values(), [target.get(c, 0) for c in rows]).residuals
+    return row_reduce(rows.values()).residuals
 
 
 def omega_membership(omega: OneForm, model: VeroneseModel) -> bool:

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from classical import bracket
-from vertexalg import algebroid
+from vertexalg import algebroid, scalar
 from vertexalg.algebroid import (
     WeightOneElement,
     embed,
@@ -18,9 +18,10 @@ from vertexalg.algebroid import (
     oracle_vprod,
     vprod,
 )
-from vertexalg.errors import ChartMismatch, InvalidInput, RuleOracleDivergence
+from vertexalg.errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VertexAlgError
 from vertexalg.laurent import LaurentElement, OneForm, degrees
 from vertexalg.scalar import (
+    RHS,
     LinearCombination,
     ParamScalar,
     accumulate,
@@ -28,6 +29,7 @@ from vertexalg.scalar import (
     solve_linear_system,
     substitute,
 )
+from vertexalg.veronese import build_model, gl2_chart_images, solve_charge
 
 V = ("y1", "y2")
 C = "overlap"
@@ -359,22 +361,24 @@ def test_morphism_check_matches_the_per_pair_solve():
     assert [r.status for r in reports] == ["pass"] * 3 + ["fail"] * 2 + ["pass"] * 2
 
 
-def test_morphism_check_reports_every_pair_of_a_failing_equation(monkeypatch):
-    # a solver off by one in k1 makes every equation with a k1 term fail at
-    # the solved levels; each such pair is reported, in pair order, as before:
-    # k1 enters 2n^2 - n pairs (6, 15, 28), two of gl_2's drop out as
-    # non-scalar with the extra form term, and the doubled image solves nothing
-    def skewed(equations, unknowns):
-        sol = solve_linear_system(equations, unknowns)
-        if sol.status == "unique":
-            sol.assignment["k1"] = sol.assignment["k1"] + 1
-        return sol
+def test_solves_refuse_an_elimination_with_doubled_right_hand_sides(monkeypatch):
+    # the solve checks its unique solution against every equation it built,
+    # so the charge and the levels of a skewed elimination never come back
+    row_reduce = scalar.row_reduce
 
-    monkeypatch.setattr(algebroid, "solve_linear_system", skewed)
-    reports = list(_same_reports(_morphism_cases()))
-    defects = [[pair for pair, n, msg in r.failures
-                if msg == "pairing defect at solved levels"] for r in reports]
-    assert [len(d) for d in defects] == [6, 6, 6, 4, 0, 15, 28]
+    def doubled(rows):
+        return row_reduce([{c: 2 * x if c == RHS else x for c, x in row.items()}
+                           for row in rows])
+
+    monkeypatch.setattr(scalar, "row_reduce", doubled)
+    k1, k2 = ParamScalar.var("k1"), ParamScalar.var("k2")
+    message = "the solved values violate an equation of the system"
+    with pytest.raises(VertexAlgError, match=message):
+        solve_linear_system([k1 + k2 - 3, k1 - k2 - 1], ["k1", "k2"])
+    with pytest.raises(VertexAlgError, match=message):
+        morphism_check(gl2_chart_images(4))
+    with pytest.raises(VertexAlgError, match=message):
+        solve_charge(build_model(2, 3))
 
 
 def test_solved_levels_satisfy_every_pair_equation():
@@ -391,10 +395,7 @@ def test_solved_levels_satisfy_every_pair_equation():
                 assert ((a, b), 1, f"non-scalar pairing {p}") in rep.failures
                 continue
             residue = _sympy(p.constant_term() - pairing[(a, b)]).subs(levels)
-            if rep.status == "pass":
-                assert sympy.expand(residue) == 0, (a, b)
-            elif sympy.expand(residue) != 0:
-                assert ((a, b), 1, "pairing defect at solved levels") in rep.failures
+            assert sympy.expand(residue) == 0, (a, b)
 
 
 def test_rule_oracle_divergence_names_the_difference(monkeypatch):

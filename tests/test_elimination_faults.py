@@ -11,8 +11,13 @@ The second table wraps `row_reduce` in both `scalar` (the solve of
 `quantize` and `morphism`) and `veronese` (membership, the witness and the
 derivation blocks), and runs every command that eliminates through
 `cli.main`; each must exit non-zero or print its known answer from the
-paper.  A cell where a fault gets through is marked as a strict expected
-failure with what it prints, so it fails loudly once a check stops it.
+paper.  The rows are augmented, {column: coefficient, RHS: right-hand
+side}, so "rhs x 2" doubles every row's RHS entry.  `solve_linear_system`
+checks a unique solution against every row it built, so a wrong charge or
+wrong levels end in exit 1.  A cell where a fault gets through is marked as
+a strict expected failure with what it prints, so it fails loudly once a
+check stops it: only membership's two cells are left, since nothing
+rebuilds a 'member' form from the span.
 """
 
 import contextlib
@@ -23,14 +28,15 @@ import math
 import pytest
 
 from vertexalg import cli, scalar, veronese
+from vertexalg.scalar import RHS
 
 
 def _extra_row():
     """veronese.row_reduce with the row x0 = 0 appended to every system."""
     row_reduce = veronese.row_reduce
 
-    def faulty(rows, rhs=None):
-        return row_reduce([*rows, {0: 1}], None if rhs is None else [*rhs, 0])
+    def faulty(rows):
+        return row_reduce([*rows, {0: 1}])
 
     return veronese, "row_reduce", faulty
 
@@ -39,8 +45,8 @@ def _pivot_row_lost():
     """veronese.row_reduce returning its echelon form without the last pivot row."""
     row_reduce = veronese.row_reduce
 
-    def faulty(rows, rhs=None):
-        echelon = row_reduce(rows, rhs)
+    def faulty(rows):
+        echelon = row_reduce(rows)
         return echelon._replace(rows=dict(list(echelon.rows.items())[:-1]))
 
     return veronese, "row_reduce", faulty
@@ -68,23 +74,23 @@ def test_elimination_fault_never_prints_a_wrong_dimension(monkeypatch, fault, n,
 
 
 def _drop_last_row(row_reduce):
-    def faulty(rows, rhs=None):
-        return row_reduce(list(rows)[:-1], None if rhs is None else list(rhs)[:-1])
-    return faulty
+    return lambda rows: row_reduce(list(rows)[:-1])
 
 
 def _drop_residuals(row_reduce):
-    return lambda rows, rhs=None: row_reduce(rows, rhs)._replace(residuals=[])
+    return lambda rows: row_reduce(rows)._replace(residuals=[])
 
 
 def _rhs_doubled(row_reduce):
-    return lambda rows, rhs=None: row_reduce(rows, None if rhs is None else [2 * b for b in rhs])
+    """Every row's right-hand side doubled."""
+    return lambda rows: row_reduce([{c: 2 * x if c == RHS else x for c, x in row.items()}
+                                    for row in rows])
 
 
 def _echelon_sign(row_reduce):
     """Every entry of every pivot row negated, except the pivot itself."""
-    def faulty(rows, rhs=None):
-        echelon = row_reduce(rows, rhs)
+    def faulty(rows):
+        echelon = row_reduce(rows)
         return echelon._replace(rows={col: {c: x if c == col else -x for c, x in row.items()}
                                       for col, row in echelon.rows.items()})
     return faulty
@@ -129,12 +135,6 @@ ESCAPES = {
         "the form from the span",
     ("drop residuals", MEMBERSHIP):
         "prints 'member': nothing checks a 'member' verdict against the form",
-    ("rhs x 2", ("quantize", "--N", "3")):
-        "prints k = 8: solve_linear_system does not substitute its assignment "
-        "back into the equations",
-    ("rhs x 2", ("quantize", "--N", "5")):
-        "prints k = 12: solve_linear_system does not substitute its assignment "
-        "back into the equations",
 }
 
 

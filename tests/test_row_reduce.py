@@ -2,12 +2,13 @@
 rref, rank, nullspace and linear solver, on seeded random sparse rational systems
 and on the integer systems that row_reduce eliminates on ints."""
 
+import copy
 import random
 from fractions import Fraction
 
 import sympy
 
-from vertexalg.scalar import ParamScalar, row_reduce
+from vertexalg.scalar import RHS, ParamScalar, row_reduce
 
 K = sympy.Symbol("k")
 
@@ -35,6 +36,11 @@ def _shapes():
     shapes = [(0, 1), (0, 4), (1, 1), (3, 3), (2, 6), (9, 3), (12, 2)]
     shapes += [(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(200)]
     return shapes
+
+
+def _augment(rows, rhs):
+    """The augmented rows {column: coefficient, RHS: right-hand side}."""
+    return [{**row, RHS: b} for row, b in zip(rows, rhs, strict=True)]
 
 
 def _dense(rows, ncols) -> sympy.Matrix:
@@ -78,7 +84,7 @@ def test_rational_rhs_matches_augmented_rref():
     for nrows, ncols in _shapes():
         rows = _random_rows(rng, nrows, ncols)
         rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in rows]
-        ech = row_reduce(rows, rhs)
+        ech = row_reduce(_augment(rows, rhs))
         aug = _dense(rows, ncols).row_join(
             sympy.Matrix(nrows, 1, [sympy.Rational(b) for b in rhs]))
         rref, pivots = aug.rref()
@@ -112,7 +118,7 @@ def test_parametric_rhs_conditions_match_sympy():
             rhs = [b + (k - k0) * rng.randint(-2, 2) for b in image(rand_vec())]
         else:              # consistent for every k
             rhs = [b + k * c for b, c in zip(image(rand_vec()), image(rand_vec()))]
-        ech = row_reduce(rows, rhs)
+        ech = row_reduce(_augment(rows, rhs))
         b = sympy.Matrix(nrows, 1, [_to_sympy(x) for x in rhs])
         oracle = [(y.T * b)[0, 0] for y in mat.T.nullspace()] if nrows else []
         ours = [_to_sympy(x) for x in ech.residuals]
@@ -156,14 +162,14 @@ def test_integer_rows_match_sympy_and_their_fraction_form():
     for nrows, ncols in _shapes():
         rows = _int_rows(rng, nrows, ncols)
         rhs = [rng.randint(-3, 3) + k * rng.randint(-2, 2) for _ in rows]
-        ech = row_reduce(rows, rhs)
+        ech = row_reduce(_augment(rows, rhs))
         mat = _dense(rows, ncols)
         rref, pivots = mat.rref()
         assert ech.rank == mat.rank() == len(pivots)
         assert tuple(ech.rows) == pivots
         assert _dense(list(ech.rows.values()), ncols) == rref[:len(pivots), :]
-        as_fractions = row_reduce([{c: Fraction(x) for c, x in row.items()} for row in rows],
-                                  rhs)
+        as_fractions = row_reduce(_augment(
+            [{c: Fraction(x) for c, x in row.items()} for row in rows], rhs))
         assert as_fractions.rows == ech.rows
         assert as_fractions.rhs == ech.rhs
         assert as_fractions.residuals == ech.residuals
@@ -174,10 +180,44 @@ def test_integer_rows_match_sympy_and_their_fraction_form():
 
 
 def test_unit_pivots_keep_ints():
-    ech = row_reduce([{0: -1, 1: 2}, {1: 1, 2: 3}], [2, 1])
+    ech = row_reduce(_augment([{0: -1, 1: 2}, {1: 1, 2: 3}], [2, 1]))
     assert ech.rows == {0: {0: 1, 2: 6}, 1: {1: 1, 2: 3}}
     assert ech.rhs == {0: 0, 1: 1}
     assert all(type(x) is int for x in _stored_values(ech))
     halved = row_reduce([{0: 2, 1: 1}])
     assert halved.rows == {0: {0: 1, 1: Fraction(1, 2)}}
     assert all(type(x) is Fraction for x in halved.rows[0].values())
+
+
+def test_a_row_left_with_its_rhs_alone_is_a_residual():
+    ech = row_reduce([{0: 1, 1: 2, RHS: 3}, {0: 2, 1: 4, RHS: 5}])
+    assert ech.rows == {0: {0: 1, 1: 2}}
+    assert ech.rhs == {0: 3}
+    assert ech.residuals == [-1]
+
+
+def test_a_parametric_rhs_that_cancels_is_no_residual():
+    k = ParamScalar.var("k")
+    ech = row_reduce([{0: 1, RHS: k + 1}, {0: 2, RHS: 2 * k + 2}, {1: -1}])
+    assert ech.residuals == []
+    assert ech.rows == {0: {0: 1}, 1: {1: 1}}
+    assert ech.rhs == {0: k + 1, 1: 0}
+
+
+def test_a_row_holding_only_rhs_is_never_a_pivot():
+    k = ParamScalar.var("k")
+    ech = row_reduce([{RHS: 2}, {RHS: k}, {1: 3, RHS: 6}])
+    assert ech.rows == {1: {1: 1}}
+    assert ech.rhs == {1: 2}
+    assert ech.residuals == [2, k]
+
+
+def test_input_rows_are_not_changed():
+    rng = random.Random(8)
+    k = ParamScalar.var("k")
+    for nrows, ncols in _shapes():
+        rows = _augment(_random_rows(rng, nrows, ncols),
+                        [rng.randint(-3, 3) + k * rng.randint(-2, 2) for _ in range(nrows)])
+        before = copy.deepcopy(rows)
+        row_reduce(rows)
+        assert rows == before

@@ -21,7 +21,7 @@ from vertexalg.laurent import (
     exponent_vectors,
     homogeneous_degree,
 )
-from vertexalg.scalar import ParamScalar, constant_value, exact, row_reduce, substitute
+from vertexalg.scalar import RHS, ParamScalar, constant_value, exact, row_reduce, substitute
 from vertexalg.veronese import (
     build_model,
     classify_admissible,
@@ -325,8 +325,8 @@ def test_derivation_checks_catch_a_lost_pivot_row(monkeypatch):
     # dimension more than it has coordinate fields
     row_reduce = veronese.row_reduce
 
-    def lossy(rows, rhs=None):
-        echelon = row_reduce(rows, rhs)
+    def lossy(rows):
+        echelon = row_reduce(rows)
         return echelon._replace(rows=dict(list(echelon.rows.items())[:-1]))
 
     monkeypatch.setattr(veronese, "row_reduce", lossy)
@@ -629,12 +629,11 @@ def _full_span_residuals(omega: OneForm, model) -> list[ParamScalar]:
     degree = homogeneous_degree(omega)
     if degree is None:
         return []
-    target = _coordinates(omega)
-    rows = {c: {} for c in target}
+    rows = {c: {RHS: b} for c, b in _coordinates(omega).items()}
     for j, column in enumerate(_full_span(model.n, model.N, degree)):
         for coord, c in column.items():
             rows.setdefault(coord, {})[j] = constant_value(c)
-    return row_reduce(rows.values(), [target.get(c, 0) for c in rows]).residuals
+    return row_reduce(rows.values()).residuals
 
 
 _SHAPES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
