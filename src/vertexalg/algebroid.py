@@ -8,8 +8,9 @@ against the free-field engine on a battery of symbolic monomials, and any
 disagreement is a hard error, so the engine stays the single source of
 truth.  The battery's monomials and components range over the first and
 the last variable, so for n >= 3 its samples reach y_n, not only y1 and y2.
-Each distinct sample section of that battery is built and embedded once;
-every sample still runs both products in the engine.
+Its 228 section pairs run in 22 rows: a row puts a sum of sections, each
+scaled by its own formal parameter, on one side of one product in each
+engine, and the coefficient of a pair's parameters is that pair's product.
 
 Components are Laurent elements over scalar coefficients (see `scalar`): a
 constant coefficient is a plain int or Fraction, and only one that holds a
@@ -255,9 +256,40 @@ def _vprod0(u: WeightOneElement, v: WeightOneElement) -> WeightOneElement:
 _validated: set[tuple[str, ...]] = set()
 
 
-def _validate_rules(variables: tuple[str, ...]) -> None:
-    if variables in _validated:
-        return
+class _Row(NamedTuple):
+    """One product of the battery: left meets right in both engines.
+
+    Each pair of sections the row checks has its own tag, the set of formal
+    parameters its product carries: the partner's, and the left section's
+    when the left is a sum too.  `pairs` maps each tag to its pair (left
+    section, partner section)."""
+
+    left: WeightOneElement
+    right: WeightOneElement
+    pairs: dict[frozenset[str], tuple[WeightOneElement, WeightOneElement]]
+
+
+def _tagged_sum(sections: list[WeightOneElement], prefix: str):
+    """The sum of the sections, the t-th scaled by the parameter prefix + t,
+    and the list of those parameter names."""
+    names = [f"{prefix}{t}" for t in range(len(sections))]
+    total = sections[0].scale(ParamScalar.var(names[0]))
+    for name, s in zip(names[1:], sections[1:]):
+        total = total + s.scale(ParamScalar.var(name))
+    return total, names
+
+
+def _battery(variables: tuple[str, ...]) -> list[_Row]:
+    """The rows of the oracle check: 228 section pairs in 22 rows for n >= 2.
+
+    Each of the 10 frame fields with one of the first five monomials, over
+    the first and the last variable, meets the sum of the 18 k-fields (every
+    monomial), partner q scaled by its own parameter q.  Then for each of
+    the first six monomials e, the fields at e (one per variable, each with
+    its own parameter) meet the k-forms at the next monomial, in both
+    orders; the form's monomial is not the field's, so that d(f) g and
+    d(g) f differ.
+    """
     n = len(variables)
     indices = sorted({1, n})  # the first and the last variable
     exps = [(0,) * n]
@@ -271,43 +303,90 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
             vec = [0] * n
             vec[0], vec[-1] = e, 1
             exps.append(tuple(vec))
-    # a private algebra: its table of one-off products is freed on return
-    alg = FreeFieldAlgebra(variables, 3)
     k = ParamScalar.var("k")
 
     def frame(i, e, c=1):
         return WeightOneElement.field("c", variables, i, LaurentElement.monomial(variables, e, c))
 
-    # each distinct section is built and embedded once, then sampled in pairs
-    fields = {(i, e): frame(i, e) for i in indices for e in exps[:6]}
-    k_fields = {(j, e): frame(j, e, k) for j in indices for e in exps}
-    forms = {(l, e): WeightOneElement.form(
-                 "c", OneForm(variables, {l: LaurentElement.monomial(variables, e, k)}))
-             for l in indices for e in exps[:6]}
-    embedded = {v: embed(v, alg)
-                for v in (*fields.values(), *k_fields.values(), *forms.values())}
-    samples = [(fields[i, ea], k_fields[j, eb])
-               for i in indices for j in indices for ea in exps[:5] for eb in exps]
-    # mixed field/form pairs, in both orders; the form's monomial is not the
-    # field's, so that d(f) g and d(g) f differ
+    def form(l, e):
+        return WeightOneElement.form(
+            "c", OneForm(variables, {l: LaurentElement.monomial(variables, e, k)}))
+
+    k_fields = [frame(j, e, k) for j in indices for e in exps]
+    partners, names = _tagged_sum(k_fields, "q")
+    rows = []
     for i in indices:
-        for l in indices:
-            for idx, e in enumerate(exps[:6]):
-                field, form = fields[i, e], forms[l, exps[(idx + 1) % 6]]
-                samples.append((field, form))
-                samples.append((form, field))
-    for u, v in samples:
+        for e in exps[:5]:
+            u = frame(i, e)
+            rows.append(_Row(u, partners, {frozenset({q}): (u, v)
+                                           for q, v in zip(names, k_fields)}))
+    for idx, e in enumerate(exps[:6]):
+        fields = [frame(i, e) for i in indices]
+        forms = [form(l, exps[(idx + 1) % 6]) for l in indices]
+        field_sum, field_names = _tagged_sum(fields, "a")
+        form_sum, form_names = _tagged_sum(forms, "c")
+        pairs = {frozenset({a, c}): (f, g) for a, f in zip(field_names, fields)
+                 for c, g in zip(form_names, forms)}
+        rows.append(_Row(field_sum, form_sum, pairs))
+        rows.append(_Row(form_sum, field_sum, {tag: (g, f) for tag, (f, g) in pairs.items()}))
+    return rows
+
+
+def _divergence(m: int, want: FreeFieldElement, got: FreeFieldElement,
+                pairs: dict) -> RuleOracleDivergence:
+    """The error of a row whose _(m) oracle, want, and rule, got, differ.
+
+    The difference is taken term by term, so a broken engine whose result
+    has the wrong weight is reported too.  It names each pair whose tag is
+    the parameter set (k aside, which every sample may carry) of a term of
+    the difference; a term that carries no pair's tag, or a tag parameter
+    to a power above 1, names every pair of the row."""
+    terms = dict(want._terms)
+    for key, c in got._terms.items():
+        accumulate(terms, key, -c)
+    tags = set()
+    for c in terms.values():
+        for mono in c._terms if type(c) is ParamScalar else ((),):
+            own = [(name, e) for name, e in mono if name != "k"]
+            tags.add(frozenset(name for name, _ in own) if all(e == 1 for _, e in own) else None)
+    named = ([pair for tag, pair in pairs.items() if tag in tags] if pairs.keys() >= tags
+             else pairs.values())
+    on = ", ".join(f"({u!r}, {v!r})" for u, v in named)
+    return RuleOracleDivergence(f"_({m}) rule/oracle divergence on {on}: "
+                                f"oracle minus rule is {want._new(terms)}")
+
+
+def _validate_rules(variables: tuple[str, ...]) -> None:
+    """Check the closed forms against the Fock engine on every row of the
+    battery, or raise RuleOracleDivergence.
+
+    Both engines and both closed forms are linear in the right operand, and
+    in the left one, over the scalars; the tags of a row's pairs are
+    distinct parameter monomials, so the coefficient of a pair's tag in
+    oracle minus rule is exactly that pair's own difference.  A row passes
+    if and only if every pair in it passes: an exact polynomial identity,
+    not a random test.  Each field row keeps one plain section on the left:
+    one product over all 180 field pairs ran the kernel mutant
+    `_gen_mode.const0` of tools/guard_mutants.py past its timeout, where a
+    row stops it at once.
+    """
+    if variables in _validated:
+        return
+    rows = _battery(variables)
+    # a private algebra: its table of one-off products is freed on return;
+    # each distinct section is embedded once
+    alg = FreeFieldAlgebra(variables, 3)
+    embedded = {s: embed(s, alg) for s in dict.fromkeys(s for row in rows for s in row[:2])}
+    for u, v, pairs in rows:
         eu, ev = embedded[u], embedded[v]
         want1 = nproduct(eu, 1, ev)
         got1 = alg.from_laurent(_vprod1(u, v))
         if want1 != got1:
-            raise RuleOracleDivergence(f"_(1) rule/oracle divergence on {u!r}, {v!r}: "
-                                       f"oracle minus rule is {want1 - got1}")
+            raise _divergence(1, want1, got1, pairs)
         want0 = nproduct(eu, 0, ev)
         got0 = embed(_vprod0(u, v), alg)
         if want0 != got0:
-            raise RuleOracleDivergence(f"_(0) rule/oracle divergence on {u!r}, {v!r}: "
-                                       f"oracle minus rule is {want0 - got0}")
+            raise _divergence(0, want0, got0, pairs)
     _validated.add(variables)
 
 

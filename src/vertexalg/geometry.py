@@ -15,8 +15,8 @@ from typing import Mapping
 from .algebroid import WeightOneElement, embed, fock_algebra
 from .errors import InvalidInput, VariableMismatch
 from .freefield import nproduct, translate
-from .laurent import LaurentElement, OneForm, exponent_vectors, homogeneous_degree
-from .scalar import LinearCombination, Scalar, exact
+from .laurent import LaurentElement, exponent_vectors, homogeneous_degree, mul_into
+from .scalar import LinearCombination, Scalar, accumulate, exact
 
 V2 = ("y1", "y2")
 
@@ -68,13 +68,17 @@ def transition(v: WeightOneElement, omega: GluingForm,
     if v.chart in _CHARTS and direction != leaving:
         raise InvalidInput(f"a section on {v.chart} transitions {leaving}, not {direction}")
     # the contraction of f1 D1 + f2 D2 into phi dy1^dy2 is f1 phi dy2 - f2 phi dy1,
-    # phi = sum c_ab y1^-a y2^-b; the direction 2->1 subtracts it
-    phi = LaurentElement(V2, {(-a, -b): c for (a, b), c in omega.terms.items()})
-    if direction == "2->1":
-        phi = -phi
-    corr = {3 - i: f * phi if i == 1 else -(f * phi) for i, f in v.field_part.items()}
-    image = WeightOneElement(other if v.chart in _CHARTS else v.chart, v.variables)
-    return image._new(v.terms) + WeightOneElement.form(image.chart, OneForm(V2, corr))
+    # phi = sum c_ab y1^-a y2^-b; the direction 2->1 subtracts it.  The terms
+    # are canonical and `accumulate` drops a component that cancels, so the
+    # image is built by `_new`
+    ring = LaurentElement(V2)
+    phi = ring._new({(-a, -b): c for (a, b), c in omega._terms.items()})
+    terms = dict(v._terms)
+    for (cls, i), f in v._terms.items():
+        if cls == "d":
+            accumulate(terms, ("y", 3 - i),
+                       ring._new(mul_into({}, f, phi, (i == 2) != (direction == "2->1"))))
+    return WeightOneElement(other if v.chart in _CHARTS else v.chart, v.variables)._new(terms)
 
 
 # chart -> (the other chart, the direction leaving it, the coordinate with no
@@ -111,17 +115,17 @@ def extend_section(v: WeightOneElement, omega: GluingForm):
     if not regular_on(v, source):
         raise InvalidInput(f"input section must be regular on {source}")
     j_target = _CHARTS[target][2]
-    alpha: dict[int, LaurentElement] = {}
-    for (cls, k), g in transition(v, omega, direction).terms.items():
-        pole = g._new({exp: c for exp, c in g.terms.items() if exp[j_target - 1] < 0})
+    terms = dict(v._terms)
+    for (cls, k), g in transition(v, omega, direction)._terms.items():
+        pole = g._new({exp: c for exp, c in g._terms.items() if exp[j_target - 1] < 0})
         if not pole:
             continue
         # a frame component cannot be corrected by a one-form, and a doubly
         # negative monomial is an unremovable obstruction
         if cls == "d" or not _laurent_regular(pole, j_source):
             return None
-        alpha[k] = -pole
-    return v + WeightOneElement.form(v.chart, OneForm(v.variables, alpha))
+        accumulate(terms, ("y", k), -pole)
+    return v._new(terms)
 
 
 def invariant_sections(degree: int, N: int) -> list[WeightOneElement]:
@@ -129,7 +133,8 @@ def invariant_sections(degree: int, N: int) -> list[WeightOneElement]:
     internal degree whose grading residue mod N vanishes."""
     if degree % N != 0:
         return []
-    return [WeightOneElement.field("U1", V2, i, LaurentElement.monomial(V2, exp))
+    section, ring = WeightOneElement("U1", V2)._new, LaurentElement(V2)._new
+    return [section({("d", i): ring({exp: 1})})
             for exp in exponent_vectors(degree + 1, 2) for i in (1, 2)]
 
 

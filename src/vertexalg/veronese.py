@@ -163,17 +163,14 @@ def omega_membership(omega: OneForm, model: VeroneseModel) -> bool:
 def gl2_chart_images(k) -> dict[str, WeightOneElement]:
     """Sections on the chart where y1 is invertible, gluing multiple k."""
     k = exact(k)
-    y1 = LaurentElement.coordinate(V2, 1)
-    y2 = LaurentElement.coordinate(V2, 2)
-    inv = LaurentElement.monomial(V2, (-1, 0))
-    return {
-        "E12": WeightOneElement.field("U1", V2, 2, y1),
-        "E21": WeightOneElement.field("U1", V2, 1, y2)
-        + WeightOneElement.form("U1", OneForm(V2, {2: inv.scale(-k)})),
-        "E11": WeightOneElement.field("U1", V2, 1, y1),
-        "E22": WeightOneElement.field("U1", V2, 2, y2)
-        + WeightOneElement.form("U1", OneForm(V2, {1: inv.scale(k)})),
-    }
+    # canonical terms: a one-form component at k = 0 is left out
+    section, ring = WeightOneElement("U1", V2)._new, LaurentElement(V2)._new
+    y1, y2 = ring({(1, 0): 1}), ring({(0, 1): 1})
+    e21, e22 = {("d", 1): y2}, {("d", 2): y2}
+    if k:
+        e21[("y", 2)], e22[("y", 1)] = ring({(-1, 0): -k}), ring({(-1, 0): k})
+    return {"E12": section({("d", 2): y1}), "E21": section(e21),
+            "E11": section({("d", 1): y1}), "E22": section(e22)}
 
 
 RELATION_PAIRS = (("E12", "E22"), ("E11", "E21"))

@@ -19,6 +19,7 @@ from vertexalg.algebroid import (
     vprod,
 )
 from vertexalg.errors import ChartMismatch, InvalidInput, RuleOracleDivergence, VertexAlgError
+from vertexalg.freefield import nproduct
 from vertexalg.laurent import LaurentElement, OneForm, degrees
 from vertexalg.scalar import (
     RHS,
@@ -415,6 +416,21 @@ def test_rule_oracle_divergence_names_the_difference(monkeypatch):
     assert V not in algebroid._validated
 
 
+def test_an_oracle_of_the_wrong_weight_is_a_divergence(monkeypatch):
+    # an engine whose _(1) product returns the weight-1 _(0) product: oracle
+    # minus rule is taken term by term, so the mixed weights are reported as
+    # a divergence on the first row, not raised as InhomogeneousInput
+    engine = algebroid.nproduct
+    monkeypatch.setattr(algebroid, "_validated", set())
+    monkeypatch.setattr(algebroid, "nproduct", lambda a, n, b: engine(a, 0, b))
+    first = algebroid._battery(V)[0]
+    with pytest.raises(RuleOracleDivergence,
+                       match=r"^_\(1\) rule/oracle divergence on .*oracle minus rule is ") as err:
+        algebroid._validate_rules(V)
+    assert repr(first.left) in str(err.value)
+    assert V not in algebroid._validated
+
+
 def counting_engine(monkeypatch):
     """Count the engine products _validate_rules runs, by product index."""
     calls = []
@@ -431,24 +447,27 @@ def counting_engine(monkeypatch):
 
 @pytest.mark.parametrize("variables", [V, ("y1", "y2", "y3")])
 def test_oracle_check_runs_both_products_on_every_sample(monkeypatch, variables):
-    # 180 field/field and 48 mixed field/form samples, each through _(1) then _(0)
+    # 10 field rows and 12 mixed field/form rows, each through _(1) then _(0)
     calls = counting_engine(monkeypatch)
     algebroid._validate_rules(variables)
-    assert calls == [1, 0] * 228
+    assert calls == [1, 0] * 22
     assert variables in algebroid._validated
 
 
 def test_oracle_check_reaches_the_last_sample(monkeypatch):
-    # the last sample is the mixed pair (k dy2, y2^2 frame_2)
+    # the last row holds the last pairwise sample, the mixed pair
+    # (k dy2, y2^2 frame_2), as its last pair
     k = ParamScalar.var("k")
-    last = (WeightOneElement.form("c", OneForm(V, {2: mono(0, 0, k)})),
-            WeightOneElement.field("c", V, 2, mono(0, 2)))
+    last = algebroid._battery(V)[-1]
+    assert list(last.pairs.values())[-1] == (
+        WeightOneElement.form("c", OneForm(V, {2: mono(0, 0, k)})),
+        WeightOneElement.field("c", V, 2, mono(0, 2)))
     rule0 = algebroid._vprod0
     one = LaurentElement.constant(V, 1)
 
     def perturbed(u, v):
         out = rule0(u, v)
-        if (u, v) == last:
+        if (u, v) == (last.left, last.right):
             out = out + WeightOneElement.form(u.chart, OneForm(V, {1: one}))
         return out
 
@@ -457,8 +476,121 @@ def test_oracle_check_reaches_the_last_sample(monkeypatch):
     with pytest.raises(RuleOracleDivergence,
                        match=r"_\(0\) .*oracle minus rule is -1\*T1\(y1\)$"):
         algebroid._validate_rules(V)
-    assert calls == [1, 0] * 228
+    assert calls == [1, 0] * 22
     assert V not in algebroid._validated
+
+
+def _pairwise_samples(variables):
+    """The battery as 228 separate section pairs, one engine product each."""
+    n = len(variables)
+    indices = sorted({1, n})
+    exps = [(0,) * n]
+    for i in indices:
+        for e in (1, 2, -1):
+            vec = [0] * n
+            vec[i - 1] = e
+            exps.append(tuple(vec))
+    for e in (1, -1):
+        vec = [0] * n
+        vec[0], vec[-1] = e, 1
+        exps.append(tuple(vec))
+    k = ParamScalar.var("k")
+
+    def frame(i, e, c=1):
+        return WeightOneElement.field("c", variables, i, LaurentElement.monomial(variables, e, c))
+
+    def form(l, e):
+        return WeightOneElement.form(
+            "c", OneForm(variables, {l: LaurentElement.monomial(variables, e, k)}))
+
+    samples = [(frame(i, ea), frame(j, eb, k))
+               for i in indices for j in indices for ea in exps[:5] for eb in exps]
+    for i in indices:
+        for l in indices:
+            for idx, e in enumerate(exps[:6]):
+                field, other = frame(i, e), form(l, exps[(idx + 1) % 6])
+                samples += [(field, other), (other, field)]
+    return samples
+
+
+def _split_by_tag(x):
+    """{tag: coefficient} of a Fock element: each term of each coefficient
+    goes to its tag, the set of its parameters other than k, with the tag's
+    parameters (each to the power 1) taken off."""
+    parts: dict = {}
+    for key, c in x._terms.items():
+        for mono, a in c._terms.items() if type(c) is ParamScalar else [((), c)]:
+            own = [(name, e) for name, e in mono if name != "k"]
+            assert all(e == 1 for _, e in own), mono
+            rest = tuple((name, e) for name, e in mono if name == "k")
+            accumulate(parts.setdefault(frozenset(name for name, _ in own), {}).setdefault(key, {}),
+                       rest, a)
+    return {tag: x._new({key: ParamScalar._new(t) for key, t in terms.items()})
+            for tag, terms in parts.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_battery_rows_check_exactly_the_pairwise_samples(n):
+    # the rows cover the 228 pairs and no others, and in each engine product
+    # and each closed form of a row, a pair's tag has that pair's own product
+    # as its coefficient, with no term left outside the pairs' tags
+    variables = tuple(f"y{i}" for i in range(1, n + 1))
+    rows = algebroid._battery(variables)
+    covered = [pair for row in rows for pair in row.pairs.values()]
+    samples = _pairwise_samples(variables)
+    assert len(rows) == 22
+    assert len(covered) == len(set(covered)) == 228
+    assert set(covered) == set(samples) and len(samples) == 228
+    alg = fock_algebra(variables)
+    products = {
+        "oracle _(1)": lambda u, v: nproduct(embed(u, alg), 1, embed(v, alg)),
+        "oracle _(0)": lambda u, v: nproduct(embed(u, alg), 0, embed(v, alg)),
+        "rule _(1)": lambda u, v: alg.from_laurent(algebroid._vprod1(u, v)),
+        "rule _(0)": lambda u, v: embed(algebroid._vprod0(u, v), alg),
+    }
+    for row in rows:
+        for name, product in products.items():
+            split = _split_by_tag(product(row.left, row.right))
+            assert set(split) <= set(row.pairs), name
+            for tag, pair in row.pairs.items():
+                assert split.get(tag, alg.zero()) == product(*pair), (name, pair)
+
+
+@pytest.mark.parametrize("rule", ["_vprod1", "_vprod0"])
+def test_divergence_names_the_one_pair_it_is_confined_to(monkeypatch, rule):
+    # the closed form gains a term bilinear in one component of each operand,
+    # which among the 228 samples only one pair carries: for _(1) frame_1
+    # against k y1^-1 y2 frame_2 (a field row), for _(0) y1^-1 frame_2
+    # against k y2 dy1 (a mixed row)
+    k = ParamScalar.var("k")
+    left, right, pair = {
+        "_vprod1": ((("d", 1), (0, 0)), (("d", 2), (-1, 1)),
+                    (WeightOneElement.field("c", V, 1, mono(0, 0)),
+                     WeightOneElement.field("c", V, 2, mono(-1, 1, k)))),
+        "_vprod0": ((("d", 2), (-1, 0)), (("y", 1), (0, 1)),
+                    (WeightOneElement.field("c", V, 2, mono(-1, 0)),
+                     WeightOneElement.form("c", OneForm(V, {1: mono(0, 1, k)})))),
+    }[rule]
+    closed = getattr(algebroid, rule)
+
+    def coefficient(section, key_exp):
+        key, exp = key_exp
+        return section._terms.get(key, LaurentElement(V))._terms.get(exp, 0)
+
+    def perturbed(u, v):
+        c = LaurentElement.constant(V, coefficient(u, left) * coefficient(v, right))
+        out = closed(u, v)
+        return out + c if rule == "_vprod1" else out + WeightOneElement.form(
+            u.chart, OneForm(V, {1: c}))
+
+    assert [p for p in _pairwise_samples(V) if perturbed(*p) != closed(*p)] == [pair]
+    monkeypatch.setattr(algebroid, "_validated", set())
+    monkeypatch.setattr(algebroid, rule, perturbed)
+    with pytest.raises(RuleOracleDivergence) as err:
+        algebroid._validate_rules(V)
+    m = rule[-1]
+    assert str(err.value).startswith(
+        f"_({m}) rule/oracle divergence on ({pair[0]!r}, {pair[1]!r}): oracle minus rule is ")
 
 
 @pytest.mark.parametrize("variables", [V, ("y1", "y2", "y3"), ("y1", "y2", "y3", "y4")])

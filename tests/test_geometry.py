@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +13,9 @@ from vertexalg.geometry import (
     regular_on,
     transition,
 )
-from vertexalg.laurent import LaurentElement, OneForm
+from vertexalg.laurent import LaurentElement, OneForm, exponent_vectors
 from vertexalg.scalar import ParamScalar
+from vertexalg.veronese import gl2_chart_images
 
 V = ("y1", "y2")
 C = "overlap"
@@ -182,3 +184,94 @@ def test_conformal_glue_check():
     assert conformal_glue_check(GluingForm.basis(2, 1, 2))
     assert conformal_glue_check(GluingForm())
     assert conformal_glue_check(GluingForm.basis(1, 2))
+
+
+# -- the public-constructor builds that `_new` replaces ---------------------
+
+
+def _public_transition(v, omega, direction):
+    phi = LaurentElement(V, {(-a, -b): c for (a, b), c in omega.terms.items()})
+    if direction == "2->1":
+        phi = -phi
+    corr = {3 - i: f * phi if i == 1 else -(f * phi) for i, f in v.field_part.items()}
+    chart = {"U1": "U2", "U2": "U1"}.get(v.chart, v.chart)
+    return (WeightOneElement(chart, V)._new(v.terms)
+            + WeightOneElement.form(chart, OneForm(V, corr)))
+
+
+def _public_extend_section(v, omega):
+    target, direction, j_source = {"U2": ("U1", "2->1", 1)}.get(v.chart, ("U2", "1->2", 2))
+    j_target = 3 - j_source
+    alpha = {}
+    for (cls, k), g in _public_transition(v, omega, direction).terms.items():
+        pole = LaurentElement(V, {exp: c for exp, c in g.terms.items()
+                                  if exp[j_target - 1] < 0})
+        if not pole:
+            continue
+        if cls == "d" or (pole.min_exponent(j_source) or 0) < 0:
+            return None
+        alpha[k] = -pole
+    return v + WeightOneElement.form(v.chart, OneForm(V, alpha))
+
+
+def _public_gl2_chart_images(k):
+    y1, y2 = LaurentElement.coordinate(V, 1), LaurentElement.coordinate(V, 2)
+    inv = LaurentElement.monomial(V, (-1, 0))
+    return {
+        "E12": WeightOneElement.field("U1", V, 2, y1),
+        "E21": WeightOneElement.field("U1", V, 1, y2)
+        + WeightOneElement.form("U1", OneForm(V, {2: inv.scale(-k)})),
+        "E11": WeightOneElement.field("U1", V, 1, y1),
+        "E22": WeightOneElement.field("U1", V, 2, y2)
+        + WeightOneElement.form("U1", OneForm(V, {1: inv.scale(k)})),
+    }
+
+
+def _same_build(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got is None or (got.chart, got.variables) == (want.chart, want.variables)
+
+
+_OMEGAS = [GluingForm(), w11(K), w11(Fraction(-7, 3)), w11(K) + GluingForm.basis(2, 1, 2),
+           GluingForm.basis(1, 2), GluingForm.basis(3, 1, K * K - 1)]
+
+
+def test_canonical_builds_match_the_public_constructors():
+    # transition, extend_section, invariant_sections and gl2_chart_images
+    # build their results from canonical terms; each equals, and hashes
+    # like, the same result built through the public constructors
+    rng = random.Random(7)
+    sections = [s for d in (0, 2, 4) for s in invariant_sections(d, 2)]
+    for _ in range(60):
+        # homogeneous of degree d, with y2 regular (so regular on U1) half the time
+        d, low = rng.randint(-2, 2), rng.choice([-2, 0])
+
+        def term(shift, c):
+            b = rng.randint(low, 2)
+            return mono(d + shift - b, b, c)
+
+        f = {i: term(1, rng.choice([1, -2, K])) for i in (1, 2) if rng.random() < 0.8}
+        g = {j: term(-1, rng.choice([1, Fraction(1, 2)])) for j in (1, 2) if rng.random() < 0.5}
+        chart = rng.choice(["U1", "U2", C])
+        sections.append(WeightOneElement(chart, V, f, OneForm(V, g)))
+    for v in sections:
+        for omega in _OMEGAS:
+            directions = [None] if v.chart in ("U1", "U2") else ["1->2", "2->1"]
+            for direction in directions:
+                want = _public_transition(
+                    v, omega, direction or {"U1": "1->2", "U2": "2->1"}[v.chart])
+                _same_build(transition(v, omega, direction), want)
+            if v.chart in ("U1", "U2") and regular_on(v, v.chart):
+                _same_build(extend_section(v, omega), _public_extend_section(v, omega))
+    for degree, N in ((0, 1), (2, 2), (3, 3), (6, 3), (4, 2)):
+        want = [WeightOneElement.field("U1", V, i, LaurentElement.monomial(V, exp))
+                for exp in exponent_vectors(degree + 1, 2) for i in (1, 2)]
+        got = invariant_sections(degree, N)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _same_build(a, b)
+    for k in (0, 1, 4, -3, Fraction(7, 3), Fraction(8, 2), K, K - K + 2):
+        got, want = gl2_chart_images(k), _public_gl2_chart_images(k)
+        assert list(got) == list(want)
+        for name in want:
+            _same_build(got[name], want[name])
