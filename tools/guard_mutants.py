@@ -1,8 +1,7 @@
 """Seeded one-site mutants of the product kernel and the closed forms, each
 run against the kernel guard, `algebroid._validate_rules`.
 
-    python3 tools/guard_mutants.py --seed 1 --count 60
-    python3 tools/guard_mutants.py --mutant _gen_mode.cmp0 --mutant embed.neg0
+    python3 tools/guard_mutants.py --seed 1 --json seed1.json
     python3 tools/guard_mutants.py --ci
 
 A mutant changes one site of one target function (TARGETS) in one of four
@@ -10,7 +9,7 @@ ways: an operator swap (+ and -, * to +, and/or, ...), a comparison swap
 (== and !=, < and <=, ...), an int constant plus 1, or a dropped unary
 minus.  Sites are numbered per function and kind in `ast.walk` order, so a
 mutant's name, such as `_w_mode.const3`, is stable while its function is
-unchanged.  `--seed` and `--count` sample the sites; `--mutant` names them.
+unchanged.  `--seed` samples SAMPLE of the sites.
 
 Each mutant runs in its own child process, one after another: the package
 is copied from `<root>/src` to a temporary directory with the one site
@@ -19,7 +18,7 @@ n in VARIABLE_COUNTS, under an address-space limit.  Per list it reports
   stop     the guard raised RuleOracleDivergence
   crash    any other exception (an import error or a MemoryError too)
   pass     the guard accepted the mutant
-  timeout  the list ran past --timeout seconds.
+  timeout  the list ran past TIMEOUT seconds.
 The unmutated package (parsed and unparsed the same way) must pass on every
 list first.  `--ci` runs CI_SLICE and exits 1 unless the guard stops every
 one of those mutants on every list.  `--json PATH` writes the outcomes.
@@ -45,6 +44,8 @@ TARGETS = {
     "algebroid.py": ("_vprod0", "_vprod1", "embed", "_exact_part"),
 }
 MEMORY_LIMIT = 512 << 20  # bytes of address space per child
+TIMEOUT = 5.0  # seconds per variable list
+SAMPLE = 60  # mutants per seed
 
 _SWAP_OP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.Div: ast.Mult,
             ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
@@ -182,7 +183,7 @@ for n in {counts!r}:
 """
 
 
-def run_child(src: Path, file: str, text: str, timeout: float):
+def run_child(src: Path, file: str, text: str):
     """Run the guard on a copy of the package with `file` replaced by text;
     returns {variable count: outcome} and {variable count: the error}."""
     with tempfile.TemporaryDirectory(prefix="guard-mutant-") as tmp:
@@ -190,12 +191,12 @@ def run_child(src: Path, file: str, text: str, timeout: float):
         shutil.copytree(src, pkg, ignore=shutil.ignore_patterns("__pycache__"))
         (pkg / file).write_text(text)
         code = _CHILD.format(limit=MEMORY_LIMIT, path=tmp, counts=VARIABLE_COUNTS,
-                             timeout=timeout)
+                             timeout=TIMEOUT)
         outcomes, errors = {n: "timeout" for n in VARIABLE_COUNTS}, {}
         proc = subprocess.Popen([sys.executable, "-I", "-B", "-c", code],
                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         try:
-            out, _ = proc.communicate(timeout=timeout * len(VARIABLE_COUNTS) + 30)
+            out, _ = proc.communicate(timeout=TIMEOUT * len(VARIABLE_COUNTS) + 30)
         except subprocess.TimeoutExpired:  # stuck where the alarm cannot reach
             proc.kill()
             out, _ = proc.communicate()
@@ -206,11 +207,11 @@ def run_child(src: Path, file: str, text: str, timeout: float):
         return outcomes, errors
 
 
-def baseline(src: Path, timeout: float) -> None:
+def baseline(src: Path) -> None:
     """Every target file, parsed and unparsed, must pass on every list."""
     for file in TARGETS:
         text = ast.unparse(ast.parse((src / file).read_text()))
-        outcomes, errors = run_child(src, file, text, timeout)
+        outcomes, errors = run_child(src, file, text)
         if set(outcomes.values()) != {"pass"}:
             raise SystemExit(f"the unmutated package does not pass the guard: {file} {outcomes} {errors}")
 
@@ -220,31 +221,25 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the checkout whose src/vertexalg is mutated")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--count", type=int, default=50)
-    parser.add_argument("--mutant", action="append", default=[])
     parser.add_argument("--ci", action="store_true", help="run CI_SLICE; all must stop")
-    parser.add_argument("--timeout", type=float, default=5.0, help="seconds per variable list")
-    parser.add_argument("--json", type=Path)
+    parser.add_argument("--json", type=Path, help="write the outcomes to this file")
     args = parser.parse_args(argv)
     src = args.root / "src" / "vertexalg"
     mutants = list_mutants(src)
-    names = list(args.mutant)
-    if args.ci:
-        names += list(CI_SLICE)
+    names = list(CI_SLICE) if args.ci else []
     if args.seed is not None:
-        names += random.Random(args.seed).sample(sorted(mutants), min(args.count, len(mutants)))
+        names += random.Random(args.seed).sample(sorted(mutants), min(SAMPLE, len(mutants)))
     unknown = [name for name in names if name not in mutants]
     if unknown or not names:
-        parser.error(f"unknown mutants {unknown}" if unknown else
-                     "give --seed, --mutant or --ci")
-    baseline(src, args.timeout)
+        parser.error(f"unknown mutants {unknown}" if unknown else "give --seed or --ci")
+    baseline(src)
     print(f"{len(mutants)} sites; running {len(names)} mutants of {src}")
     print("| mutant | change | " + " | ".join(f"n = {n}" for n in VARIABLE_COUNTS) + " |")
     print("|---|---|" + "---|" * len(VARIABLE_COUNTS))
     results, failures = {}, []
     for name in names:
         text, change = mutate(src, mutants[name])
-        outcomes, errors = run_child(src, mutants[name][0], text, args.timeout)
+        outcomes, errors = run_child(src, mutants[name][0], text)
         results[name] = {"change": change, "outcomes": outcomes, "errors": errors}
         print(f"| {name} | `{change}` | " + " | ".join(outcomes.values()) + " |", flush=True)
         if args.ci and name in CI_SLICE:
