@@ -351,9 +351,12 @@ def _divergence(m: int, want: FreeFieldElement, got: FreeFieldElement,
             tags.add(frozenset(name for name, _ in own) if all(e == 1 for _, e in own) else None)
     named = ([pair for tag, pair in pairs.items() if tag in tags] if pairs.keys() >= tags
              else pairs.values())
-    on = ", ".join(f"({u!r}, {v!r})" for u, v in named)
-    return RuleOracleDivergence(f"_({m}) rule/oracle divergence on {on}: "
+    return RuleOracleDivergence(f"_({m}) rule/oracle divergence on {_listed(named)}: "
                                 f"oracle minus rule is {want._new(terms)}")
+
+
+def _listed(pairs) -> str:
+    return ", ".join(f"({u!r}, {v!r})" for u, v in pairs)
 
 
 def _validate_rules(variables: tuple[str, ...]) -> None:
@@ -368,7 +371,9 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
     not a random test.  Each field row keeps one plain section on the left:
     one product over all 180 field pairs ran the kernel mutant
     `_gen_mode.const0` of tools/guard_mutants.py past its timeout, where a
-    row stops it at once.
+    row stops it at once.  Any other exception raised while a row is
+    checked is reported as a divergence on that row's pairs, so that a
+    kernel that crashes is refused like one that computes a wrong product.
     """
     if variables in _validated:
         return
@@ -379,14 +384,20 @@ def _validate_rules(variables: tuple[str, ...]) -> None:
     embedded = {s: embed(s, alg) for s in dict.fromkeys(s for row in rows for s in row[:2])}
     for u, v, pairs in rows:
         eu, ev = embedded[u], embedded[v]
-        want1 = nproduct(eu, 1, ev)
-        got1 = alg.from_laurent(_vprod1(u, v))
-        if want1 != got1:
-            raise _divergence(1, want1, got1, pairs)
-        want0 = nproduct(eu, 0, ev)
-        got0 = embed(_vprod0(u, v), alg)
-        if want0 != got0:
-            raise _divergence(0, want0, got0, pairs)
+        try:
+            want1 = nproduct(eu, 1, ev)
+            got1 = alg.from_laurent(_vprod1(u, v))
+            if want1 != got1:
+                raise _divergence(1, want1, got1, pairs)
+            want0 = nproduct(eu, 0, ev)
+            got0 = embed(_vprod0(u, v), alg)
+            if want0 != got0:
+                raise _divergence(0, want0, got0, pairs)
+        except RuleOracleDivergence:
+            raise
+        except Exception as exc:
+            raise RuleOracleDivergence(f"the check of {_listed(pairs.values())} raised "
+                                       f"{exc!r}") from exc
     _validated.add(variables)
 
 

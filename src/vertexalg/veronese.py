@@ -64,9 +64,6 @@ class VeroneseModel:
         self.variables = tuple(f"y{i}" for i in range(1, n + 1))
         self.generators = _generator_exponents(n, N)
 
-    def generator_element(self, name: str) -> LaurentElement:
-        return LaurentElement.monomial(self.variables, self.generators[name])
-
     @functools.cached_property
     def relations(self) -> list[tuple[tuple[str, str], tuple[str, str]]]:
         """The binomial syzygies x_u x_v = x_w x_z, for every n: each pair
@@ -264,8 +261,6 @@ def solve_charge(model: VeroneseModel) -> ChargeResult:
     if len(survivors) != 1:
         raise VertexAlgError(f"expected one admissible gluing line, got {survivors}")
     line = survivors[0]
-    if model.N == 1:
-        return ChargeResult("unconstrained", None, line)
     k = ParamScalar.var("k")
     conditions: list[Scalar] = []
     for pair in RELATION_PAIRS:

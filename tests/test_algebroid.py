@@ -431,6 +431,27 @@ def test_an_oracle_of_the_wrong_weight_is_a_divergence(monkeypatch):
     assert V not in algebroid._validated
 
 
+def test_a_check_that_raises_is_a_divergence_on_its_row(monkeypatch):
+    # a closed form that raises on the last row: the error names that row's
+    # pairs and chains the original
+    last = algebroid._battery(V)[-1]
+    rule0 = algebroid._vprod0
+
+    def crashing(u, v):
+        if (u, v) == (last.left, last.right):
+            raise KeyError("boom")
+        return rule0(u, v)
+
+    monkeypatch.setattr(algebroid, "_validated", set())
+    monkeypatch.setattr(algebroid, "_vprod0", crashing)
+    with pytest.raises(RuleOracleDivergence) as err:
+        algebroid._validate_rules(V)
+    on = ", ".join(f"({u!r}, {v!r})" for u, v in last.pairs.values())
+    assert str(err.value) == f"the check of {on} raised KeyError('boom')"
+    assert isinstance(err.value.__cause__, KeyError)
+    assert V not in algebroid._validated
+
+
 def counting_engine(monkeypatch):
     """Count the engine products _validate_rules runs, by product index."""
     calls = []

@@ -15,8 +15,10 @@ Each mutant runs in its own child process, one after another: the package
 is copied from `<root>/src` to a temporary directory with the one site
 changed, and the child runs the guard on each variable list y1..yn,
 n in VARIABLE_COUNTS, under an address-space limit.  Per list it reports
-  stop     the guard raised RuleOracleDivergence
-  crash    any other exception (an import error or a MemoryError too)
+  stop     the guard raised RuleOracleDivergence, as it does for any
+           exception raised while a row of its battery is checked
+  crash    any other exception: one raised before the rows are checked,
+           while the battery is built or embedded, or an import error
   pass     the guard accepted the mutant
   timeout  the list ran past TIMEOUT seconds.
 The unmutated package (parsed and unparsed the same way) must pass on every
